@@ -26,6 +26,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from datetime import datetime, timezone
 
 import numpy as np
@@ -460,6 +461,9 @@ def cmd_sweep(args) -> list:
         {
             "samples": spec.sample_count,
             "failures": [[index, reason] for index, reason in result.failures],
+            "failure_reasons": dict(
+                Counter(reason.split(":", 1)[0] for _, reason in result.failures)
+            ),
             "fraction_below": fractions,
         },
     )
@@ -655,7 +659,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="randomized recovery sweep over a parameter box")
     common(p)
-    p.add_argument("--workers", type=int, default=None, help="parallel draw workers")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="accepted for compatibility; has no effect (draws are integrated together)",
+    )
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("covid", help="case counts to compartments, beta(t), re-simulation")

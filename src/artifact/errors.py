@@ -13,6 +13,10 @@ class RankDeficient(EstimationError):
     """The regression system is under-determined or numerically degenerate."""
 
 
+class NonFiniteSystem(EstimationError):
+    """The regression system, its normal matrix or its solution is not finite."""
+
+
 class IndexOutOfRange(EstimationError):
     """A parameter or sample index is outside the valid range."""
 

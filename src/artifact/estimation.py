@@ -22,7 +22,6 @@ produced with "full" windows starting at the first sample.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +35,8 @@ from .errors import (
     TooFewPoints,
     UnderDetermined,
 )
-from .integrator import ConstantSchedule, SimulationConfig, simulate
-from .models import ParameterLinearModel, get_model
+from .integrator import SimulationConfig, simulate_draws
+from .models import ParameterLinearModel, build_matrices
 from .regression import (
     ParameterEstimate,
     ParameterPartition,
@@ -112,20 +111,6 @@ def _window_indices(indices) -> np.ndarray:
     return np.asarray(indices, dtype=int)
 
 
-def _matrices_at(model: ParameterLinearModel, series: TimeSeries, samples) -> np.ndarray:
-    """A(x_j; t_j) for each sample j, shaped (len(samples), n_states, n_params)."""
-    matrices = np.array(
-        [model.build_matrix(series.states[j], float(series.times[j])) for j in samples],
-        dtype=float,
-    )
-    if matrices.shape[1:] != (model.n_states, model.n_params):
-        raise ShapeMismatch(
-            f"model {model.name} built matrices of shape {matrices.shape[1:]}, "
-            f"expected {(model.n_states, model.n_params)}"
-        )
-    return matrices
-
-
 def assemble_from_series(
     model: ParameterLinearModel,
     series: TimeSeries,
@@ -154,7 +139,7 @@ def assemble_from_series(
         span = times[idx + 1] - times[idx - 1]
         rhs_rows = (states[idx + 1] - states[idx - 1]) / span[:, None]
         samples = np.unique(np.concatenate([idx - 1, idx, idx + 1]))
-        built = _matrices_at(model, series, samples)
+        built = build_matrices(model, states[samples], times[samples])
         before = built[np.searchsorted(samples, idx - 1)]
         centre = built[np.searchsorted(samples, idx)]
         after = built[np.searchsorted(samples, idx + 1)]
@@ -171,7 +156,7 @@ def assemble_from_series(
             raise TooFewPoints("window indices outside the series")
         window = TimeSeries(times[idx[0] : idx[-1] + 1], states[idx[0] : idx[-1] + 1])
         rhs_rows = full_diff(window).states
-        matrices = _matrices_at(model, series, idx)
+        matrices = build_matrices(model, states[idx], times[idx])
     else:
         raise ValueError(f"unknown derivative mode {derivative!r}")
     return StackedSystem(
@@ -358,55 +343,6 @@ class SweepResult:
         }
 
 
-def _sweep_draw(args) -> tuple:
-    """Run one sweep draw; module-level so worker processes can import it."""
-    (
-        model_name,
-        population,
-        domain,
-        known_pairs,
-        total_params,
-        seed,
-        index,
-        t0,
-        t_end,
-        step,
-        x0,
-        derivative,
-        with_normalized,
-    ) = args
-    model = get_model(model_name, population)
-    partition = ParameterPartition.from_known(total_params, dict(known_pairs))
-    rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
-    draws = np.array([rng.uniform(lo, hi) for lo, hi in domain])
-    omega = np.empty(total_params)
-    omega[list(partition.known_indices)] = partition.known_values
-    omega[list(partition.unknown_indices)] = draws
-    try:
-        if np.any(draws == 0.0):
-            raise EstimationError("zero parameter draw")
-        config = SimulationConfig(t0, t_end, step, np.asarray(x0), ConstantSchedule(omega))
-        series = simulate(model, config)
-        estimate = estimate_constant(
-            model, series, partition=partition, derivative=derivative
-        )
-        unknown = list(partition.unknown_indices)
-        errors = np.abs((estimate.values[unknown] - draws) / draws)
-        record = (index, float(errors.max()), float(errors.mean()), None)
-        if with_normalized:
-            normalized = estimate_constant(
-                model, series, partition=partition, derivative=derivative, normalize=True
-            )
-            errors_n = np.abs((normalized.values[unknown] - draws) / draws)
-            record += (float(errors_n.max()), float(errors_n.mean()))
-        return record
-    except EstimationError as exc:
-        record = (index, np.nan, np.nan, f"{type(exc).__name__}: {exc}")
-        if with_normalized:
-            record += (np.nan, np.nan)
-        return record
-
-
 def run_sweep(
     model: ParameterLinearModel,
     sweep: SweepSpec,
@@ -417,42 +353,55 @@ def run_sweep(
 ) -> SweepResult:
     """Draw random parameter vectors, simulate, re-estimate, record errors.
 
-    Draw i is seeded by SeedSequence((seed, i)), so results are order-stable
-    and independent of the worker count. Failed draws are recorded with a
-    reason and excluded from the error arrays, never fatal.
+    Draw i is seeded by SeedSequence((seed, i)), so results are order-stable.
+    All draws are integrated together (simulate_draws), then each draw is
+    estimated on its own. Failed draws are recorded with a reason and
+    excluded from the error arrays, never fatal. `workers` is accepted for
+    compatibility and has no effect.
     """
-    known_pairs = tuple(zip(sweep.fixed.known_indices, sweep.fixed.known_values))
-    args = [
-        (
-            model.name,
-            model.population,
-            sweep.domain,
-            known_pairs,
-            model.n_params,
-            sweep.seed,
-            index,
-            sim_template.t0,
-            sim_template.t_end,
-            sim_template.step,
-            sim_template.initial_state,
-            derivative,
-            with_normalized,
+    partition = sweep.fixed
+    unknown = list(partition.unknown_indices)
+    count = sweep.sample_count
+    draws = np.empty((count, len(unknown)))
+    for index in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence((sweep.seed, index)))
+        draws[index] = [rng.uniform(lo, hi) for lo, hi in sweep.domain]
+    omegas = np.empty((count, model.n_params))
+    omegas[:, list(partition.known_indices)] = partition.known_values
+    omegas[:, unknown] = draws
+    times, states, failed = simulate_draws(model, sim_template, omegas)
+
+    def errors(series, drawn, normalize):
+        estimate = estimate_constant(
+            model, series, partition=partition, derivative=derivative, normalize=normalize
         )
-        for index in range(sweep.sample_count)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_sweep_draw, args, chunksize=64))
-    else:
-        records = [_sweep_draw(a) for a in args]
-    records.sort(key=lambda r: r[0])
-    max_errors = np.array([r[1] for r in records])
-    mean_errors = np.array([r[2] for r in records])
-    failures = [(r[0], r[3]) for r in records if r[3] is not None]
-    result = SweepResult(sweep.sample_count, max_errors, mean_errors, failures)
+        return np.abs((estimate.values[unknown] - drawn) / drawn)
+
+    # rows: max and mean error, then the normalized pair
+    statistics = np.full((4 if with_normalized else 2, count), np.nan)
+    failures = []
+    for index in range(count):
+        drawn = draws[index]
+        error = failed.get(index)
+        if np.any(drawn == 0.0):
+            error = EstimationError("zero parameter draw")
+        if error is None:
+            try:
+                series = TimeSeries(times, states[index])
+                plain = errors(series, drawn, False)
+                row = [plain.max(), plain.mean()]
+                if with_normalized:
+                    normalized = errors(series, drawn, True)
+                    row += [normalized.max(), normalized.mean()]
+                statistics[:, index] = row
+            except EstimationError as exc:
+                error = exc
+        if error is not None:
+            failures.append((index, f"{type(error).__name__}: {error}"))
+    result = SweepResult(count, statistics[0], statistics[1], failures)
     if with_normalized:
-        result.max_errors_normalized = np.array([r[4] for r in records])
-        result.mean_errors_normalized = np.array([r[5] for r in records])
+        result.max_errors_normalized = statistics[2]
+        result.mean_errors_normalized = statistics[3]
     return result
 
 
@@ -491,11 +440,9 @@ def subsample_noise_table(
         idx = np.arange(n) * (total // n)
         sub_times = series.times[idx]
         rhs_rows = np.gradient(target_states[idx], sub_times, axis=0, edge_order=1)
-        blocks = [
-            (model.build_matrix(design_states[i], float(series.times[i])), rhs_rows[r])
-            for r, i in enumerate(idx)
-        ]
-        estimate = regression.solve_ols(regression.stack_systems(blocks))
+        matrices = build_matrices(model, design_states[idx], sub_times)
+        system = StackedSystem(matrices.reshape(-1, model.n_params), rhs_rows.reshape(-1))
+        estimate = regression.solve_ols(system)
         return np.abs((estimate.values - true_omega) / true_omega) * 100.0
 
     for col, level in enumerate(noise_levels):

@@ -2,8 +2,13 @@
 
 The step size doubles as the output sampling interval: every solver step is
 stored. Parameter schedules are evaluated once at the start of each step and
-held constant through the four stages. States are never clipped; the only
-runtime failure is NonFiniteState when a stage produces NaN or Inf.
+held constant through the four stages. States are never clipped; a step
+fails with NonFiniteState when it produces NaN or Inf, or with whatever
+error the model's builder raises.
+
+simulate and erk4_step integrate one state; simulate_draws steps many
+constant-parameter draws together through the same RK4 core, one batched
+builder call per stage.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .differentiation import TimeSeries
-from .errors import NonFiniteState, ShapeMismatch
-from .models import ParameterLinearModel
+from .errors import EstimationError, NonFiniteState, ShapeMismatch
+from .models import ParameterLinearModel, build_matrices
 
 
 class ConstantSchedule:
@@ -95,44 +100,118 @@ class SimulationConfig:
         )
 
 
+def _rk4(build, state, t, omega, h):
+    """Classical RK4 update of states (..., n) under parameters (..., k).
+
+    build(states, t) returns the matrices (..., n, k); omega is held fixed
+    across the stages.
+    """
+    column = omega[..., None]
+    half = t + 0.5 * h
+    k1 = (build(state, t) @ column)[..., 0]
+    k2 = (build(state + 0.5 * h * k1, half) @ column)[..., 0]
+    k3 = (build(state + 0.5 * h * k2, half) @ column)[..., 0]
+    k4 = (build(state + h * k3, t + h) @ column)[..., 0]
+    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def erk4_step(
     model: ParameterLinearModel, state: np.ndarray, t: float, omega, h: float
 ) -> np.ndarray:
-    """One classical RK4 update with omega held fixed across the stages."""
+    """One classical RK4 update of one state with omega held fixed across the stages."""
     if h <= 0:
         raise ValueError("step must be positive")
-    omega = np.asarray(omega, dtype=float)
-
-    def rhs(x, tt):
-        return model.build_matrix(x, tt) @ omega
-
-    k1 = rhs(state, t)
-    k2 = rhs(state + 0.5 * h * k1, t + 0.5 * h)
-    k3 = rhs(state + 0.5 * h * k2, t + 0.5 * h)
-    k4 = rhs(state + h * k3, t + h)
-    new_state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    new_state = _rk4(model.build_matrix, state, t, np.asarray(omega, dtype=float), h)
     if not np.all(np.isfinite(new_state)):
         raise NonFiniteState(f"non-finite state after step from t={t}")
     return new_state
 
 
-def simulate(model: ParameterLinearModel, config: SimulationConfig) -> TimeSeries:
-    """Integrate from t0 to t_end inclusive (within half-step tolerance)."""
+def _initial_state(model: ParameterLinearModel, config: SimulationConfig) -> np.ndarray:
     state = np.asarray(config.initial_state, dtype=float)
     if state.shape != (model.n_states,):
         raise ShapeMismatch(
             f"initial state has shape {state.shape}, model wants ({model.n_states},)"
         )
+    return state
+
+
+def _grid(config: SimulationConfig) -> np.ndarray:
     n_steps = int(np.floor((config.t_end - config.t0) / config.step + 0.5))
-    times = config.t0 + config.step * np.arange(n_steps + 1)
-    states = np.empty((n_steps + 1, model.n_states))
+    return config.t0 + config.step * np.arange(n_steps + 1)
+
+
+def simulate(model: ParameterLinearModel, config: SimulationConfig) -> TimeSeries:
+    """Integrate from t0 to t_end inclusive (within half-step tolerance)."""
+    state = _initial_state(model, config)
+    times = _grid(config)
+    states = np.empty((len(times), model.n_states))
     states[0] = state
-    for i in range(n_steps):
+    for i in range(len(times) - 1):
         t = times[i]
-        omega = config.schedule.omega_at(t)
-        try:
-            state = erk4_step(model, state, t, omega, config.step)
-        except NonFiniteState:
-            raise NonFiniteState(f"non-finite state at step {i + 1} (t={t})") from None
+        omega = np.asarray(config.schedule.omega_at(t), dtype=float)
+        state = _rk4(model.build_matrix, state, t, omega, config.step)
+        if not np.all(np.isfinite(state)):
+            raise NonFiniteState(f"non-finite state at step {i + 1} (t={t})")
         states[i + 1] = state
     return TimeSeries(times, states)
+
+
+def simulate_draws(model: ParameterLinearModel, config: SimulationConfig, omegas):
+    """Integrate one constant parameter vector per draw, all draws together.
+
+    omegas has shape (draws, n_params); the grid and the initial state come
+    from config, whose schedule is not used. Every draw's trajectory equals
+    simulate() under ConstantSchedule(omegas[d]) bit for bit. A draw that
+    raises an EstimationError or turns non-finite stops there and is
+    reported with the error simulate() would raise; no draw affects another.
+
+    Returns (times, states, failures): states has shape
+    (draws, len(times), n_states), and failures maps a draw index to its
+    error (the rows of a failed draw past its failing step are undefined).
+    """
+    x0 = _initial_state(model, config)
+    omegas = np.asarray(omegas, dtype=float)
+    if omegas.ndim != 2 or omegas.shape[1] != model.n_params:
+        raise ShapeMismatch(
+            f"expected omegas of shape (draws, {model.n_params}), got {omegas.shape}"
+        )
+    times = _grid(config)
+    h = config.step
+    states = np.empty((omegas.shape[0], len(times), model.n_states))
+    states[:, 0] = x0
+    failures = {}
+    active = np.arange(omegas.shape[0])
+    x = states[:, 0].copy()
+    omega = omegas
+
+    def build(x, t):
+        return build_matrices(model, x, t)
+
+    # a dying draw may overflow; its rows are checked after each step
+    with np.errstate(all="ignore"):
+        for i in range(len(times) - 1):
+            t = times[i]
+            try:
+                x = _rk4(build, x, t, omega, h)
+            except EstimationError:
+                # find the draws that raised by stepping each one alone
+                stepped = np.full_like(x, np.nan)
+                for row in range(x.shape[0]):
+                    try:
+                        stepped[row] = _rk4(model.build_matrix, x[row], t, omega[row], h)
+                    except EstimationError as exc:
+                        failures[int(active[row])] = exc
+                x = stepped
+            if not np.isfinite(x).all():
+                finite = np.isfinite(x).all(axis=1)
+                for row in np.flatnonzero(~finite):
+                    failures.setdefault(
+                        int(active[row]),
+                        NonFiniteState(f"non-finite state at step {i + 1} (t={t})"),
+                    )
+                active, x, omega = active[finite], x[finite], omega[finite]
+                if active.size == 0:
+                    break
+            states[active, i + 1] = x
+    return times, states, failures

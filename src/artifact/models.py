@@ -12,6 +12,12 @@ to linear regression on stacked A blocks. Built-ins:
 
 The epidemic matrices have zero column sums by construction, so the total
 population is conserved for any parameter vector.
+
+Batched contract: build_matrix(states, t) maps states of shape
+(..., n_states) to matrices of shape (..., n_states, n_params), one matrix
+per state along the leading axes. A single state is the case with no leading
+axes. The built-in builders broadcast; a custom builder that only takes one
+state still works through build_matrices, which calls it once per state.
 """
 
 from __future__ import annotations
@@ -30,12 +36,20 @@ from .errors import (
 
 @dataclass(frozen=True)
 class ParameterLinearModel:
-    """Named model with a builder for the system matrix A(x; t)."""
+    """Named model with a builder for the system matrix A(x; t).
+
+    build_matrix(states, t) takes states of shape (..., n_states) and
+    returns matrices of shape (..., n_states, n_params); t is a float or an
+    array matching the leading axes. A builder that only takes one state of
+    shape (n_states,) is also accepted: build_matrices detects it from the
+    shape it returns for a batch (or from a shape-type error) and loops over
+    the states.
+    """
 
     name: str
     state_names: tuple
     parameter_names: tuple
-    build_matrix: Callable[[np.ndarray, float], np.ndarray]
+    build_matrix: Callable[[np.ndarray, float | np.ndarray], np.ndarray]
     population: float | None = None
 
     @property
@@ -55,41 +69,44 @@ class ParameterLinearModel:
             ) from None
 
 
-def _as_state(state, expected: int) -> np.ndarray:
-    state = np.asarray(state, dtype=float)
-    if state.shape != (expected,):
-        raise ShapeMismatch(f"expected state of length {expected}, got {state.shape}")
-    return state
+def _as_states(states, expected: int) -> np.ndarray:
+    states = np.asarray(states, dtype=float)
+    if states.ndim == 0 or states.shape[-1] != expected:
+        raise ShapeMismatch(
+            f"expected states of shape (..., {expected}), got {states.shape}"
+        )
+    return states
 
 
-def lotka_volterra_matrix(state) -> np.ndarray:
-    """2x4 system matrix for prey x and predator y."""
-    x, y = _as_state(state, 2)
-    return np.array(
-        [
-            [x, -x * y, 0.0, 0.0],
-            [0.0, 0.0, -y, x * y],
-        ]
-    )
+def lotka_volterra_matrix(states) -> np.ndarray:
+    """(..., 2, 4) system matrices for prey x and predator y."""
+    states = _as_states(states, 2)
+    x, y = states[..., 0], states[..., 1]
+    a = np.zeros(states.shape[:-1] + (2, 4))
+    a[..., 0, 0] = x
+    a[..., 0, 1] = -x * y
+    a[..., 1, 2] = -y
+    a[..., 1, 3] = x * y
+    return a
 
 
-def sir_matrix(state, population: float) -> np.ndarray:
-    """3x2 system matrix; columns (beta, gamma) each sum to zero."""
+def sir_matrix(states, population: float) -> np.ndarray:
+    """(..., 3, 2) system matrices; columns (beta, gamma) each sum to zero."""
     if population <= 0:
         raise NonPositivePopulation(f"population {population} must be positive")
-    s, i, _ = _as_state(state, 3)
+    states = _as_states(states, 3)
+    s, i = states[..., 0], states[..., 1]
     si = s * i / population
-    return np.array(
-        [
-            [-si, 0.0],
-            [si, -i],
-            [0.0, i],
-        ]
-    )
+    a = np.zeros(states.shape[:-1] + (3, 2))
+    a[..., 0, 0] = -si
+    a[..., 1, 0] = si
+    a[..., 1, 1] = -i
+    a[..., 2, 1] = i
+    return a
 
 
-def s3i3r_matrix(state, population: float) -> np.ndarray:
-    """7x8 system matrix with columns (beta, gamma1, gamma2, gamma3, tau, theta, phi1, phi2).
+def s3i3r_matrix(states, population: float) -> np.ndarray:
+    """(..., 7, 8) system matrices with columns (beta, gamma1, gamma2, gamma3, tau, theta, phi1, phi2).
 
     The vaccination column (tau) moves people out of S, I1 and R1 in
     proportion to their share of the vaccinatable pool V = S + I1 + R1, and
@@ -97,22 +114,61 @@ def s3i3r_matrix(state, population: float) -> np.ndarray:
     """
     if population <= 0:
         raise NonPositivePopulation(f"population {population} must be positive")
-    s, i1, i2, i3, r1, _, _ = _as_state(state, 7)
+    states = _as_states(states, 7)
+    s, i1, i2, i3, r1 = (states[..., k] for k in range(5))
     pool = s + i1 + r1
-    if pool == 0.0:
+    if not pool.all():
         raise DegenerateDenominator("vaccinatable pool S + I1 + R1 is zero")
     si = s * i1 / population
-    return np.array(
-        [
-            [-si, 0.0, 0.0, 0.0, -s / pool, 0.0, 0.0, 0.0],
-            [si, -i1, 0.0, 0.0, -i1 / pool, 0.0, -i1, 0.0],
-            [0.0, 0.0, -i2, 0.0, 0.0, 0.0, i1, -i2],
-            [0.0, 0.0, 0.0, -i3, 0.0, -i3, 0.0, i2],
-            [0.0, i1, i2, i3, -r1 / pool, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 0.0, i3, 0.0, 0.0],
-        ]
+    a = np.zeros(states.shape[:-1] + (7, 8))
+    a[..., 0, 0] = -si
+    a[..., 0, 4] = -s / pool
+    a[..., 1, 0] = si
+    a[..., 1, 1] = -i1
+    a[..., 1, 4] = -i1 / pool
+    a[..., 1, 6] = -i1
+    a[..., 2, 2] = -i2
+    a[..., 2, 6] = i1
+    a[..., 2, 7] = -i2
+    a[..., 3, 3] = -i3
+    a[..., 3, 5] = -i3
+    a[..., 3, 7] = i2
+    a[..., 4, 1] = i1
+    a[..., 4, 2] = i2
+    a[..., 4, 3] = i3
+    a[..., 4, 4] = -r1 / pool
+    a[..., 5, 4] = 1.0
+    a[..., 6, 5] = i3
+    return a
+
+
+def build_matrices(model: ParameterLinearModel, states, t) -> np.ndarray:
+    """A(x; t) for states of shape (..., n_states), shaped (..., n_states, n_params).
+
+    t is a float or an array matching the leading axes of states. A builder
+    that only handles one state returns a wrongly shaped result for a batch,
+    or rejects it with a shape-type error; it is then called once per state,
+    and those calls raise any error that is not about the batch.
+    """
+    states = np.asarray(states, dtype=float)
+    shape = states.shape[:-1] + (model.n_states, model.n_params)
+    try:
+        matrices = model.build_matrix(states, t)
+    except (ValueError, TypeError, IndexError, ShapeMismatch):
+        matrices = None
+    if np.shape(matrices) == shape:
+        return matrices
+    rows = states.reshape(-1, states.shape[-1])
+    times = np.broadcast_to(t, states.shape[:-1]).reshape(-1)
+    matrices = np.array(
+        [model.build_matrix(x, float(tt)) for x, tt in zip(rows, times)], dtype=float
     )
+    if matrices.shape[1:] != shape[-2:]:
+        raise ShapeMismatch(
+            f"model {model.name} built matrices of shape {matrices.shape[1:]}, "
+            f"expected {shape[-2:]}"
+        )
+    return matrices.reshape(shape)
 
 
 def eval_rhs(model: ParameterLinearModel, state, omega, t: float = 0.0) -> np.ndarray:

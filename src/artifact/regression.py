@@ -13,7 +13,9 @@ The condition of the normal matrix is estimated from the squared ratio of
 the extreme factor diagonals; this is a cheap proxy, not an exact condition
 number. When the proxy exceeds 1e8 the solve falls back to a QR
 factorization of the raw matrix, and above 1e12 the system is declared rank
-deficient.
+deficient. A solve whose residual norm or condition proxy is not finite (a
+NaN or Inf entry, or a normal matrix that overflows) raises NonFiniteSystem
+instead of returning NaN.
 
 Stacking
 --------
@@ -25,11 +27,18 @@ recombined afterwards so callers always see the full parameter vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroColumn, IndexOutOfRange, RankDeficient, ShapeMismatch
+from .errors import (
+    AllZeroColumn,
+    IndexOutOfRange,
+    NonFiniteSystem,
+    RankDeficient,
+    ShapeMismatch,
+)
 
 QR_FALLBACK_CONDITION = 1e8
 RANK_DEFICIENT_CONDITION = 1e12
@@ -121,6 +130,8 @@ class ParameterEstimate:
 def _column_scales(matrix: np.ndarray) -> np.ndarray:
     # zero columns are left unscaled so the rank check still sees them
     scales = np.linalg.norm(matrix, axis=0)
+    if not np.all(np.isfinite(scales)):
+        raise NonFiniteSystem("a column norm of the system is not finite")
     scales[scales == 0.0] = 1.0
     return scales
 
@@ -129,7 +140,14 @@ def _estimate_from_solution(
     system: StackedSystem, omega: np.ndarray, cond: float, lam: float
 ) -> ParameterEstimate:
     residual = system.matrix @ omega - system.rhs
-    return ParameterEstimate(omega, float(np.linalg.norm(residual)), cond, lam)
+    norm = float(np.linalg.norm(residual))
+    # a NaN or Inf anywhere in the system, or an overflowing normal matrix,
+    # reaches one of these two scalars
+    if not (math.isfinite(norm) and math.isfinite(cond)):
+        raise NonFiniteSystem(
+            f"non-finite solve: residual norm {norm}, condition estimate {cond}"
+        )
+    return ParameterEstimate(omega, norm, cond, lam)
 
 
 def _solve_qr(system: StackedSystem, normalize: bool) -> ParameterEstimate:
@@ -183,8 +201,10 @@ def solve_ridge(
 ) -> ParameterEstimate:
     """Solve (A'A + lambda I) omega = A'b.
 
-    For lambda > 0 the normal matrix is always invertible, so no rank error
-    is raised and a single row suffices. lambda = 0 delegates to solve_ols.
+    For lambda > 0 the normal matrix is invertible in exact arithmetic and a
+    single row suffices; RankDeficient is raised only when lambda is too
+    small to make it numerically positive definite. lambda = 0 delegates to
+    solve_ols.
     """
     if ridge_lambda < 0:
         raise ValueError("ridge_lambda must be nonnegative")
@@ -197,7 +217,12 @@ def solve_ridge(
     scales = _column_scales(system.matrix) if normalize else np.ones(system.cols)
     matrix = system.matrix / scales
     normal = matrix.T @ matrix + ridge_lambda * np.eye(system.cols)
-    factor = np.linalg.cholesky(normal)
+    try:
+        factor = np.linalg.cholesky(normal)
+    except np.linalg.LinAlgError:
+        raise RankDeficient(
+            f"ridge normal matrix is not positive definite (lambda={ridge_lambda:.3e})"
+        ) from None
     diag = np.diag(factor)
     cond = float((diag.max() / diag.min()) ** 2)
     aty = matrix.T @ system.rhs

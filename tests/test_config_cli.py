@@ -179,7 +179,28 @@ def test_sweep_small_run(tmp_path):
     fractions = json.loads((out / "fractions.json").read_text())
     assert fractions["samples"] == 4
     assert fractions["failures"] == []
+    assert fractions["failure_reasons"] == {}
     assert fractions["fraction_below"]["max"]["0.05"] == 1.0
+
+    # large alpha overflows four of eight draws
+    failing = write(
+        tmp_path / "failing.conf",
+        "model.name=lotka_volterra\n"
+        "sim.t_end=10\n"
+        "sim.step=0.01\n"
+        "sim.x0=1,1\n"
+        "known.beta=1e-3\n"
+        "known.gamma=1.1\n"
+        "known.delta=1e-3\n"
+        "sweep.domain=1,150\n"
+        "sweep.samples=8\n"
+        "sweep.seed=3\n",
+    )
+    out = tmp_path / "failing"
+    assert main(["sweep", "--config", failing, "--out", str(out)]) == 0
+    fractions = json.loads((out / "fractions.json").read_text())
+    assert [index for index, _ in fractions["failures"]] == [1, 4, 6, 7]
+    assert fractions["failure_reasons"] == {"NonFiniteState": 4}
 
 
 def test_reynolds_manufactured(tmp_path):

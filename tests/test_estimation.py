@@ -1,5 +1,7 @@
 """System assembly, constant and windowed fits, noise and sweeps."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from artifact import (
     lotka_volterra,
     relative_error_metrics,
     run_sweep,
+    s3i3r,
     simulate,
     sir,
     solve_ols,
@@ -312,3 +315,114 @@ def test_sweep_spec_validation():
         SweepSpec(((0.1, 0.5),), 10, ParameterPartition.all_unknown(2))
     with pytest.raises(ValueError):
         SweepSpec(((0.1, 0.5),), 0, ParameterPartition.all_unknown(1))
+
+
+def _per_draw_reference(model, spec, config, derivative, with_normalized):
+    """Sweep errors by one simulate and estimate_constant call per draw."""
+    unknown = list(spec.fixed.unknown_indices)
+    rows = []
+    for index in range(spec.sample_count):
+        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, index)))
+        drawn = np.array([rng.uniform(lo, hi) for lo, hi in spec.domain])
+        omega = np.empty(model.n_params)
+        omega[list(spec.fixed.known_indices)] = spec.fixed.known_values
+        omega[unknown] = drawn
+        series = simulate(
+            model,
+            SimulationConfig(
+                config.t0, config.t_end, config.step, config.initial_state,
+                ConstantSchedule(omega),
+            ),
+        )
+        row = []
+        for normalize in (False, True) if with_normalized else (False,):
+            estimate = estimate_constant(
+                model, series, partition=spec.fixed, derivative=derivative,
+                normalize=normalize,
+            )
+            errors = np.abs((estimate.values[unknown] - drawn) / drawn)
+            row += [errors.max(), errors.mean()]
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "derivative, with_normalized",
+    [("interior", False), ("full", False), ("interior", True)],
+)
+def test_sweep_matches_per_draw_reference_bit_for_bit(derivative, with_normalized):
+    population = 5.6e6 + 1e5 + 1000 + 10
+    model = s3i3r(population)
+    spec = SweepSpec(
+        domain=((0.0, 0.5),) + ((0.0, 0.3),) * 3 + ((0.0, 0.03), (0.0, 0.3), (0.0, 0.5)),
+        sample_count=6,
+        fixed=ParameterPartition.from_known(8, {model.parameter_index("tau"): 0.0}),
+        seed=11,
+    )
+    config = SimulationConfig(
+        0.0, 100.0, 1.0, np.array([5.6e6, 1e5, 1000.0, 10.0, 0.0, 0.0, 0.0]),
+        ConstantSchedule(np.zeros(8)),
+    )
+    result = run_sweep(
+        model, spec, config, derivative=derivative, with_normalized=with_normalized
+    )
+    reference = _per_draw_reference(model, spec, config, derivative, with_normalized)
+    assert not result.failures
+    got = [result.max_errors, result.mean_errors]
+    if with_normalized:
+        got += [result.max_errors_normalized, result.mean_errors_normalized]
+    np.testing.assert_array_equal(np.column_stack(got), reference)
+
+
+def test_sweep_mixed_failures_stay_per_draw():
+    # large alpha overflows some Lotka-Volterra draws within the first steps;
+    # failure steps and finite errors are pinned to the values that one
+    # simulate and estimate_constant call per draw gives
+    spec = SweepSpec(
+        domain=((1.0, 150.0),),
+        sample_count=8,
+        fixed=ParameterPartition.from_known(4, {1: 1e-3, 2: 1.1, 3: 1e-3}),
+        seed=3,
+    )
+    config = SimulationConfig(
+        0.0, 10.0, 0.01, np.array([1.0, 1.0]), ConstantSchedule(np.zeros(4))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_sweep(lotka_volterra(), spec, config)
+    assert result.failures == [
+        (1, "NonFiniteState: non-finite state at step 38 (t=0.37)"),
+        (4, "NonFiniteState: non-finite state at step 14 (t=0.13)"),
+        (6, "NonFiniteState: non-finite state at step 23 (t=0.22)"),
+        (7, "NonFiniteState: non-finite state at step 17 (t=0.16)"),
+    ]
+    expected = [
+        float.fromhex("0x1.521eddfe4f964p-7"),
+        np.nan,
+        float.fromhex("0x1.5404e7a5dd173p-13"),
+        float.fromhex("0x1.777fc12077bc2p-6"),
+        np.nan,
+        float.fromhex("0x1.335ee4c866547p-3"),
+        np.nan,
+        np.nan,
+    ]
+    np.testing.assert_array_equal(result.max_errors, expected)
+    np.testing.assert_array_equal(result.mean_errors, expected)
+
+
+def test_sweep_runs_a_scalar_only_model():
+    decay = ParameterLinearModel(
+        name="decay",
+        state_names=("x",),
+        parameter_names=("rate",),
+        build_matrix=lambda state, t: np.array([[state[0]]]),
+    )
+    spec = SweepSpec(((-1.0, -0.1),), 4, ParameterPartition.all_unknown(1), seed=2)
+    config = SimulationConfig(0.0, 2.0, 0.01, np.array([1.0]), ConstantSchedule([0.0]))
+    result = run_sweep(decay, spec, config)
+    assert not result.failures
+    reference = _per_draw_reference(decay, spec, config, "interior", False)
+    np.testing.assert_array_equal(
+        np.column_stack([result.max_errors, result.mean_errors]), reference
+    )
+    assert result.max_errors.max() < 1e-6

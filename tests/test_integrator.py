@@ -5,6 +5,7 @@ import pytest
 
 from artifact import (
     ConstantSchedule,
+    DegenerateDenominator,
     NonFiniteState,
     ParameterLinearModel,
     PiecewiseSchedule,
@@ -16,6 +17,7 @@ from artifact import (
     simulate,
     sir,
 )
+from artifact.integrator import simulate_draws
 
 
 def decay_model():
@@ -152,3 +154,47 @@ def test_overflow_raises_non_finite():
     )
     with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
         simulate(blow_up, config)
+
+
+def test_simulate_draws_equal_one_draw_runs_bit_for_bit():
+    model = sir(5.7e6)
+    config = SimulationConfig(
+        0.0, 80.0, 0.25, np.array([5.6e6, 1e5, 0.0]), ConstantSchedule([0.0, 0.0])
+    )
+    omegas = np.random.default_rng(6).uniform(0.01, 0.5, (5, 2))
+    times, states, failures = simulate_draws(model, config, omegas)
+    assert failures == {}
+    for omega, trajectory in zip(omegas, states):
+        one = simulate(
+            model,
+            SimulationConfig(
+                config.t0, config.t_end, config.step, config.initial_state,
+                ConstantSchedule(omega),
+            ),
+        )
+        np.testing.assert_array_equal(times, one.times)
+        np.testing.assert_array_equal(trajectory, one.states)
+
+
+def test_simulate_draws_isolates_a_raising_draw():
+    # a batched builder that refuses states below 0.5; only the fastest
+    # decaying draw gets there within the horizon
+    def build(states, t):
+        if np.any(states < 0.5):
+            raise DegenerateDenominator("state below 0.5")
+        return states[..., None]
+
+    model = ParameterLinearModel("guarded", ("x",), ("rate",), build)
+    config = SimulationConfig(0.0, 1.0, 0.1, np.array([1.0]), ConstantSchedule([0.0]))
+    omegas = np.array([[-0.1], [-2.0], [-0.2]])
+    times, states, failures = simulate_draws(model, config, omegas)
+    assert list(failures) == [1]
+    assert isinstance(failures[1], DegenerateDenominator)
+    with pytest.raises(DegenerateDenominator):
+        simulate(model, SimulationConfig(0.0, 1.0, 0.1, np.array([1.0]), ConstantSchedule([-2.0])))
+    for draw in (0, 2):
+        one = simulate(
+            model,
+            SimulationConfig(0.0, 1.0, 0.1, np.array([1.0]), ConstantSchedule(omegas[draw])),
+        )
+        np.testing.assert_array_equal(states[draw], one.states)

@@ -12,7 +12,19 @@ from artifact import (
     s3i3r,
     sir,
 )
-from artifact.models import lotka_volterra_matrix, s3i3r_matrix, sir_matrix
+from artifact import ParameterLinearModel
+from artifact.models import (
+    build_matrices,
+    lotka_volterra_matrix,
+    s3i3r_matrix,
+    sir_matrix,
+)
+
+BUILDERS = {
+    "lotka_volterra": (lotka_volterra_matrix, 2),
+    "sir": (lambda states: sir_matrix(states, 7.0), 3),
+    "s3i3r": (lambda states: s3i3r_matrix(states, 7.0), 7),
+}
 
 
 def test_lv_matrix_at_unit_state():
@@ -135,3 +147,48 @@ def test_registry_lookup():
 def test_register_custom_model():
     register_model("sir_alias", lambda population: sir(population))
     assert get_model("sir_alias", 2.0).population == 2.0
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("leading", [(), (5,), (2, 3)])
+def test_batched_matrices_equal_stacked_scalar_calls(name, leading):
+    build, n_states = BUILDERS[name]
+    states = np.random.default_rng(5).uniform(0.1, 4.0, leading + (n_states,))
+    batched = build(states)
+    flat = states.reshape(-1, n_states)
+    stacked = np.array([build(state) for state in flat])
+    assert batched.shape == leading + stacked.shape[1:]
+    assert np.array_equal(batched.reshape(stacked.shape), stacked)
+
+
+def test_s3i3r_degenerate_pool_in_a_batch():
+    states = np.full((3, 7), 0.1)
+    states[1, [0, 1, 4]] = 0.0
+    with pytest.raises(DegenerateDenominator):
+        s3i3r_matrix(states, 1.0)
+
+
+def test_batched_builder_rejects_wrong_state_width():
+    with pytest.raises(ShapeMismatch):
+        sir_matrix(np.ones((4, 2)), 1.0)
+
+
+def test_scalar_only_builder_is_looped_per_state():
+    # np.array([[x0, t]]) handles one state only; a batch yields shape (1, 1, k)
+    calls = []
+
+    def build(state, t):
+        calls.append(np.shape(state))
+        return np.array([[state[0], t]])
+
+    model = ParameterLinearModel("scalar", ("x",), ("a", "b"), build)
+    states = np.array([[1.0], [2.0], [3.0]])
+    matrices = build_matrices(model, states, np.array([0.5, 1.5, 2.5]))
+    np.testing.assert_array_equal(matrices, [[[1.0, 0.5]], [[2.0, 1.5]], [[3.0, 2.5]]])
+    assert calls == [(3, 1), (1,), (1,), (1,)]
+
+
+def test_wrongly_shaped_builder_is_rejected():
+    model = ParameterLinearModel("bad", ("x",), ("a",), lambda state, t: np.eye(2))
+    with pytest.raises(ShapeMismatch):
+        build_matrices(model, np.ones((3, 1)), 0.0)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from artifact import (
     AllZeroColumn,
     IndexOutOfRange,
+    NonFiniteSystem,
     ParameterPartition,
     RankDeficient,
     ShapeMismatch,
@@ -229,3 +230,39 @@ def test_consistent_system_recovered(seed, cols):
     assert np.linalg.norm(a @ fit.values - a @ omega) <= 1e-7 * (
         1.0 + np.linalg.norm(a @ omega)
     )
+
+
+def test_ridge_with_vanishing_lambda_is_rank_deficient():
+    # lambda = 1e-300 leaves the singular normal matrix singular in floating point
+    system = StackedSystem(np.ones((5, 2)), np.ones(5))
+    with pytest.raises(RankDeficient):
+        solve_ridge(system, 1e-300)
+
+
+def _random_system():
+    rng = np.random.default_rng(0)
+    return rng.standard_normal((6, 2)), rng.standard_normal(6)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_nan_entry_is_rejected(normalize):
+    matrix, rhs = _random_system()
+    matrix[2, 1] = np.nan
+    system = StackedSystem(matrix, rhs)
+    with pytest.raises(NonFiniteSystem):
+        solve_ols(system, normalize=normalize)
+    with pytest.raises(NonFiniteSystem):
+        solve_ridge(system, 0.1, normalize=normalize)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_overflowing_normal_matrix_is_rejected(normalize):
+    # a column scaled by 1e200 overflows A'A (and its column norm)
+    matrix, rhs = _random_system()
+    matrix[:, 1] *= 1e200
+    system = StackedSystem(matrix, rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteSystem):
+            solve_ols(system, normalize=normalize)
+        with pytest.raises(NonFiniteSystem):
+            solve_ridge(system, 0.1, normalize=normalize)
