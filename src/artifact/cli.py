@@ -26,7 +26,6 @@ import math
 import os
 import sys
 import time
-from collections import Counter
 from datetime import datetime, timezone
 
 import numpy as np
@@ -461,9 +460,7 @@ def cmd_sweep(args) -> list:
         {
             "samples": spec.sample_count,
             "failures": [[index, reason] for index, reason in result.failures],
-            "failure_reasons": dict(
-                Counter(reason.split(":", 1)[0] for _, reason in result.failures)
-            ),
+            "failure_reasons": result.failure_counts,
             "fraction_below": fractions,
         },
     )

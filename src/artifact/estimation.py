@@ -22,6 +22,7 @@ produced with "full" windows starting at the first sample.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,7 @@ from .errors import (
     TooFewPoints,
     UnderDetermined,
 )
-from .integrator import SimulationConfig, simulate_draws
+from .integrator import SimulationConfig, simulate_draws, time_grid
 from .models import ParameterLinearModel, build_matrices
 from .regression import (
     ParameterEstimate,
@@ -45,6 +46,10 @@ from .regression import (
 )
 
 SWEEP_THRESHOLDS = (1.0, 0.5, 0.1, 0.05, 0.01)
+
+# run_sweep integrates draws in blocks of at most this many state values
+# (8 MiB of float64), so its memory does not grow with sample_count
+SWEEP_BLOCK_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -313,12 +318,15 @@ class SweepResult:
 
     max_errors / mean_errors hold NaN for failed draws; fractions count
     failed draws as not below any threshold (denominator is sample_count).
+    failures lists (draw index, "ErrorType: message"); failure_counts maps
+    each error type name to its number of failed draws.
     """
 
     sample_count: int
     max_errors: np.ndarray
     mean_errors: np.ndarray
     failures: list = field(default_factory=list)
+    failure_counts: dict = field(default_factory=dict)
     max_errors_normalized: np.ndarray | None = None
     mean_errors_normalized: np.ndarray | None = None
 
@@ -354,10 +362,11 @@ def run_sweep(
     """Draw random parameter vectors, simulate, re-estimate, record errors.
 
     Draw i is seeded by SeedSequence((seed, i)), so results are order-stable.
-    All draws are integrated together (simulate_draws), then each draw is
-    estimated on its own. Failed draws are recorded with a reason and
-    excluded from the error arrays, never fatal. `workers` is accepted for
-    compatibility and has no effect.
+    Draws are integrated together (simulate_draws) in blocks of at most
+    SWEEP_BLOCK_VALUES state values, then each draw is estimated on its own.
+    Failed draws are recorded with a reason and excluded from the error
+    arrays, never fatal. `workers` is accepted for compatibility and has no
+    effect.
     """
     partition = sweep.fixed
     unknown = list(partition.unknown_indices)
@@ -369,7 +378,7 @@ def run_sweep(
     omegas = np.empty((count, model.n_params))
     omegas[:, list(partition.known_indices)] = partition.known_values
     omegas[:, unknown] = draws
-    times, states, failed = simulate_draws(model, sim_template, omegas)
+    block = max(1, SWEEP_BLOCK_VALUES // (len(time_grid(sim_template)) * model.n_states))
 
     def errors(series, drawn, normalize):
         estimate = estimate_constant(
@@ -380,25 +389,34 @@ def run_sweep(
     # rows: max and mean error, then the normalized pair
     statistics = np.full((4 if with_normalized else 2, count), np.nan)
     failures = []
-    for index in range(count):
-        drawn = draws[index]
-        error = failed.get(index)
-        if np.any(drawn == 0.0):
-            error = EstimationError("zero parameter draw")
-        if error is None:
-            try:
-                series = TimeSeries(times, states[index])
-                plain = errors(series, drawn, False)
-                row = [plain.max(), plain.mean()]
-                if with_normalized:
-                    normalized = errors(series, drawn, True)
-                    row += [normalized.max(), normalized.mean()]
-                statistics[:, index] = row
-            except EstimationError as exc:
-                error = exc
-        if error is not None:
-            failures.append((index, f"{type(error).__name__}: {error}"))
-    result = SweepResult(count, statistics[0], statistics[1], failures)
+    failure_counts = Counter()
+    for start in range(0, count, block):
+        times, states, failed = simulate_draws(
+            model, sim_template, omegas[start : start + block]
+        )
+        for offset, trajectory in enumerate(states):
+            index = start + offset
+            drawn = draws[index]
+            error = failed.get(offset)
+            if np.any(drawn == 0.0):
+                error = EstimationError("zero parameter draw")
+            if error is None:
+                try:
+                    series = TimeSeries(times, trajectory)
+                    plain = errors(series, drawn, False)
+                    row = [plain.max(), plain.mean()]
+                    if with_normalized:
+                        normalized = errors(series, drawn, True)
+                        row += [normalized.max(), normalized.mean()]
+                    statistics[:, index] = row
+                except EstimationError as exc:
+                    error = exc
+            if error is not None:
+                failures.append((index, f"{type(error).__name__}: {error}"))
+                failure_counts[type(error).__name__] += 1
+    result = SweepResult(
+        count, statistics[0], statistics[1], failures, dict(failure_counts)
+    )
     if with_normalized:
         result.max_errors_normalized = statistics[2]
         result.mean_errors_normalized = statistics[3]

@@ -136,7 +136,8 @@ def _initial_state(model: ParameterLinearModel, config: SimulationConfig) -> np.
     return state
 
 
-def _grid(config: SimulationConfig) -> np.ndarray:
+def time_grid(config: SimulationConfig) -> np.ndarray:
+    """Sample times t0, t0 + step, ... up to t_end within half a step."""
     n_steps = int(np.floor((config.t_end - config.t0) / config.step + 0.5))
     return config.t0 + config.step * np.arange(n_steps + 1)
 
@@ -144,7 +145,7 @@ def _grid(config: SimulationConfig) -> np.ndarray:
 def simulate(model: ParameterLinearModel, config: SimulationConfig) -> TimeSeries:
     """Integrate from t0 to t_end inclusive (within half-step tolerance)."""
     state = _initial_state(model, config)
-    times = _grid(config)
+    times = time_grid(config)
     states = np.empty((len(times), model.n_states))
     states[0] = state
     for i in range(len(times) - 1):
@@ -176,7 +177,7 @@ def simulate_draws(model: ParameterLinearModel, config: SimulationConfig, omegas
         raise ShapeMismatch(
             f"expected omegas of shape (draws, {model.n_params}), got {omegas.shape}"
         )
-    times = _grid(config)
+    times = time_grid(config)
     h = config.step
     states = np.empty((omegas.shape[0], len(times), model.n_states))
     states[:, 0] = x0

@@ -17,11 +17,13 @@ Batched contract: build_matrix(states, t) maps states of shape
 (..., n_states) to matrices of shape (..., n_states, n_params), one matrix
 per state along the leading axes. A single state is the case with no leading
 axes. The built-in builders broadcast; a custom builder that only takes one
-state still works through build_matrices, which calls it once per state.
+state still works through build_matrices, which probes each builder once and
+calls a one-state builder once per state.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,9 +43,9 @@ class ParameterLinearModel:
     build_matrix(states, t) takes states of shape (..., n_states) and
     returns matrices of shape (..., n_states, n_params); t is a float or an
     array matching the leading axes. A builder that only takes one state of
-    shape (n_states,) is also accepted: build_matrices detects it from the
-    shape it returns for a batch (or from a shape-type error) and loops over
-    the states.
+    shape (n_states,) and a float t is also accepted: build_matrices compares
+    its result for a small batch with one-state calls, once per builder, and
+    then loops over the states.
     """
 
     name: str
@@ -142,33 +144,71 @@ def s3i3r_matrix(states, population: float) -> np.ndarray:
     return a
 
 
+# builder -> whether it honours the batched contract; probed once per builder
+_BROADCASTS = weakref.WeakKeyDictionary()
+
+
+def _broadcasts(model: ParameterLinearModel, rows: np.ndarray, times: np.ndarray) -> bool:
+    """Whether model.build_matrix maps a batch of states to one matrix per state.
+
+    Decided once per builder on a probe of leading shape (2, 3) drawn from
+    rows (n >= 2 states) and their times: the builder broadcasts when its
+    result for the probe equals the six one-state calls bit for bit. The
+    result of a one-state builder cannot pass by having the right shape by
+    chance, as it can for a batch whose length equals n_states: indexing the
+    state axis of the probe gives arrays of leading shape (3,), so its result
+    never has leading shape (2, 3). An error of a one-state call propagates
+    and leaves the question open.
+    """
+    build = model.build_matrix
+    try:
+        return _BROADCASTS[build]
+    except (KeyError, TypeError):
+        pass
+    pick = np.linspace(0, len(rows) - 1, 6).astype(int)
+    probe, probe_times = rows[pick], times[pick]
+    expected = np.array(
+        [build(x, float(tt)) for x, tt in zip(probe, probe_times)], dtype=float
+    )
+    try:
+        batched = build(probe.reshape(2, 3, -1), probe_times.reshape(2, 3))
+        verdict = np.shape(batched) == (2, 3) + expected.shape[1:] and np.array_equal(
+            np.reshape(batched, expected.shape), expected, equal_nan=True
+        )
+    except Exception:
+        # a one-state builder may fail on a batch in any way
+        verdict = False
+    try:
+        _BROADCASTS[build] = verdict
+    except TypeError:
+        pass  # not weakly referenceable: probed again on the next call
+    return verdict
+
+
 def build_matrices(model: ParameterLinearModel, states, t) -> np.ndarray:
     """A(x; t) for states of shape (..., n_states), shaped (..., n_states, n_params).
 
     t is a float or an array matching the leading axes of states. A builder
-    that only handles one state returns a wrongly shaped result for a batch,
-    or rejects it with a shape-type error; it is then called once per state,
-    and those calls raise any error that is not about the batch.
+    that broadcasts (see _broadcasts) gets the whole batch in one call; any
+    other builder is called once per state with a float t.
     """
     states = np.asarray(states, dtype=float)
     shape = states.shape[:-1] + (model.n_states, model.n_params)
-    try:
-        matrices = model.build_matrix(states, t)
-    except (ValueError, TypeError, IndexError, ShapeMismatch):
-        matrices = None
-    if np.shape(matrices) == shape:
-        return matrices
     rows = states.reshape(-1, states.shape[-1])
-    times = np.broadcast_to(t, states.shape[:-1]).reshape(-1)
-    matrices = np.array(
-        [model.build_matrix(x, float(tt)) for x, tt in zip(rows, times)], dtype=float
-    )
-    if matrices.shape[1:] != shape[-2:]:
-        raise ShapeMismatch(
-            f"model {model.name} built matrices of shape {matrices.shape[1:]}, "
-            f"expected {shape[-2:]}"
+    times = np.broadcast_to(np.asarray(t, dtype=float), states.shape[:-1]).reshape(-1)
+    if len(rows) > 1 and _broadcasts(model, rows, times):
+        matrices = model.build_matrix(states, t)
+    else:
+        matrices = np.array(
+            [model.build_matrix(x, float(tt)) for x, tt in zip(rows, times)],
+            dtype=float,
         )
-    return matrices.reshape(shape)
+    if np.shape(matrices) not in (shape, (len(rows),) + shape[-2:]):
+        raise ShapeMismatch(
+            f"model {model.name} built matrices of shape {np.shape(matrices)}, "
+            f"expected {shape}"
+        )
+    return np.reshape(matrices, shape)
 
 
 def eval_rhs(model: ParameterLinearModel, state, omega, t: float = 0.0) -> np.ndarray:

@@ -136,6 +136,13 @@ def _column_scales(matrix: np.ndarray) -> np.ndarray:
     return scales
 
 
+def _reject_non_finite(normal: np.ndarray) -> None:
+    # some LAPACK builds stop Cholesky at a NaN pivot, others let it through
+    # to the residual check; both must raise the same error
+    if not np.isfinite(normal).all():
+        raise NonFiniteSystem("the normal matrix of the system is not finite")
+
+
 def _estimate_from_solution(
     system: StackedSystem, omega: np.ndarray, cond: float, lam: float
 ) -> ParameterEstimate:
@@ -184,6 +191,7 @@ def solve_ols(system: StackedSystem, normalize: bool = False) -> ParameterEstima
     try:
         factor = np.linalg.cholesky(normal)
     except np.linalg.LinAlgError:
+        _reject_non_finite(normal)
         return _solve_qr(system, normalize)
     diag = np.diag(factor)
     cond = float((diag.max() / diag.min()) ** 2)
@@ -220,6 +228,7 @@ def solve_ridge(
     try:
         factor = np.linalg.cholesky(normal)
     except np.linalg.LinAlgError:
+        _reject_non_finite(normal)
         raise RankDeficient(
             f"ridge normal matrix is not positive definite (lambda={ridge_lambda:.3e})"
         ) from None

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from artifact import estimation
 from artifact import (
     ConstantSchedule,
     EstimationWindow,
@@ -426,3 +427,44 @@ def test_sweep_runs_a_scalar_only_model():
         np.column_stack([result.max_errors, result.mean_errors]), reference
     )
     assert result.max_errors.max() < 1e-6
+
+
+def test_sweep_of_n_states_draws_with_a_state_dependent_builder():
+    # two draws of a 2-state model: the batch length equals n_states, so a
+    # one-state builder returns the expected shape from the whole batch
+    swap = ParameterLinearModel(
+        name="swap",
+        state_names=("x", "y"),
+        parameter_names=("a", "b"),
+        build_matrix=lambda s, t: np.array([[s[0], s[1]], [s[1], s[0]]]),
+    )
+    spec = SweepSpec(((0.1, 0.5), (-0.5, -0.1)), 2, ParameterPartition.all_unknown(2))
+    config = SimulationConfig(
+        0.0, 1.0, 0.01, np.array([1.0, 0.5]), ConstantSchedule([0.0, 0.0])
+    )
+    result = run_sweep(swap, spec, config)
+    assert not result.failures
+    reference = _per_draw_reference(swap, spec, config, "interior", False)
+    np.testing.assert_array_equal(
+        np.column_stack([result.max_errors, result.mean_errors]), reference
+    )
+
+
+def test_sweep_blocks_do_not_change_results(monkeypatch):
+    # the mixed-failure sweep again, integrated three draws at a time
+    spec = SweepSpec(
+        domain=((1.0, 150.0),),
+        sample_count=8,
+        fixed=ParameterPartition.from_known(4, {1: 1e-3, 2: 1.1, 3: 1e-3}),
+        seed=3,
+    )
+    config = SimulationConfig(
+        0.0, 10.0, 0.01, np.array([1.0, 1.0]), ConstantSchedule(np.zeros(4))
+    )
+    whole = run_sweep(lotka_volterra(), spec, config)
+    monkeypatch.setattr(estimation, "SWEEP_BLOCK_VALUES", 3 * 1001 * 2)
+    blocks = run_sweep(lotka_volterra(), spec, config)
+    assert blocks.failures == whole.failures
+    assert blocks.failure_counts == whole.failure_counts == {"NonFiniteState": 4}
+    np.testing.assert_array_equal(blocks.max_errors, whole.max_errors)
+    np.testing.assert_array_equal(blocks.mean_errors, whole.mean_errors)

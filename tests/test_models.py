@@ -174,7 +174,8 @@ def test_batched_builder_rejects_wrong_state_width():
 
 
 def test_scalar_only_builder_is_looped_per_state():
-    # np.array([[x0, t]]) handles one state only; a batch yields shape (1, 1, k)
+    # np.array([[x0, t]]) handles one state only; the first batch is probed
+    # once (six one-state calls and one (2, 3) batch), then looped per state
     calls = []
 
     def build(state, t):
@@ -185,7 +186,39 @@ def test_scalar_only_builder_is_looped_per_state():
     states = np.array([[1.0], [2.0], [3.0]])
     matrices = build_matrices(model, states, np.array([0.5, 1.5, 2.5]))
     np.testing.assert_array_equal(matrices, [[[1.0, 0.5]], [[2.0, 1.5]], [[3.0, 2.5]]])
-    assert calls == [(3, 1), (1,), (1,), (1,)]
+    assert calls == [(1,)] * 6 + [(2, 3, 1)] + [(1,)] * 3
+    del calls[:]
+    build_matrices(model, states, 0.0)
+    assert calls == [(1,)] * 3
+
+
+def test_state_dependent_builder_at_batch_size_n_states():
+    # on a batch of 2 states this one-state builder returns the expected
+    # shape (2, 2, 2), but built from whole states instead of components
+    def build(state, t):
+        return np.array([[state[0], state[1]], [state[1], state[0]]])
+
+    model = ParameterLinearModel("swap", ("x", "y"), ("a", "b"), build)
+    states = np.array([[1.0, 2.0], [3.0, 5.0]])
+    matrices = build_matrices(model, states, 0.0)
+    np.testing.assert_array_equal(matrices, [build(state, 0.0) for state in states])
+
+
+def test_broadcasting_builder_is_called_once_per_batch():
+    calls = []
+
+    def build(states, t):
+        calls.append(np.shape(states))
+        return sir_matrix(states, 7.0)
+
+    model = ParameterLinearModel("counted", ("S", "I", "R"), ("beta", "gamma"), build)
+    states = np.random.default_rng(8).uniform(0.1, 4.0, (5, 3))
+    matrices = build_matrices(model, states, 0.0)
+    np.testing.assert_array_equal(matrices, sir_matrix(states, 7.0))
+    assert calls == [(3,)] * 6 + [(2, 3, 3), (5, 3)]
+    del calls[:]
+    build_matrices(model, states, 0.0)
+    assert calls == [(5, 3)]
 
 
 def test_wrongly_shaped_builder_is_rejected():

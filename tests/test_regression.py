@@ -266,3 +266,23 @@ def test_overflowing_normal_matrix_is_rejected(normalize):
             solve_ols(system, normalize=normalize)
         with pytest.raises(NonFiniteSystem):
             solve_ridge(system, 0.1, normalize=normalize)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_nan_rejection_does_not_depend_on_the_lapack_build(monkeypatch, normalize):
+    # reference LAPACK and MKL stop Cholesky at a NaN pivot, OpenBLAS does not
+    cholesky = np.linalg.cholesky
+
+    def strict_cholesky(a):
+        if not np.isfinite(a).all():
+            raise np.linalg.LinAlgError("NaN pivot")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", strict_cholesky)
+    matrix, rhs = _random_system()
+    matrix[2, 1] = np.nan
+    system = StackedSystem(matrix, rhs)
+    with pytest.raises(NonFiniteSystem):
+        solve_ols(system, normalize=normalize)
+    with pytest.raises(NonFiniteSystem):
+        solve_ridge(system, 0.1, normalize=normalize)
