@@ -144,27 +144,29 @@ def s3i3r_matrix(states, population: float) -> np.ndarray:
     return a
 
 
-# builder -> whether it honours the batched contract; probed once per builder
+# builder -> whether it honours the batched contract. A cache of a property
+# of the builder function: weak keys, so it ends with the builder's model.
 _BROADCASTS = weakref.WeakKeyDictionary()
 
 
-def _broadcasts(model: ParameterLinearModel, rows: np.ndarray, times: np.ndarray) -> bool:
+def _broadcasts(model: ParameterLinearModel, states: np.ndarray, t) -> bool:
     """Whether model.build_matrix maps a batch of states to one matrix per state.
 
     Decided once per builder on a probe of leading shape (2, 3) drawn from
-    rows (n >= 2 states) and their times: the builder broadcasts when its
-    result for the probe equals the six one-state calls bit for bit. The
-    result of a one-state builder cannot pass by having the right shape by
-    chance, as it can for a batch whose length equals n_states: indexing the
-    state axis of the probe gives arrays of leading shape (3,), so its result
-    never has leading shape (2, 3). An error of a one-state call propagates
-    and leaves the question open.
+    states (..., n_states) and t: the builder broadcasts when its result for
+    the probe equals the six one-state calls bit for bit. The result of a
+    one-state builder cannot pass by having the right shape by chance, as it
+    can for a batch whose length equals n_states: indexing the state axis of
+    the probe gives arrays of leading shape (3,), so its result never has
+    leading shape (2, 3). An error of a one-state call propagates and leaves
+    the question open.
     """
     build = model.build_matrix
     try:
         return _BROADCASTS[build]
     except (KeyError, TypeError):
         pass
+    rows, times = _rows_and_times(states, t)
     pick = np.linspace(0, len(rows) - 1, 6).astype(int)
     probe, probe_times = rows[pick], times[pick]
     expected = np.array(
@@ -175,14 +177,21 @@ def _broadcasts(model: ParameterLinearModel, rows: np.ndarray, times: np.ndarray
         verdict = np.shape(batched) == (2, 3) + expected.shape[1:] and np.array_equal(
             np.reshape(batched, expected.shape), expected, equal_nan=True
         )
-    except Exception:
-        # a one-state builder may fail on a batch in any way
+    except (ValueError, TypeError, IndexError, ShapeMismatch):
+        # how a one-state builder typically rejects a batch
         verdict = False
     try:
         _BROADCASTS[build] = verdict
     except TypeError:
         pass  # not weakly referenceable: probed again on the next call
     return verdict
+
+
+def _rows_and_times(states: np.ndarray, t):
+    """States (..., n) as rows (m, n), and t broadcast to one float per row."""
+    rows = states.reshape(-1, states.shape[-1])
+    times = np.broadcast_to(np.asarray(t, dtype=float), states.shape[:-1]).reshape(-1)
+    return rows, times
 
 
 def build_matrices(model: ParameterLinearModel, states, t) -> np.ndarray:
@@ -194,21 +203,22 @@ def build_matrices(model: ParameterLinearModel, states, t) -> np.ndarray:
     """
     states = np.asarray(states, dtype=float)
     shape = states.shape[:-1] + (model.n_states, model.n_params)
-    rows = states.reshape(-1, states.shape[-1])
-    times = np.broadcast_to(np.asarray(t, dtype=float), states.shape[:-1]).reshape(-1)
-    if len(rows) > 1 and _broadcasts(model, rows, times):
+    if states.ndim > 1 and _broadcasts(model, states, t):
         matrices = model.build_matrix(states, t)
     else:
+        rows, times = _rows_and_times(states, t)
         matrices = np.array(
             [model.build_matrix(x, float(tt)) for x, tt in zip(rows, times)],
             dtype=float,
         )
-    if np.shape(matrices) not in (shape, (len(rows),) + shape[-2:]):
+    if np.shape(matrices) == shape:
+        return matrices
+    if np.shape(matrices) != (int(np.prod(shape[:-2])),) + shape[-2:]:
         raise ShapeMismatch(
             f"model {model.name} built matrices of shape {np.shape(matrices)}, "
             f"expected {shape}"
         )
-    return np.reshape(matrices, shape)
+    return matrices.reshape(shape)
 
 
 def eval_rhs(model: ParameterLinearModel, state, omega, t: float = 0.0) -> np.ndarray:
