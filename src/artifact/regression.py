@@ -2,20 +2,20 @@
 
 Solvers
 -------
-- solve_ols: plain ordinary least squares via the normal equations
+- solve_ols: ordinary least squares, min ||A omega - b||_2
 - solve_ridge: Tikhonov-regularized least squares, (A'A + lambda I)^-1 A'b
 
 Implementation
 --------------
-Parameter counts here are tiny (k <= 16 covers every supported model), so
-the normal equations are formed explicitly and factorized with Cholesky.
-The condition of the normal matrix is estimated from the squared ratio of
-the extreme factor diagonals; this is a cheap proxy, not an exact condition
-number. When the proxy exceeds 1e8 the solve falls back to a QR
-factorization of the raw matrix, and above 1e12 the system is declared rank
-deficient. A solve whose residual norm or condition proxy is not finite (a
-NaN or Inf entry, or a normal matrix that overflows) raises NonFiniteSystem
-instead of returning NaN.
+Every OLS and ridge system takes one path: a system with a NaN or Inf
+entry is rejected with NonFiniteSystem before any solve; otherwise the
+columns are optionally scaled to unit norm, a ridge system is stacked as
+[A; sqrt(lambda) I] over [b; 0], and one LAPACK least-squares call
+(np.linalg.lstsq, an SVD) returns the solution and the singular values.
+The condition number on the normal-matrix scale, (s_max / s_min)^2, is
+exact. A condition number that overflows means the system does too, and
+raises NonFiniteSystem; above 1e12 (OLS) or at a numerical rank below the
+column count (ridge) the system is declared rank deficient.
 
 Stacking
 --------
@@ -40,7 +40,6 @@ from .errors import (
     ShapeMismatch,
 )
 
-QR_FALLBACK_CONDITION = 1e8
 RANK_DEFICIENT_CONDITION = 1e12
 
 
@@ -129,55 +128,56 @@ class ParameterEstimate:
 
 def _column_scales(matrix: np.ndarray) -> np.ndarray:
     # zero columns are left unscaled so the rank check still sees them
-    scales = np.linalg.norm(matrix, axis=0)
+    with np.errstate(over="ignore"):
+        scales = np.linalg.norm(matrix, axis=0)
     if not np.all(np.isfinite(scales)):
         raise NonFiniteSystem("a column norm of the system is not finite")
     scales[scales == 0.0] = 1.0
     return scales
 
 
-def _reject_non_finite(normal: np.ndarray) -> None:
-    # some LAPACK builds stop Cholesky at a NaN pivot, others let it through
-    # to the residual check; both must raise the same error
-    if not np.isfinite(normal).all():
-        raise NonFiniteSystem("the normal matrix of the system is not finite")
-
-
-def _estimate_from_solution(
-    system: StackedSystem, omega: np.ndarray, cond: float, lam: float
+def _solve_least_squares(
+    system: StackedSystem, ridge_lambda: float, normalize: bool
 ) -> ParameterEstimate:
-    residual = system.matrix @ omega - system.rhs
-    norm = float(np.linalg.norm(residual))
-    # a NaN or Inf anywhere in the system, or an overflowing normal matrix,
-    # reaches one of these two scalars
-    if not (math.isfinite(norm) and math.isfinite(cond)):
-        raise NonFiniteSystem(
-            f"non-finite solve: residual norm {norm}, condition estimate {cond}"
+    if not (np.isfinite(system.matrix).all() and np.isfinite(system.rhs).all()):
+        raise NonFiniteSystem("the system has a non-finite entry")
+    cols = system.cols
+    scales = _column_scales(system.matrix) if normalize else np.ones(cols)
+    matrix = system.matrix / scales
+    rhs = system.rhs
+    if ridge_lambda > 0:
+        matrix = np.vstack([matrix, math.sqrt(ridge_lambda) * np.eye(cols)])
+        rhs = np.concatenate([rhs, np.zeros(cols)])
+    omega, _, rank, singular = np.linalg.lstsq(matrix, rhs, rcond=None)
+    s_max, s_min = float(singular[0]), float(singular[-1])
+    # an exactly singular system is rank deficient, not overflowing
+    if s_min == 0.0:
+        raise RankDeficient("zero singular value")
+    # Python floats overflow to inf without a numpy warning
+    ratio = s_max / s_min
+    cond = ratio * ratio
+    if not math.isfinite(cond):
+        raise NonFiniteSystem(f"condition number {cond} of the system is not finite")
+    if ridge_lambda == 0.0 and cond > RANK_DEFICIENT_CONDITION:
+        raise RankDeficient(f"condition number {cond:.3e} exceeds 1e12")
+    if rank < cols:
+        raise RankDeficient(
+            f"numerical rank {rank} < {cols} (lambda={ridge_lambda:.3e})"
         )
-    return ParameterEstimate(omega, norm, cond, lam)
-
-
-def _solve_qr(system: StackedSystem, normalize: bool) -> ParameterEstimate:
-    matrix = system.matrix
-    scales = _column_scales(matrix) if normalize else np.ones(system.cols)
-    q, r = np.linalg.qr(matrix / scales)
-    diag = np.abs(np.diag(r))
-    if diag.min() == 0.0:
-        raise RankDeficient("zero pivot in orthogonal factorization")
-    # squared ratio keeps the proxy on the normal-matrix scale
-    cond = float((diag.max() / diag.min()) ** 2)
-    if cond > RANK_DEFICIENT_CONDITION:
-        raise RankDeficient(f"condition estimate {cond:.3e} exceeds 1e12")
-    omega = np.linalg.solve(r, q.T @ system.rhs) / scales
-    return _estimate_from_solution(system, omega, cond, 0.0)
+    omega = omega / scales
+    norm = float(np.linalg.norm(system.matrix @ omega - system.rhs))
+    if not math.isfinite(norm):
+        raise NonFiniteSystem(f"non-finite solve: residual norm {norm}")
+    return ParameterEstimate(omega, norm, cond, ridge_lambda)
 
 
 def solve_ols(system: StackedSystem, normalize: bool = False) -> ParameterEstimate:
     """Minimize ||A omega - b||_2 for a tall, full-column-rank system.
 
-    Raises RankDeficient when rows < cols or when the condition proxy of the
-    normal matrix exceeds 1e12. `normalize` rescales columns of A to unit
-    norm before solving and rescales the estimate back afterwards.
+    Raises NonFiniteSystem when an entry or the condition number is not
+    finite, and RankDeficient when rows < cols or when the condition number
+    of the normal matrix A'A exceeds 1e12. `normalize` rescales columns of A
+    to unit norm before solving and rescales the estimate back afterwards.
     """
     if system.cols == 0:
         raise ShapeMismatch("system has no parameter columns")
@@ -185,23 +185,7 @@ def solve_ols(system: StackedSystem, normalize: bool = False) -> ParameterEstima
         raise RankDeficient(
             f"{system.rows} equations for {system.cols} unknowns (need rows >= cols)"
         )
-    scales = _column_scales(system.matrix) if normalize else np.ones(system.cols)
-    matrix = system.matrix / scales
-    normal = matrix.T @ matrix
-    try:
-        factor = np.linalg.cholesky(normal)
-    except np.linalg.LinAlgError:
-        _reject_non_finite(normal)
-        return _solve_qr(system, normalize)
-    diag = np.diag(factor)
-    cond = float((diag.max() / diag.min()) ** 2)
-    if cond > RANK_DEFICIENT_CONDITION:
-        raise RankDeficient(f"condition estimate {cond:.3e} exceeds 1e12")
-    if cond > QR_FALLBACK_CONDITION:
-        return _solve_qr(system, normalize)
-    aty = matrix.T @ system.rhs
-    omega = np.linalg.solve(factor.T, np.linalg.solve(factor, aty)) / scales
-    return _estimate_from_solution(system, omega, cond, 0.0)
+    return _solve_least_squares(system, 0.0, normalize)
 
 
 def solve_ridge(
@@ -211,8 +195,8 @@ def solve_ridge(
 
     For lambda > 0 the normal matrix is invertible in exact arithmetic and a
     single row suffices; RankDeficient is raised only when lambda is too
-    small to make it numerically positive definite. lambda = 0 delegates to
-    solve_ols.
+    small to give [A; sqrt(lambda) I] full numerical rank. lambda = 0
+    delegates to solve_ols.
     """
     if ridge_lambda < 0:
         raise ValueError("ridge_lambda must be nonnegative")
@@ -222,21 +206,7 @@ def solve_ridge(
         raise ShapeMismatch("system has no parameter columns")
     if system.rows < 1:
         raise ShapeMismatch("ridge solve needs at least one equation")
-    scales = _column_scales(system.matrix) if normalize else np.ones(system.cols)
-    matrix = system.matrix / scales
-    normal = matrix.T @ matrix + ridge_lambda * np.eye(system.cols)
-    try:
-        factor = np.linalg.cholesky(normal)
-    except np.linalg.LinAlgError:
-        _reject_non_finite(normal)
-        raise RankDeficient(
-            f"ridge normal matrix is not positive definite (lambda={ridge_lambda:.3e})"
-        ) from None
-    diag = np.diag(factor)
-    cond = float((diag.max() / diag.min()) ** 2)
-    aty = matrix.T @ system.rhs
-    omega = np.linalg.solve(factor.T, np.linalg.solve(factor, aty)) / scales
-    return _estimate_from_solution(system, omega, cond, ridge_lambda)
+    return _solve_least_squares(system, ridge_lambda, normalize)
 
 
 def solve_single_column(system: StackedSystem, ridge_lambda: float = 0.0) -> float:
@@ -252,23 +222,19 @@ def solve_single_column(system: StackedSystem, ridge_lambda: float = 0.0) -> flo
 
 def stack_systems(blocks) -> StackedSystem:
     """Vertically concatenate (matrix, rhs) blocks, preserving order."""
-    blocks = list(blocks)
-    if not blocks:
+    pairs = [
+        (
+            np.atleast_2d(np.asarray(matrix, dtype=float)),
+            np.atleast_1d(np.asarray(rhs, dtype=float)),
+        )
+        for matrix, rhs in blocks
+    ]
+    if not pairs:
         raise ShapeMismatch("need at least one block to stack")
-    matrices = []
-    vectors = []
-    cols = None
-    for matrix, rhs in blocks:
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-        if cols is None:
-            cols = matrix.shape[1]
-        elif matrix.shape[1] != cols:
-            raise ShapeMismatch(
-                f"block has {matrix.shape[1]} columns, expected {cols}"
-            )
-        matrices.append(matrix)
-        vectors.append(rhs)
+    matrices, vectors = zip(*pairs)
+    widths = sorted({matrix.shape[1] for matrix in matrices})
+    if len(widths) > 1:
+        raise ShapeMismatch(f"blocks have differing column counts {widths}")
     return StackedSystem(np.vstack(matrices), np.concatenate(vectors))
 
 

@@ -400,10 +400,10 @@ def test_sweep_mixed_failures_stay_per_draw():
     expected = [
         float.fromhex("0x1.521eddfe4f964p-7"),
         np.nan,
-        float.fromhex("0x1.5404e7a5dd173p-13"),
+        float.fromhex("0x1.5404e7a5e06b9p-13"),
         float.fromhex("0x1.777fc12077bc2p-6"),
         np.nan,
-        float.fromhex("0x1.335ee4c866547p-3"),
+        float.fromhex("0x1.335ee4c86652fp-3"),
         np.nan,
         np.nan,
     ]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,29 +258,62 @@ def test_nan_entry_is_rejected(normalize):
 
 
 @pytest.mark.parametrize("normalize", [False, True])
-def test_overflowing_normal_matrix_is_rejected(normalize):
-    # a column scaled by 1e200 overflows A'A (and its column norm)
+@pytest.mark.parametrize("solver", ["ols", "ridge"])
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+@pytest.mark.parametrize("column", [0, 1])
+def test_overflowing_column_is_rejected(column, scale, solver, normalize):
+    # the squared condition number (and, normalized, the column norm)
+    # overflows; the error must not depend on the column order, and no
+    # numpy overflow warning may escape
     matrix, rhs = _random_system()
-    matrix[:, 1] *= 1e200
+    matrix[:, column] *= scale
     system = StackedSystem(matrix, rhs)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(NonFiniteSystem):
-            solve_ols(system, normalize=normalize)
-        with pytest.raises(NonFiniteSystem):
-            solve_ridge(system, 0.1, normalize=normalize)
+            if solver == "ols":
+                solve_ols(system, normalize=normalize)
+            else:
+                solve_ridge(system, 0.1, normalize=normalize)
+
+
+def test_condition_estimate_is_the_exact_condition_number():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((20, 3)) * [1.0, 10.0, 0.1]
+    system = StackedSystem(a, rng.standard_normal(20))
+    assert solve_ols(system).condition_estimate == pytest.approx(
+        np.linalg.cond(a) ** 2, rel=1e-10
+    )
+    assert solve_ridge(system, 0.5).condition_estimate == pytest.approx(
+        np.linalg.cond(a.T @ a + 0.5 * np.eye(3)), rel=1e-10
+    )
+
+
+def test_ill_conditioned_vandermonde_is_recovered():
+    # cond(A'A) = 4.0e8: below the rank threshold, but solving the normal
+    # equations would lose about eight digits
+    a = np.vander(np.linspace(0.0, 1.0, 60), 7, increasing=True)
+    omega = np.ones(7)
+    fit = solve_ols(StackedSystem(a, a @ omega))
+    np.testing.assert_allclose(fit.values, omega, rtol=0.0, atol=1e-10)
+
+
+def test_rank_threshold_reads_the_exact_condition_number():
+    # cond(A'A) = 1.3e13 > 1e12; a proxy from the squared ratio of factor
+    # diagonals would read 3.6e10 and let it through
+    a = np.vander(np.linspace(0.0, 1.0, 60), 10, increasing=True)
+    with pytest.raises(RankDeficient):
+        solve_ols(StackedSystem(a, a @ np.ones(10)))
 
 
 @pytest.mark.parametrize("normalize", [False, True])
 def test_nan_rejection_does_not_depend_on_the_lapack_build(monkeypatch, normalize):
-    # reference LAPACK and MKL stop Cholesky at a NaN pivot, OpenBLAS does not
-    cholesky = np.linalg.cholesky
+    # LAPACK builds differ on NaN input (some stop at a NaN pivot, others
+    # return NaN), so the system must be rejected before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a non-finite system reached the solver")
 
-    def strict_cholesky(a):
-        if not np.isfinite(a).all():
-            raise np.linalg.LinAlgError("NaN pivot")
-        return cholesky(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", strict_cholesky)
+    monkeypatch.setattr(np.linalg, "lstsq", no_solve)
     matrix, rhs = _random_system()
     matrix[2, 1] = np.nan
     system = StackedSystem(matrix, rhs)
