@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,6 +88,43 @@ def full_diff(series: TimeSeries) -> TimeSeries:
     return TimeSeries(series.times, derivative)
 
 
+class Neighbours(NamedTuple):
+    """Values of a field at each stencil node and its four grid neighbours.
+
+    east is the +x neighbour (i + 1), north the +y neighbour (j + 1). The
+    five arrays broadcast together; the stencils below work on any shape.
+    """
+
+    center: np.ndarray
+    east: np.ndarray
+    west: np.ndarray
+    north: np.ndarray
+    south: np.ndarray
+
+
+def interior_neighbours(values: np.ndarray) -> Neighbours:
+    """Views of every strictly interior node of the last two (x, y) axes."""
+    return Neighbours(
+        values[..., 1:-1, 1:-1],
+        values[..., 2:, 1:-1],
+        values[..., :-2, 1:-1],
+        values[..., 1:-1, 2:],
+        values[..., 1:-1, :-2],
+    )
+
+
+def central_difference(ahead, behind, spacing):
+    """Second-order first derivative (f[k+1] - f[k-1]) / (2 h)."""
+    return (ahead - behind) / (2.0 * spacing)
+
+
+def five_point_laplacian(f: Neighbours, dx: float, dy: float):
+    """Second-order Laplacian from the five stencil values."""
+    return (f.east - 2.0 * f.center + f.west) / dx**2 + (
+        f.north - 2.0 * f.center + f.south
+    ) / dy**2
+
+
 def _require_interior(field: GridField):
     nx, ny = field.values.shape
     if nx < 3 or ny < 3:
@@ -100,21 +138,19 @@ def spatial_gradient(field: GridField):
     to NaN (invalid), so node indices stay aligned.
     """
     _require_interior(field)
-    f = field.values
-    gx = np.full_like(f, np.nan)
-    gy = np.full_like(f, np.nan)
-    gx[1:-1, 1:-1] = (f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * field.dx)
-    gy[1:-1, 1:-1] = (f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * field.dy)
+    f = interior_neighbours(field.values)
+    gx = np.full_like(field.values, np.nan)
+    gy = np.full_like(field.values, np.nan)
+    gx[1:-1, 1:-1] = central_difference(f.east, f.west, field.dx)
+    gy[1:-1, 1:-1] = central_difference(f.north, f.south, field.dy)
     return GridField(gx, field.dx, field.dy), GridField(gy, field.dx, field.dy)
 
 
 def spatial_laplacian(field: GridField) -> GridField:
     """Five-point Laplacian on interior nodes, NaN boundary ring."""
     _require_interior(field)
-    f = field.values
-    lap = np.full_like(f, np.nan)
-    lap[1:-1, 1:-1] = (
-        (f[2:, 1:-1] - 2.0 * f[1:-1, 1:-1] + f[:-2, 1:-1]) / field.dx**2
-        + (f[1:-1, 2:] - 2.0 * f[1:-1, 1:-1] + f[1:-1, :-2]) / field.dy**2
+    lap = np.full_like(field.values, np.nan)
+    lap[1:-1, 1:-1] = five_point_laplacian(
+        interior_neighbours(field.values), field.dx, field.dy
     )
     return GridField(lap, field.dx, field.dy)

@@ -13,7 +13,8 @@ Formulations
 - temporal derivative: central difference across snapshots (first and last
   snapshot dropped)
 - spatial derivatives: second-order central stencils at strictly interior
-  nodes
+  nodes; a sensor system reads only the stencil values around its sensors,
+  so its cost scales with sensors x snapshots, not with the grid
 - solve: scalar normal equation sum(a b) / (sum(a a) + lambda), identical to
   the general solver on the stacked one-column system
 
@@ -29,6 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .differentiation import (
+    Neighbours,
+    central_difference,
+    five_point_laplacian,
+    interior_neighbours,
+)
 from .errors import (
     DimensionMismatch,
     MissingField,
@@ -196,38 +203,33 @@ def sample_sensors(
     stack: SnapshotStack, region, count: int, seed: int = 0
 ) -> SensorSet:
     """Uniform draw of `count` admissible nodes without replacement."""
-    nodes = _admissible_nodes(stack, region)
+    return _draw_sensors(_admissible_nodes(stack, region), region, count, seed)
+
+
+def _draw_sensors(nodes: np.ndarray, region, count: int, seed: int) -> SensorSet:
     if count > len(nodes):
         raise RegionTooSmall(
             f"requested {count} sensors but region admits {len(nodes)} nodes"
         )
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(nodes), size=count, replace=False)
-    positions = tuple(tuple(int(v) for v in nodes[k]) for k in sorted(chosen))
+    positions = tuple(map(tuple, nodes[np.sort(chosen)].tolist()))
     return SensorSet(positions=positions, region=tuple(region), seed=seed)
 
 
-def _interior_fields(stack: SnapshotStack):
-    """Regressor (Laplacian) and target (advective derivative) arrays.
+def _transport_rows(stack: SnapshotStack, w: Neighbours, later, earlier, u, v):
+    """Regressor (Laplacian) and target (advective derivative) from stencil values.
 
-    Both are shaped (n_snapshots - 2, nx - 2, ny - 2): interior snapshots
-    crossed with interior nodes. Index [n, i, j] corresponds to snapshot
-    n + 1 and node (i + 1, j + 1).
+    `w` holds the vorticity around each row's node at snapshot n, `later` and
+    `earlier` the node's vorticity at n + 1 and n - 1, `u` and `v` its
+    velocity at n. Every argument broadcasts to the rows' shape.
     """
-    w = stack.w
-    wt = (w[2:] - w[:-2]) / (2.0 * stack.dt)
-    core = w[1:-1]
-    laplacian = (
-        (core[:, 2:, 1:-1] - 2.0 * core[:, 1:-1, 1:-1] + core[:, :-2, 1:-1])
-        / stack.dx**2
-        + (core[:, 1:-1, 2:] - 2.0 * core[:, 1:-1, 1:-1] + core[:, 1:-1, :-2])
-        / stack.dy**2
+    laplacian = five_point_laplacian(w, stack.dx, stack.dy)
+    target = (
+        central_difference(later, earlier, stack.dt)
+        + u * central_difference(w.east, w.west, stack.dx)
+        + v * central_difference(w.north, w.south, stack.dy)
     )
-    wx = (core[:, 2:, 1:-1] - core[:, :-2, 1:-1]) / (2.0 * stack.dx)
-    wy = (core[:, 1:-1, 2:] - core[:, 1:-1, :-2]) / (2.0 * stack.dy)
-    u_core = stack.u[1:-1, 1:-1, 1:-1]
-    v_core = stack.v[1:-1, 1:-1, 1:-1]
-    target = wt[:, 1:-1, 1:-1] + u_core * wx + v_core * wy
     return laplacian, target
 
 
@@ -235,17 +237,31 @@ def assemble_vorticity_system(stack: SnapshotStack, sensors: SensorSet) -> Stack
     """One-column system over every (sensor, interior snapshot) pair.
 
     Rows are ordered sensor-major, snapshots ascending within each sensor;
-    row count is len(sensors) * (n_snapshots - 2).
+    row count is len(sensors) * (n_snapshots - 2). Only the stencil values
+    around the sensors are read.
     """
-    laplacian, target = _interior_fields(stack)
-    columns = []
-    rhs = []
-    for i, j in sensors.positions:
-        if not (1 <= i <= stack.nx - 2 and 1 <= j <= stack.ny - 2):
-            raise ShapeMismatch(f"sensor ({i}, {j}) is not strictly interior")
-        columns.append(laplacian[:, i - 1, j - 1])
-        rhs.append(target[:, i - 1, j - 1])
-    return StackedSystem(np.concatenate(columns)[:, None], np.concatenate(rhs))
+    nodes = np.array(sensors.positions, dtype=np.intp).reshape(-1, 2)
+    i, j = nodes[:, :1], nodes[:, 1:]
+    # fancy indexing wraps negative indices, so reject before any gather
+    outside = np.flatnonzero(
+        (i < 1) | (i > stack.nx - 2) | (j < 1) | (j > stack.ny - 2)
+    )
+    if outside.size:
+        bad_i, bad_j = nodes[outside[0]]
+        raise ShapeMismatch(f"sensor ({bad_i}, {bad_j}) is not strictly interior")
+    n = np.arange(1, stack.n_snapshots - 1)
+    w = stack.w
+    laplacian, target = _transport_rows(
+        stack,
+        Neighbours(
+            w[n, i, j], w[n, i + 1, j], w[n, i - 1, j], w[n, i, j + 1], w[n, i, j - 1]
+        ),
+        w[n + 1, i, j],
+        w[n - 1, i, j],
+        stack.u[n, i, j],
+        stack.v[n, i, j],
+    )
+    return StackedSystem(laplacian.reshape(-1, 1), target.ravel())
 
 
 def estimate_inverse_re(
@@ -256,7 +272,15 @@ def estimate_inverse_re(
         return solve_single_column(
             assemble_vorticity_system(stack, sensors), ridge_lambda
         )
-    laplacian, target = _interior_fields(stack)
+    w = stack.w
+    laplacian, target = _transport_rows(
+        stack,
+        interior_neighbours(w[1:-1]),
+        w[2:, 1:-1, 1:-1],
+        w[:-2, 1:-1, 1:-1],
+        stack.u[1:-1, 1:-1, 1:-1],
+        stack.v[1:-1, 1:-1, 1:-1],
+    )
     return solve_single_column(
         StackedSystem(laplacian.reshape(-1, 1), target.ravel()), ridge_lambda
     )
@@ -279,13 +303,14 @@ def estimate_reynolds(
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
+    nodes = _admissible_nodes(stack, region)
     results = []
     for count in sensor_counts:
         inverses = []
         for repeat in range(repeats):
             sequence = np.random.SeedSequence((seed, int(count), repeat))
             draw_seed = int(sequence.generate_state(1)[0])
-            sensors = sample_sensors(stack, region, int(count), seed=draw_seed)
+            sensors = _draw_sensors(nodes, region, int(count), draw_seed)
             inverses.append(estimate_inverse_re(stack, sensors, ridge_lambda))
         inverses = np.array(inverses)
         if np.any(inverses <= 0) or inverses.mean() <= 0:
@@ -307,11 +332,11 @@ def estimate_reynolds(
 
 def curl_consistency_rms(stack: SnapshotStack) -> float:
     """RMS of w - (dv/dx - du/dy) over interior nodes and all snapshots."""
-    v = stack.v
-    u = stack.u
-    dvdx = (v[:, 2:, 1:-1] - v[:, :-2, 1:-1]) / (2.0 * stack.dx)
-    dudy = (u[:, 1:-1, 2:] - u[:, 1:-1, :-2]) / (2.0 * stack.dy)
-    residual = stack.w[:, 1:-1, 1:-1] - (dvdx - dudy)
+    v = interior_neighbours(stack.v)
+    u = interior_neighbours(stack.u)
+    dvdx = central_difference(v.east, v.west, stack.dx)
+    dudy = central_difference(u.north, u.south, stack.dy)
+    residual = interior_neighbours(stack.w).center - (dvdx - dudy)
     return float(np.sqrt(np.mean(residual**2)))
 
 

@@ -24,6 +24,7 @@ from artifact import (
     SinusoidalBetaSchedule,
     SweepSpec,
     add_noise,
+    advected_diffusion_stack,
     build_s3i3r_states,
     build_sir_states,
     central_diff,
@@ -237,6 +238,24 @@ def test_criterion_08_manufactured_field_convergence():
         f"refinement ratio {coarse_error / fine_error:.2f}"
     )
     assert time.perf_counter() - start < 60.0
+
+
+def test_criterion_08_advected_field_convergence():
+    # uniform advection exercises the u w_x + v w_y terms end to end
+    start = time.perf_counter()
+    errors = []
+    for n, snapshots, dt in ((65, 21, 0.05), (129, 41, 0.025)):
+        stack = advected_diffusion_stack(0.01, 0.3, 0.2, n, n, snapshots, dt)
+        errors.append(abs(estimate_inverse_re(stack) - 0.01) / 0.01)
+        estimates = estimate_reynolds(
+            stack, (0.5, 2.5, 0.5, 2.5), [4, 8, 16, 32, 64], repeats=20, seed=0
+        )
+        for estimate in estimates:
+            worst = max(abs(re - 100.0) / 100.0 for re in estimate.per_seed)
+            assert worst < 0.01, f"{n}^2, {estimate.sensor_count} sensors: {worst:.3e}"
+    assert errors[0] < 0.01, f"relative error {errors[0]:.3e}"
+    assert errors[0] / errors[1] >= 3.0, f"refinement ratio {errors[0] / errors[1]:.2f}"
+    assert time.perf_counter() - start < 10.0
 
 
 def test_criterion_09_property_suite(lv_trajectory):

@@ -14,6 +14,7 @@ from artifact import (
     ParseError,
     RankDeficient,
     RegionTooSmall,
+    SensorSet,
     ShapeMismatch,
     SnapshotStack,
     advected_diffusion_stack,
@@ -101,6 +102,68 @@ def test_uniform_field_degenerates():
         solve_ols(system)
     with pytest.raises(AllZeroColumn):
         estimate_inverse_re(stack)
+
+
+def reference_interior_fields(stack):
+    """Full-field Laplacian and advective target, written out with plain slices."""
+    w = stack.w
+    wt = (w[2:] - w[:-2]) / (2.0 * stack.dt)
+    core = w[1:-1]
+    laplacian = (
+        (core[:, 2:, 1:-1] - 2.0 * core[:, 1:-1, 1:-1] + core[:, :-2, 1:-1])
+        / stack.dx**2
+        + (core[:, 1:-1, 2:] - 2.0 * core[:, 1:-1, 1:-1] + core[:, 1:-1, :-2])
+        / stack.dy**2
+    )
+    wx = (core[:, 2:, 1:-1] - core[:, :-2, 1:-1]) / (2.0 * stack.dx)
+    wy = (core[:, 1:-1, 2:] - core[:, 1:-1, :-2]) / (2.0 * stack.dy)
+    u_core = stack.u[1:-1, 1:-1, 1:-1]
+    v_core = stack.v[1:-1, 1:-1, 1:-1]
+    target = wt[:, 1:-1, 1:-1] + u_core * wx + v_core * wy
+    return laplacian, target
+
+
+def random_stack():
+    """Seeded 6 x 11 x 8 stack with random u, v and w and dx != dy."""
+    rng = np.random.default_rng(0)
+    shape = (6, 11, 8)
+    return SnapshotStack(
+        u=rng.normal(size=shape),
+        v=rng.normal(size=shape),
+        w=rng.normal(size=shape),
+        dx=0.3,
+        dy=0.7,
+        dt=0.2,
+    )
+
+
+def test_sensor_rows_match_full_field_slices():
+    # nx != ny, dx != dy and random u, v, so a swapped axis or field shows
+    stack = random_stack()
+    positions = ((1, 1), (1, 4), (3, 6), (5, 3), (9, 1), (9, 6), (7, 2))
+    sensors = SensorSet(positions=positions, region=(), seed=0)
+    system = assemble_vorticity_system(stack, sensors)
+    laplacian, target = reference_interior_fields(stack)
+    expected_matrix = np.concatenate([laplacian[:, i - 1, j - 1] for i, j in positions])
+    expected_rhs = np.concatenate([target[:, i - 1, j - 1] for i, j in positions])
+    assert system.matrix.shape == (len(positions) * (stack.n_snapshots - 2), 1)
+    assert system.matrix[:, 0].tobytes() == expected_matrix.tobytes()
+    assert system.rhs.tobytes() == expected_rhs.tobytes()
+    full = estimate_inverse_re(stack)
+    reference = float(laplacian.ravel() @ target.ravel()) / float(
+        laplacian.ravel() @ laplacian.ravel()
+    )
+    assert full == reference
+
+
+@pytest.mark.parametrize(
+    "bad", [(0, 3), (10, 3), (4, 0), (4, 7), (-1, 3), (4, -2), (11, 3)]
+)
+def test_non_interior_sensor_is_rejected(bad):
+    stack = random_stack()
+    sensors = SensorSet(positions=((2, 2), bad, (3, 3)), region=(), seed=0)
+    with pytest.raises(ShapeMismatch, match=rf"sensor \({bad[0]}, {bad[1]}\)"):
+        assemble_vorticity_system(stack, sensors)
 
 
 def test_system_shape_and_solver_agreement(stack65):
