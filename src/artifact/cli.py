@@ -54,6 +54,7 @@ from .estimation import (
     add_noise,
     estimate_constant,
     estimate_time_varying,
+    relative_error_metrics,
     run_sweep,
 )
 from .integrator import (
@@ -347,18 +348,11 @@ def cmd_estimate(args) -> list:
         summary["residual_norm"] = estimate.residual_norm
         summary["condition"] = estimate.condition_estimate
         if truth is not None:
-            errors = {}
-            for name, value, true_value in zip(
-                model.parameter_names, estimate.values, truth
-            ):
-                errors[name] = (
-                    abs(value - true_value) / abs(true_value)
-                    if true_value != 0
-                    else None
-                )
-            summary["relative_errors"] = errors
-            valid = [v for v in errors.values() if v is not None]
-            summary["max_relative_error"] = max(valid) if valid else None
+            # NaN marks a zero truth; _write_json writes it as null
+            errors = relative_error_metrics(truth, estimate.values).absolute_mean
+            summary["relative_errors"] = dict(zip(model.parameter_names, errors))
+            valid = errors[~np.isnan(errors)]
+            summary["max_relative_error"] = valid.max() if valid.size else None
         notes = ["mode=constant"]
     elif mode == "varying":
         width = get_int(entries, "estimate.window", 14)
@@ -382,15 +376,10 @@ def cmd_estimate(args) -> list:
         summary["estimates"] = len(results)
         if truth is not None and results:
             values = np.array([est.values for _, est in results])
-            errors = {}
-            for k, name in enumerate(model.parameter_names):
-                if truth[k] == 0:
-                    errors[name] = None
-                else:
-                    errors[name] = float(
-                        np.mean(np.abs(values[:, k] - truth[k]) / abs(truth[k]))
-                    )
-            summary["mean_relative_errors"] = errors
+            errors = relative_error_metrics(
+                np.broadcast_to(truth, values.shape), values
+            ).absolute_mean
+            summary["mean_relative_errors"] = dict(zip(model.parameter_names, errors))
         notes = [f"mode=varying estimates={len(results)}"]
     else:
         raise ConfigError(f"unknown estimate.mode {mode!r}")
@@ -422,14 +411,12 @@ def cmd_sweep(args) -> list:
     except (ValueError, ShapeMismatch) as exc:
         raise ConfigError(str(exc)) from None
     normalized = bool(get_int(entries, "sweep.normalized", 0))
-    workers = args.workers or get_int(entries, "sweep.workers", 1)
     result = run_sweep(
         model,
         spec,
         sim_config,
         derivative=get_str(entries, "sweep.derivative", "interior"),
         with_normalized=normalized,
-        workers=workers,
     )
     out = _ensure_out(args.out)
     failed = dict(result.failures)
@@ -656,12 +643,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="randomized recovery sweep over a parameter box")
     common(p)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="accepted for compatibility; has no effect (draws are integrated together)",
-    )
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("covid", help="case counts to compartments, beta(t), re-simulation")
@@ -684,6 +665,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_run_log(directory, command: str, stamp: str, elapsed: float, notes) -> None:
+    """Append one block per command, so commands sharing --out keep their logs."""
     _ensure_out(directory)
     lines = [
         f"started={stamp}",
@@ -691,7 +673,7 @@ def _write_run_log(directory, command: str, stamp: str, elapsed: float, notes) -
         f"elapsed_seconds={elapsed:.3f}",
         *notes,
     ]
-    with open(os.path.join(directory, "run.log"), "w", encoding="utf-8") as handle:
+    with open(os.path.join(directory, "run.log"), "a", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
 

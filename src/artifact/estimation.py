@@ -7,16 +7,22 @@ subsample/noise reproduction table.
 
 Derivative modes
 ----------------
+One private function, _formulate, turns a series into per-sample blocks
+(matrices and right-hand sides), and every estimator builds its rows there:
+assemble_from_series picks its window's blocks out of the window's span,
+estimate_time_varying slices each day's blocks out of one formulation, and
+run_sweep and subsample_noise_table formulate each series once.
+
 "interior" (default): the integral identity
 x_{i+1} - x_{i-1} = integral of A(x; t) omega over [t_{i-1}, t_{i+1}],
 divided by the span. The right-hand side is the central difference; the
 matrix is the Simpson-weighted mean of A at samples i-1, i and i+1, with
 weights (1, 4, 1)/6 on a uniform grid and the general three-point Simpson
 weights otherwise. Endpoints are dropped.
-"full": derivative at every sample of the window slice, central inside and
-first-order one-sided at the two slice ends, paired with A at that sample.
-The published constant-recovery numbers for the epidemic models were
-produced with "full" windows starting at the first sample.
+"full": derivative at every sample of the formulated span (full_diff:
+central inside, first-order one-sided at the two span ends), paired with A
+at that sample. The published constant-recovery numbers for the epidemic
+models were produced with "full" windows starting at the first sample.
 """
 
 from __future__ import annotations
@@ -116,6 +122,40 @@ def _window_indices(indices) -> np.ndarray:
     return np.asarray(indices, dtype=int)
 
 
+def _formulate(model: ParameterLinearModel, times, states, derivative: str):
+    """Per-sample regression blocks of one series: matrices (m, d, k), rhs (m, d).
+
+    "interior" gives the m = n - 2 blocks of samples 1..n-2, each built from
+    its own three samples only; "full" gives one block per sample.
+    """
+    if states.shape[-1] != model.n_states:
+        raise ShapeMismatch(
+            f"series has {states.shape[-1]} states, model {model.name} wants {model.n_states}"
+        )
+    if derivative == "interior":
+        if len(times) < 3:
+            raise TooFewPoints("series too short for any interior window")
+        h1 = times[1:-1] - times[:-2]
+        h2 = times[2:] - times[1:-1]
+        span = times[2:] - times[:-2]
+        built = build_matrices(model, states, times)
+        # three-point Simpson rule over [t_{i-1}, t_{i+1}], divided by its span
+        matrices = (
+            (2.0 - h2 / h1)[:, None, None] * built[:-2]
+            + (span * span / (h1 * h2))[:, None, None] * built[1:-1]
+            + (2.0 - h1 / h2)[:, None, None] * built[2:]
+        ) / 6.0
+        return matrices, (states[2:] - states[:-2]) / span[:, None]
+    if derivative == "full":
+        rhs = full_diff(TimeSeries(times, states)).states
+        return build_matrices(model, states, times), rhs
+    raise ValueError(f"unknown derivative mode {derivative!r}")
+
+
+def _stack(model: ParameterLinearModel, matrices, rhs) -> StackedSystem:
+    return StackedSystem(matrices.reshape(-1, model.n_params), rhs.reshape(-1))
+
+
 def assemble_from_series(
     model: ParameterLinearModel,
     series: TimeSeries,
@@ -128,45 +168,24 @@ def assemble_from_series(
     equals the matching row slice of any larger window's system.
     """
     idx = _window_indices(indices)
-    n = len(series)
-    if series.dim != model.n_states:
-        raise ShapeMismatch(
-            f"series has {series.dim} states, model {model.name} wants {model.n_states}"
-        )
-    times, states = series.times, series.states
+    first, last = idx.min(), idx.max()
+    samples = slice(first, last + 1)
     if derivative == "interior":
-        if idx.min() < 1 or idx.max() > n - 2:
+        if first < 1 or last > len(series) - 2:
             raise TooFewPoints(
                 "interior mode needs indices with both neighbors in range"
             )
-        h1 = times[idx] - times[idx - 1]
-        h2 = times[idx + 1] - times[idx]
-        span = times[idx + 1] - times[idx - 1]
-        rhs_rows = (states[idx + 1] - states[idx - 1]) / span[:, None]
-        samples = np.unique(np.concatenate([idx - 1, idx, idx + 1]))
-        built = build_matrices(model, states[samples], times[samples])
-        before = built[np.searchsorted(samples, idx - 1)]
-        centre = built[np.searchsorted(samples, idx)]
-        after = built[np.searchsorted(samples, idx + 1)]
-        # three-point Simpson rule over [t_{i-1}, t_{i+1}], divided by its span
-        matrices = (
-            (2.0 - h2 / h1)[:, None, None] * before
-            + (span * span / (h1 * h2))[:, None, None] * centre
-            + (2.0 - h1 / h2)[:, None, None] * after
-        ) / 6.0
+        samples = slice(first - 1, last + 2)
     elif derivative == "full":
         if not np.all(np.diff(idx) == 1):
             raise ShapeMismatch("full mode needs contiguous indices")
-        if idx.min() < 0 or idx.max() > n - 1:
+        if first < 0 or last > len(series) - 1:
             raise TooFewPoints("window indices outside the series")
-        window = TimeSeries(times[idx[0] : idx[-1] + 1], states[idx[0] : idx[-1] + 1])
-        rhs_rows = full_diff(window).states
-        matrices = build_matrices(model, states[idx], times[idx])
-    else:
-        raise ValueError(f"unknown derivative mode {derivative!r}")
-    return StackedSystem(
-        matrices.reshape(-1, model.n_params), rhs_rows.reshape(-1)
+    matrices, rhs = _formulate(
+        model, series.times[samples], series.states[samples], derivative
     )
+    pick = idx - first
+    return _stack(model, matrices[pick], rhs[pick])
 
 
 def estimate_constant(
@@ -196,7 +215,6 @@ def estimate_time_varying(
     partition: ParameterPartition | None = None,
     ridge_lambda: float = 0.0,
     normalize: bool = False,
-    auto_widen: bool = True,
 ):
     """Per-day estimates over the preceding `window_width` days.
 
@@ -222,26 +240,23 @@ def estimate_time_varying(
     n = len(series)
     if n < 3:
         return []
-    # rows of sample j sit at block j - 1 of the interior system, so each
-    # day's window is a row slice of one assembly
-    interior = assemble_from_series(model, series, EstimationWindow.interior(series))
-    block = model.n_states
+    # block j holds the interior rows of sample j + 1, so the trimmed window
+    # of day i is blocks i - width .. i - 1
+    matrices, rhs = _formulate(model, series.times, series.states, "interior")
 
     def fit(width: int):
         results = []
         for i in range(width - 1, n):
-            lo = max(i - width + 1, 1)
-            hi = min(i, n - 2)
-            if hi < lo:
+            blocks = slice(max(i - width, 0), i)
+            system = _stack(model, matrices[blocks], rhs[blocks])
+            if system.rows == 0:
                 continue
-            rows = slice((lo - 1) * block, hi * block)
-            system = StackedSystem(interior.matrix[rows], interior.rhs[rows])
             try:
                 estimate = solve_partitioned(
                     system, partition, ridge_lambda=ridge_lambda, normalize=normalize
                 )
             except RankDeficient:
-                if auto_widen and width == 1:
+                if width == 1:
                     return None
                 warnings.warn(
                     f"skipping day index {i}: rank-deficient window", stacklevel=3
@@ -363,10 +378,10 @@ def run_sweep(
 
     Draw i is seeded by SeedSequence((seed, i)), so results are order-stable.
     Draws are integrated together (simulate_draws) in blocks of at most
-    SWEEP_BLOCK_VALUES state values, then each draw is estimated on its own.
-    Failed draws are recorded with a reason and excluded from the error
-    arrays, never fatal. `workers` is accepted for compatibility and has no
-    effect.
+    SWEEP_BLOCK_VALUES state values, then each draw's rows are formulated once
+    and solved for each normalize setting. Failed draws are recorded with a
+    reason and excluded from the error arrays, never fatal. `workers` is
+    accepted for compatibility and has no effect.
     """
     partition = sweep.fixed
     unknown = list(partition.unknown_indices)
@@ -379,12 +394,8 @@ def run_sweep(
     omegas[:, list(partition.known_indices)] = partition.known_values
     omegas[:, unknown] = draws
     block = max(1, SWEEP_BLOCK_VALUES // (len(time_grid(sim_template)) * model.n_states))
-
-    def errors(series, drawn, normalize):
-        estimate = estimate_constant(
-            model, series, partition=partition, derivative=derivative, normalize=normalize
-        )
-        return np.abs((estimate.values[unknown] - drawn) / drawn)
+    # "full" rows keep estimate_constant's default window, samples 1..n-2
+    window = slice(1, -1) if derivative == "full" else slice(None)
 
     # rows: max and mean error, then the normalized pair
     statistics = np.full((4 if with_normalized else 2, count), np.nan)
@@ -402,12 +413,17 @@ def run_sweep(
                 error = EstimationError("zero parameter draw")
             if error is None:
                 try:
-                    series = TimeSeries(times, trajectory)
-                    plain = errors(series, drawn, False)
-                    row = [plain.max(), plain.mean()]
-                    if with_normalized:
-                        normalized = errors(series, drawn, True)
-                        row += [normalized.max(), normalized.mean()]
+                    system = _stack(
+                        model,
+                        *_formulate(model, times[window], trajectory[window], derivative),
+                    )
+                    row = []
+                    for normalize in (False, True) if with_normalized else (False,):
+                        estimate = solve_partitioned(
+                            system, partition, normalize=normalize
+                        )
+                        relative = np.abs((estimate.values[unknown] - drawn) / drawn)
+                        row += [relative.max(), relative.mean()]
                     statistics[:, index] = row
                 except EstimationError as exc:
                     error = exc
@@ -431,49 +447,45 @@ def subsample_noise_table(
     noise_levels=(0.0, 0.01, 0.05, 0.10),
     draws: int = 20,
     seed: int = 0,
-    noise_in: str = "design",
 ) -> np.ndarray:
     """Percent-error table over sample counts and noise levels.
 
     For each sample count n the trajectory is subsampled by stride
-    (indices arange(n) * (len // n)); for each noise level > 0, `draws`
-    perturbed copies are estimated and |percent error| is averaged.
-
-    noise_in selects where the perturbation enters: "design" perturbs only
-    the states that build the regressor matrix, with derivative targets
-    taken from the unperturbed trajectory (this placement reproduces the
-    published error magnitudes); "everywhere" perturbs both.
+    (indices arange(n) * (len // n)) and formulated once in "full" mode; for
+    each noise level > 0, `draws` perturbed copies are estimated and
+    |percent error| is averaged. The perturbation enters the design only:
+    each copy rebuilds the regressor matrices from its noisy states and keeps
+    the derivative targets of the unperturbed subsample (this placement
+    reproduces the published error magnitudes).
 
     Returns an array of shape (n_params, len(points), len(noise_levels)).
     """
-    if noise_in not in ("design", "everywhere"):
-        raise ValueError(f"unknown noise placement {noise_in!r}")
     true_omega = np.asarray(true_omega, dtype=float)
     total = len(series)
     scale_unit = np.abs(series.states).max(axis=0)
     rng = np.random.default_rng(seed)
     table = np.empty((model.n_params, len(points), len(noise_levels)))
+    subsamples = [np.arange(n) * (total // n) for n in points]
+    clean = [
+        _formulate(model, series.times[idx], series.states[idx], "full")
+        for idx in subsamples
+    ]
 
-    def percent_errors(design_states: np.ndarray, target_states: np.ndarray, n: int):
-        idx = np.arange(n) * (total // n)
-        sub_times = series.times[idx]
-        rhs_rows = np.gradient(target_states[idx], sub_times, axis=0, edge_order=1)
-        matrices = build_matrices(model, design_states[idx], sub_times)
-        system = StackedSystem(matrices.reshape(-1, model.n_params), rhs_rows.reshape(-1))
-        estimate = regression.solve_ols(system)
+    def percent_errors(matrices: np.ndarray, rhs: np.ndarray):
+        estimate = regression.solve_ols(_stack(model, matrices, rhs))
         return np.abs((estimate.values - true_omega) / true_omega) * 100.0
 
     for col, level in enumerate(noise_levels):
         if level == 0.0:
-            for row, n in enumerate(points):
-                table[:, row, col] = percent_errors(series.states, series.states, n)
+            for row, (matrices, rhs) in enumerate(clean):
+                table[:, row, col] = percent_errors(matrices, rhs)
             continue
         accumulator = np.zeros((model.n_params, len(points)))
         for _ in range(draws):
             noise = rng.standard_normal(series.states.shape) * (level * scale_unit)
             noisy = series.states + noise
-            target = series.states if noise_in == "design" else noisy
-            for row, n in enumerate(points):
-                accumulator[:, row] += percent_errors(noisy, target, n)
+            for row, (idx, (_, rhs)) in enumerate(zip(subsamples, clean)):
+                matrices = build_matrices(model, noisy[idx], series.times[idx])
+                accumulator[:, row] += percent_errors(matrices, rhs)
         table[:, :, col] = accumulator / draws
     return table

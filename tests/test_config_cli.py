@@ -121,6 +121,30 @@ def test_estimate_recovers_known_rates(tmp_path):
     assert abs(float(rows[1][0]) - 0.5) < 1e-3
 
 
+def test_run_log_keeps_one_block_per_command(tmp_path):
+    conf = write(tmp_path / "run.conf", SIR_CONF)
+    shared, apart = tmp_path / "shared", tmp_path / "apart"
+    for simulated, fitted in ((shared, shared), (apart, tmp_path / "fit")):
+        assert main(["simulate", "--config", conf, "--out", str(simulated)]) == 0
+        data = str(simulated / "trajectory.csv")
+        assert main(
+            ["estimate", "--config", conf, "--data", data, "--out", str(fitted)]
+        ) == 0
+    log = (shared / "run.log").read_text().splitlines()
+    assert [line for line in log if line.startswith("command=")] == [
+        "command=simulate",
+        "command=estimate",
+    ]
+    assert sum(line.startswith("started=") for line in log) == 2
+    # the log is the only file the two commands share
+    for name, other in (
+        ("trajectory.csv", apart),
+        ("estimates.csv", tmp_path / "fit"),
+        ("summary.json", tmp_path / "fit"),
+    ):
+        assert (shared / name).read_bytes() == (other / name).read_bytes()
+
+
 def test_covid_pipeline(tmp_path, who_csv):
     conf = write(
         tmp_path / "covid.conf",

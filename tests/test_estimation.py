@@ -87,7 +87,11 @@ def test_window_constructors(sir_trajectory):
 
 
 def test_window_nesting(sir_trajectory):
-    """Stacking two adjacent windows reproduces the combined system."""
+    """Stacking two adjacent windows reproduces the combined system.
+
+    Any interior index set, also non-contiguous and unsorted, gives exactly
+    the matching blocks of the whole-interior system, in its own order.
+    """
     model = sir(1.0)
     whole = assemble_from_series(model, sir_trajectory, EstimationWindow.span(1, 40))
     left = assemble_from_series(model, sir_trajectory, EstimationWindow.span(1, 20))
@@ -96,6 +100,15 @@ def test_window_nesting(sir_trajectory):
         whole.matrix, np.vstack([left.matrix, right.matrix])
     )
     np.testing.assert_array_equal(whole.rhs, np.concatenate([left.rhs, right.rhs]))
+    interior = assemble_from_series(
+        model, sir_trajectory, EstimationWindow.interior(sir_trajectory)
+    )
+    blocks = interior.matrix.reshape(-1, 3, 2), interior.rhs.reshape(-1, 3)
+    for indices in ([7, 3, 5], [40, 2, 78, 2], [1, 78], [30]):
+        picked = assemble_from_series(model, sir_trajectory, indices)
+        rows = np.array(indices) - 1
+        np.testing.assert_array_equal(picked.matrix, blocks[0][rows].reshape(-1, 2))
+        np.testing.assert_array_equal(picked.rhs, blocks[1][rows].reshape(-1))
 
 
 def test_interior_rows_integrate_cubic_exactly(sir_trajectory):
@@ -178,6 +191,9 @@ def test_known_parameter_passes_through(sir_trajectory):
 def test_time_varying_underdetermined(lv_trajectory):
     with pytest.raises(UnderDetermined):
         estimate_time_varying(lotka_volterra(), lv_trajectory, 1)
+    # two predator-prey states handed to the three-state SIR model
+    with pytest.raises(ShapeMismatch):
+        estimate_time_varying(sir(1.0), lv_trajectory, 5)
 
 
 def test_time_varying_on_constant_data():
