@@ -14,7 +14,7 @@ Wall-clock timestamps appear only in the sidecar run.log, never in result
 files, so reruns produce byte-identical bodies.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error, 4 numerical
-failure.
+failure; an EstimationError exits with its type's `exit_code`.
 """
 
 from __future__ import annotations
@@ -35,12 +35,7 @@ from .differentiation import TimeSeries
 from .epidemic import FixedRates, build_sir_states, load_who_csv
 from .errors import (
     ConfigError,
-    DimensionMismatch,
     EstimationError,
-    MissingColumn,
-    MissingField,
-    NegativeCompartment,
-    NonMonotonicDates,
     NonPhysical,
     NonPositivePopulation,
     ParseError,
@@ -73,16 +68,6 @@ from .vorticity import (
     load_snapshot_stack,
     manufactured_diffusion_stack,
 )
-
-DATA_ERRORS = (
-    ParseError,
-    MissingColumn,
-    NegativeCompartment,
-    NonMonotonicDates,
-    DimensionMismatch,
-    MissingField,
-)
-
 
 def _cell(value) -> str:
     if isinstance(value, str):
@@ -139,32 +124,31 @@ def _model_from_config(entries: dict):
         raise ConfigError(str(exc)) from None
 
 
+def _parameter_vector(entries: dict, key: str, model) -> np.ndarray:
+    values = get_floats(entries, key)
+    if len(values) != model.n_params:
+        raise ConfigError(
+            f"{key} has {len(values)} values, "
+            f"model {model.name} has {model.n_params} parameters"
+        )
+    return np.asarray(values)
+
+
 def _schedule_from_config(entries: dict, model, allow_absent: bool = False):
     kind = get_str(entries, "schedule.type", "constant")
     if kind == "constant":
         if allow_absent and "schedule.omega" not in entries:
             return ConstantSchedule(np.zeros(model.n_params))
-        omega = get_floats(entries, "schedule.omega")
-        if len(omega) != model.n_params:
-            raise ConfigError(
-                f"schedule.omega has {len(omega)} values, "
-                f"model {model.name} has {model.n_params} parameters"
-            )
-        return ConstantSchedule(np.asarray(omega))
+        return ConstantSchedule(_parameter_vector(entries, "schedule.omega", model))
     if kind == "sinusoidal":
-        base = get_floats(entries, "schedule.base")
-        if len(base) != model.n_params:
-            raise ConfigError(
-                f"schedule.base has {len(base)} values, "
-                f"model {model.name} has {model.n_params} parameters"
-            )
+        base = _parameter_vector(entries, "schedule.base", model)
         name = get_str(entries, "schedule.parameter", model.parameter_names[0])
         try:
             index = model.parameter_index(name)
         except EstimationError:
             raise ConfigError(f"unknown schedule.parameter {name!r}") from None
         return SinusoidalBetaSchedule(
-            np.asarray(base),
+            base,
             mean=get_float(entries, "schedule.mean"),
             amplitude=get_float(entries, "schedule.amplitude"),
             period=get_float(entries, "schedule.period"),
@@ -200,7 +184,7 @@ def _sim_config_from(entries: dict, model, allow_default_schedule: bool = False)
 
 def _partition_from_config(entries: dict, model):
     known = {}
-    for key, value in entries.items():
+    for key in entries:
         if not key.startswith("known."):
             continue
         name = key[len("known."):]
@@ -208,10 +192,7 @@ def _partition_from_config(entries: dict, model):
             index = model.parameter_index(name)
         except EstimationError:
             raise ConfigError(f"unknown parameter {name!r} in {key}") from None
-        try:
-            known[index] = float(value)
-        except ValueError:
-            raise ConfigError(f"{key} is not a number: {value!r}") from None
+        known[index] = get_float(entries, key)
     if not known:
         return None
     return ParameterPartition.from_known(model.n_params, known)
@@ -221,38 +202,34 @@ def _series_rows(series: TimeSeries):
     return [[t, *row] for t, row in zip(series.times, series.states)]
 
 
-def _read_series_csv(path, model) -> TimeSeries:
-    expected = ["t", *model.state_names]
+def _read_table(path, expected: list, what: str) -> np.ndarray:
+    """Numeric rows, shape (rows, len(expected)), under the header `expected`."""
     try:
-        handle = open(path, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8", newline="") as handle:
+            lines = list(csv.reader(handle))
     except OSError as exc:
-        raise ParseError(f"cannot read data file: {exc}") from None
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        if [h.strip() for h in header] != expected:
-            raise ParseError(
-                f"{path}: columns {header} do not match model columns {expected}"
-            )
-        rows = []
-        for line_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise ParseError(
-                    f"{path}:{line_number}: expected {len(expected)} fields"
-                )
-            try:
-                rows.append([float(value) for value in row])
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{line_number}: non-numeric value"
-                ) from None
-    if len(rows) < 2:
+        raise ParseError(f"cannot read {what} file: {exc}") from None
+    if not lines:
+        raise ParseError(f"{path}: empty {what} file")
+    if [h.strip() for h in lines[0]] != expected:
+        raise ParseError(f"{path}: {what} columns {lines[0]} do not match {expected}")
+    rows = []
+    for line_number, row in enumerate(lines[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(expected):
+            raise ParseError(f"{path}:{line_number}: expected {len(expected)} fields")
+        try:
+            rows.append([float(value) for value in row])
+        except ValueError:
+            raise ParseError(f"{path}:{line_number}: non-numeric value") from None
+    return np.array(rows).reshape(-1, len(expected))
+
+
+def _read_series_csv(path, model) -> TimeSeries:
+    data = _read_table(path, ["t", *model.state_names], "data")
+    if len(data) < 2:
         raise ParseError(f"{path}: need at least 2 data rows")
-    data = np.array(rows)
     try:
         return TimeSeries(data[:, 0], data[:, 1:])
     except (ValueError, ShapeMismatch) as exc:
@@ -260,29 +237,10 @@ def _read_series_csv(path, model) -> TimeSeries:
 
 
 def _read_truth_csv(path, model) -> np.ndarray:
-    expected = list(model.parameter_names)
-    try:
-        handle = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot read truth file: {exc}") from None
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty truth file")
-        if [h.strip() for h in header] != expected:
-            raise ParseError(
-                f"{path}: truth columns {header} do not match {expected}"
-            )
-        row = next(reader, None)
-        if row is None or len(row) != len(expected):
-            raise ParseError(
-                f"{path}: need one row of {len(expected)} parameter values"
-            )
-        try:
-            return np.array([float(value) for value in row])
-        except ValueError:
-            raise ParseError(f"{path}: non-numeric truth value") from None
+    data = _read_table(path, list(model.parameter_names), "truth")
+    if len(data) != 1:
+        raise ParseError(f"{path}: need one row of truth values, got {len(data)}")
+    return data[0]
 
 
 def cmd_simulate(args) -> list:
@@ -537,8 +495,8 @@ def cmd_reynolds(args) -> list:
         source = "snapshots"
     elif args.manufactured is not None:
         nu = args.manufactured
-        if nu <= 0:
-            raise ConfigError("--manufactured viscosity must be positive")
+        if not 0.0 < nu < math.inf:
+            raise ConfigError("--manufactured viscosity must be finite and positive")
         stack = manufactured_diffusion_stack(
             nu,
             get_int(entries, "reynolds.nx", 129),
@@ -570,6 +528,7 @@ def cmd_reynolds(args) -> list:
     elif len(region) != 4:
         raise ConfigError("reynolds.region needs x_lo,x_hi,y_lo,y_hi")
     rows = []
+    full_field = {}
     for method, lam in (("plain", 0.0), ("ridge", ridge)):
         for count in counts:
             try:
@@ -591,20 +550,18 @@ def cmd_reynolds(args) -> list:
                 rows.append(
                     [method, count, np.nan, np.nan, np.nan, np.nan, "nonphysical"]
                 )
-    out = _ensure_out(args.out)
-    _write_csv(
-        os.path.join(out, "convergence.csv"),
-        ["method", "sensors", "mean_re", "re_spread", "mean_inverse_re", "rel_error", "status"],
-        rows,
-    )
-    full_field = {}
-    for method, lam in (("plain", 0.0), ("ridge", ridge)):
         inverse = estimate_inverse_re(stack, None, lam)
         full_field[method] = {
             "inverse_re": inverse,
             "re": 1.0 / inverse,
             "relative_error": abs(1.0 / inverse - target) / target,
         }
+    out = _ensure_out(args.out)
+    _write_csv(
+        os.path.join(out, "convergence.csv"),
+        ["method", "sensors", "mean_re", "re_spread", "mean_inverse_re", "rel_error", "status"],
+        rows,
+    )
     _write_json(
         os.path.join(out, "summary.json"),
         {
@@ -692,16 +649,12 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         notes = args.func(args) or []
-    except ConfigError as exc:
-        return _fail(2, exc)
-    except DATA_ERRORS as exc:
-        return _fail(3, exc)
+    except EstimationError as exc:
+        return _fail(exc.exit_code, exc)
     except OSError as exc:
         return _fail(3, exc)
     except ValueError as exc:
         return _fail(2, exc)
-    except EstimationError as exc:
-        return _fail(4, exc)
     _write_run_log(args.out, args.command, stamp, time.perf_counter() - started, notes)
     return 0
 

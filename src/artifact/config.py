@@ -34,57 +34,39 @@ def load_config(path) -> dict:
     return entries
 
 
-def _fetch(entries: dict, key: str, default):
-    if key in entries:
-        return entries[key]
-    if default is _MISSING:
-        raise ConfigError(f"missing required config key {key}")
-    return default
+def _get(entries: dict, key: str, default, parse, kind: str):
+    if key not in entries:
+        if default is _MISSING:
+            raise ConfigError(f"missing required config key {key}")
+        return default
+    value = entries[key]
+    try:
+        return parse(value)
+    except ValueError:
+        raise ConfigError(f"config key {key} is not {kind}: {value!r}") from None
+
+
+def _comma_list(parse):
+    return lambda value: [parse(part) for part in value.split(",") if part.strip()]
 
 
 def get_str(entries: dict, key: str, default=_MISSING):
-    return _fetch(entries, key, default)
+    return _get(entries, key, default, str, "a string")
 
 
 def get_int(entries: dict, key: str, default=_MISSING):
-    value = _fetch(entries, key, default)
-    if value is default and key not in entries:
-        return default
-    try:
-        return int(str(value))
-    except ValueError:
-        raise ConfigError(f"config key {key} is not an integer: {value!r}") from None
+    return _get(entries, key, default, int, "an integer")
 
 
 def get_float(entries: dict, key: str, default=_MISSING):
-    value = _fetch(entries, key, default)
-    if value is default and key not in entries:
-        return default
-    try:
-        return float(str(value))
-    except ValueError:
-        raise ConfigError(f"config key {key} is not a number: {value!r}") from None
+    return _get(entries, key, default, float, "a number")
 
 
 def get_floats(entries: dict, key: str, default=_MISSING):
     """Comma-separated float list."""
-    value = _fetch(entries, key, default)
-    if value is default and key not in entries:
-        return default
-    try:
-        return [float(part) for part in str(value).split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"config key {key} is not a number list: {value!r}") from None
+    return _get(entries, key, default, _comma_list(float), "a number list")
 
 
 def get_ints(entries: dict, key: str, default=_MISSING):
     """Comma-separated integer list."""
-    value = _fetch(entries, key, default)
-    if value is default and key not in entries:
-        return default
-    try:
-        return [int(part) for part in str(value).split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(
-            f"config key {key} is not an integer list: {value!r}"
-        ) from None
+    return _get(entries, key, default, _comma_list(int), "an integer list")

@@ -101,6 +101,13 @@ def _trailing_window_sum(increments: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
+def _check_nonnegative(columns: dict) -> None:
+    for name, column in columns.items():
+        if np.any(column < 0):
+            day = int(np.argmax(column < 0))
+            raise NegativeCompartment(f"{name} goes negative on day {day}")
+
+
 def build_sir_states(raw: RawDailySeries, population: int, rates: FixedRates) -> TimeSeries:
     """(S, I, R) levels from new-case counts.
 
@@ -113,10 +120,7 @@ def build_sir_states(raw: RawDailySeries, population: int, rates: FixedRates) ->
     susceptible = population - np.cumsum(cases)
     infected = _trailing_window_sum(cases, rates.window("gamma1"))
     recovered = population - susceptible - infected
-    for name, column in (("S", susceptible), ("I", infected), ("R", recovered)):
-        if np.any(column < 0):
-            day = int(np.argmax(column < 0))
-            raise NegativeCompartment(f"{name} goes negative on day {day}")
+    _check_nonnegative({"S": susceptible, "I": infected, "R": recovered})
     states = np.column_stack([susceptible, infected, recovered]).astype(float)
     return TimeSeries(np.arange(len(raw), dtype=float), states)
 
@@ -179,10 +183,7 @@ def build_s3i3r_states(
         "R2": vaccinated,
         "R3": dead,
     }
-    for name, column in columns.items():
-        if np.any(np.asarray(column) < 0):
-            day = int(np.argmax(np.asarray(column) < 0))
-            raise NegativeCompartment(f"{name} goes negative on day {day}")
+    _check_nonnegative(columns)
     states = np.column_stack(list(columns.values())).astype(float)
     return TimeSeries(np.arange(n, dtype=float), states)
 

@@ -1,8 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each with its CLI `exit_code`."""
 
 
 class EstimationError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 4
 
 
 class ShapeMismatch(EstimationError):
@@ -44,17 +46,25 @@ class UnderDetermined(EstimationError):
 class NegativeCompartment(EstimationError):
     """Reconstructed compartment count went negative (inconsistent data)."""
 
+    exit_code = 3
+
 
 class MissingColumn(EstimationError):
     """A required data column is absent."""
+
+    exit_code = 3
 
 
 class ParseError(EstimationError):
     """Malformed input file."""
 
+    exit_code = 3
+
 
 class NonMonotonicDates(EstimationError):
     """Date column is not strictly increasing after sorting."""
+
+    exit_code = 3
 
 
 class RegionTooSmall(EstimationError):
@@ -72,10 +82,16 @@ class NonPhysical(EstimationError):
 class DimensionMismatch(EstimationError):
     """Field file size disagrees with manifest dimensions."""
 
+    exit_code = 3
+
 
 class MissingField(EstimationError):
     """A snapshot field file referenced by the manifest is missing."""
 
+    exit_code = 3
+
 
 class ConfigError(EstimationError):
     """Invalid or missing configuration key."""
+
+    exit_code = 2

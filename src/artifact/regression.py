@@ -136,6 +136,11 @@ def _column_scales(matrix: np.ndarray) -> np.ndarray:
     return scales
 
 
+def _check_ridge_lambda(ridge_lambda: float) -> None:
+    if not 0.0 <= ridge_lambda < math.inf:
+        raise ValueError(f"ridge_lambda must be finite and nonnegative: {ridge_lambda}")
+
+
 def _solve_least_squares(
     system: StackedSystem, ridge_lambda: float, normalize: bool
 ) -> ParameterEstimate:
@@ -196,10 +201,9 @@ def solve_ridge(
     For lambda > 0 the normal matrix is invertible in exact arithmetic and a
     single row suffices; RankDeficient is raised only when lambda is too
     small to give [A; sqrt(lambda) I] full numerical rank. lambda = 0
-    delegates to solve_ols.
+    delegates to solve_ols; a negative or non-finite lambda raises ValueError.
     """
-    if ridge_lambda < 0:
-        raise ValueError("ridge_lambda must be nonnegative")
+    _check_ridge_lambda(ridge_lambda)
     if ridge_lambda == 0.0:
         return solve_ols(system, normalize=normalize)
     if system.cols == 0:
@@ -213,6 +217,7 @@ def solve_single_column(system: StackedSystem, ridge_lambda: float = 0.0) -> flo
     """Scalar normal equation sum(a*b) / (sum(a*a) + lambda) for 1-column systems."""
     if system.cols != 1:
         raise ShapeMismatch(f"expected a single column, got {system.cols}")
+    _check_ridge_lambda(ridge_lambda)
     a = system.matrix[:, 0]
     denominator = float(a @ a) + ridge_lambda
     if denominator == 0.0:
@@ -283,8 +288,8 @@ def solve_partitioned(
 ) -> ParameterEstimate:
     """apply_partition, solve, recombine in one call."""
     reduced = apply_partition(system, partition)
-    if ridge_lambda > 0:
-        unknown = solve_ridge(reduced, ridge_lambda, normalize=normalize)
-    else:
+    if ridge_lambda == 0.0:
         unknown = solve_ols(reduced, normalize=normalize)
+    else:
+        unknown = solve_ridge(reduced, ridge_lambda, normalize=normalize)
     return recombine_partition(partition, unknown)

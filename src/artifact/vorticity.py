@@ -20,7 +20,7 @@ Formulations
 
 Snapshot files are raw little-endian float64, row-major with x fastest, so
 a file holds ny rows of nx values; in memory fields are (nx, ny) with x
-first. The manifest is plain key=value text next to the field files.
+first. The manifest next to the field files is a key=value run config.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import get_float, get_int, load_config
 from .differentiation import (
     Neighbours,
     central_difference,
@@ -37,6 +38,7 @@ from .differentiation import (
     interior_neighbours,
 )
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     MissingField,
     NonPhysical,
@@ -46,7 +48,6 @@ from .errors import (
 )
 from .regression import StackedSystem, solve_single_column
 
-MANIFEST_KEYS = ("nx", "ny", "dx", "dy", "dt", "n_snapshots")
 FILE_PATTERNS = {"u": "u_%04d.bin", "v": "v_%04d.bin", "w": "w_%04d.bin"}
 
 
@@ -74,8 +75,8 @@ class SnapshotStack:
             raise ShapeMismatch("u, v, w shapes differ")
         if self.n_snapshots < 3:
             raise ShapeMismatch("need at least 3 snapshots for temporal stencils")
-        if min(self.dx, self.dy, self.dt) <= 0:
-            raise ValueError("dx, dy, dt must be positive")
+        if not all(0.0 < h < np.inf for h in (self.dx, self.dy, self.dt)):
+            raise ValueError("dx, dy, dt must be finite and positive")
 
     @property
     def n_snapshots(self) -> int:
@@ -131,8 +132,8 @@ def manufactured_diffusion_stack(
     Solves the transport equation exactly with u = v = 0 and 1/Re = nu, so
     it serves as a ground-truth oracle.
     """
-    if min(nu, dt) <= 0 or min(nx, ny) < 3 or n_snapshots < 3:
-        raise ValueError("need positive nu, dt, grid >= 3, snapshots >= 3")
+    if not (0.0 < nu < np.inf and 0.0 < dt < np.inf) or min(nx, ny, n_snapshots) < 3:
+        raise ValueError("need finite positive nu, dt, grid >= 3, snapshots >= 3")
     x = np.linspace(0.0, np.pi, nx)
     y = np.linspace(0.0, np.pi, ny)
     plane = np.outer(np.sin(x), np.sin(y))
@@ -368,31 +369,21 @@ def write_snapshot_stack(stack: SnapshotStack, directory) -> str:
 
 
 def load_snapshot_stack(manifest_path) -> SnapshotStack:
-    """Load a stack from a manifest; computes the curl diagnostic RMS."""
-    values = {}
+    """Load a stack from a manifest; computes the curl diagnostic RMS.
+
+    The manifest is read by `config.load_config`; its errors become ParseError.
+    """
     try:
-        with open(manifest_path, encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ParseError(
-                        f"{manifest_path}:{line_number}: expected key=value"
-                    )
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
-    except OSError as exc:
-        raise ParseError(f"cannot read manifest: {exc}") from None
-    for key in MANIFEST_KEYS:
-        if key not in values:
-            raise ParseError(f"{manifest_path}: missing key {key}")
-    try:
-        nx, ny = int(values["nx"]), int(values["ny"])
-        n_snapshots = int(values["n_snapshots"])
-        dx, dy, dt = float(values["dx"]), float(values["dy"]), float(values["dt"])
-    except ValueError as exc:
-        raise ParseError(f"{manifest_path}: {exc}") from None
+        values = load_config(manifest_path)
+        nx, ny = get_int(values, "nx"), get_int(values, "ny")
+        n_snapshots = get_int(values, "n_snapshots")
+        dx, dy, dt = (get_float(values, key) for key in ("dx", "dy", "dt"))
+        center = None
+        if "cylinder_x" in values and "cylinder_y" in values:
+            center = (get_float(values, "cylinder_x"), get_float(values, "cylinder_y"))
+        diameter = get_float(values, "diameter", None)
+    except ConfigError as exc:
+        raise ParseError(f"snapshot manifest: {exc}") from None
     directory = os.path.dirname(os.path.abspath(manifest_path))
     fields = {}
     for name, pattern in FILE_PATTERNS.items():
@@ -408,10 +399,6 @@ def load_snapshot_stack(manifest_path) -> SnapshotStack:
                 )
             snapshots[n] = flat.reshape(ny, nx).T
         fields[name] = snapshots
-    center = None
-    if "cylinder_x" in values and "cylinder_y" in values:
-        center = (float(values["cylinder_x"]), float(values["cylinder_y"]))
-    diameter = float(values["diameter"]) if "diameter" in values else None
     stack = SnapshotStack(
         u=fields["u"],
         v=fields["v"],

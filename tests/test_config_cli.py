@@ -6,7 +6,18 @@ import json
 import numpy as np
 import pytest
 
-from artifact import ConfigError
+from artifact import (
+    ConfigError,
+    DimensionMismatch,
+    MissingColumn,
+    MissingField,
+    NegativeCompartment,
+    NonMonotonicDates,
+    ParseError,
+    RankDeficient,
+    TooFewPoints,
+)
+from artifact import cli
 from artifact.cli import main
 from artifact.config import (
     get_float,
@@ -285,6 +296,67 @@ def test_exit_code_for_malformed_data(tmp_path):
         ["estimate", "--config", conf, "--data", data, "--out", str(tmp_path)]
     )
     assert code == 3
+    # a truth file holds exactly one row of parameter values
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", conf, "--out", str(out)]) == 0
+    truth = write(tmp_path / "truth.csv", "beta,gamma\n0.5,0.3\n0.5,0.3\n")
+    code = main(
+        [
+            "estimate",
+            "--config",
+            conf,
+            "--data",
+            str(out / "trajectory.csv"),
+            "--truth",
+            truth,
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 3
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ConfigError, 2),
+        (ParseError, 3),
+        (MissingColumn, 3),
+        (NegativeCompartment, 3),
+        (NonMonotonicDates, 3),
+        (DimensionMismatch, 3),
+        (MissingField, 3),
+        (RankDeficient, 4),
+        (TooFewPoints, 4),
+    ],
+)
+def test_exit_code_table(tmp_path, monkeypatch, error, code):
+    def fail(args):
+        raise error("raised by the command")
+
+    monkeypatch.setattr(cli, "cmd_simulate", fail)
+    assert main(["simulate", "--config", "unused.conf", "--out", str(tmp_path)]) == code
+    assert error.exit_code == code
+
+
+def test_exit_code_for_invalid_numbers(tmp_path):
+    # a negative ridge lambda, or a NaN or infinite viscosity, is a usage error
+    conf = write(tmp_path / "run.conf", SIR_CONF + "estimate.ridge=-1\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", conf, "--out", str(out)]) == 0
+    data = str(out / "trajectory.csv")
+    assert main(["estimate", "--config", conf, "--data", data, "--out", str(out)]) == 2
+    re_conf = write(
+        tmp_path / "re.conf",
+        "reynolds.nx=9\nreynolds.ny=9\nreynolds.snapshots=5\n"
+        "reynolds.counts=4\nreynolds.repeats=1\nreynolds.ridge=-1\n",
+    )
+    # a bad viscosity fails first; at 0.01 the config's ridge lambda fails
+    for nu in ("nan", "inf", "-1", "0.01"):
+        code = main(
+            ["reynolds", "--config", re_conf, "--manufactured", nu, "--out", str(out)]
+        )
+        assert code == 2
 
 
 def test_exit_code_for_unknown_command():

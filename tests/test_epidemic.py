@@ -60,8 +60,19 @@ def test_sir_closure_exact():
 
 def test_sir_negative_compartment_names_day():
     raw = RawDailySeries(dates=day_range(3), new_cases=[0, 10, 0])
-    with pytest.raises(NegativeCompartment, match="day 1"):
+    with pytest.raises(NegativeCompartment, match="S goes negative on day 1"):
         build_sir_states(raw, 5, FixedRates())
+    zeros = np.zeros(3, int)
+    raw = RawDailySeries(
+        dates=day_range(3),
+        new_cases=zeros,
+        new_deaths=np.array([0, 0, 9]),
+        new_vaccinated=zeros,
+        new_hospitalized=zeros,
+        new_icu=zeros,
+    )
+    with pytest.raises(NegativeCompartment, match="R1 goes negative on day 2"):
+        build_s3i3r_states(raw, 5, FixedRates())
 
 
 def test_trailing_window_matches_brute_force():

@@ -96,6 +96,17 @@ def test_ridge_negative_lambda_rejected():
         solve_ridge(StackedSystem([[1.0]], [1.0]), -0.5)
 
 
+@pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+def test_invalid_ridge_lambda_rejected(lam):
+    system = StackedSystem([[1.0], [2.0]], [1.0, 2.0])
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        solve_ridge(system, lam)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        solve_single_column(system, lam)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        solve_partitioned(system, ParameterPartition.all_unknown(1), lam)
+
+
 def test_ridge_single_row_solvable():
     fit = solve_ridge(StackedSystem([[1.0, 1.0]], [2.0]), 1.0)
     assert fit.values.shape == (2,)

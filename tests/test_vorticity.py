@@ -308,6 +308,11 @@ def test_manifest_missing_key(tmp_path):
         load_snapshot_stack(manifest)
     with pytest.raises(ParseError):
         load_snapshot_stack(tmp_path / "fields" / "nonexistent.txt")
+    # manifests follow the run-config rules: no repeated and no empty keys
+    for extra, message in (("dt=0.1\ndt=0.2\n", "duplicate"), ("=0.1\n", "empty key")):
+        open(manifest, "w").write("\n".join(lines) + "\n" + extra)
+        with pytest.raises(ParseError, match=message):
+            load_snapshot_stack(manifest)
 
 
 def test_wake_region_from_cylinder_metadata(stack65):
@@ -349,5 +354,10 @@ def test_stack_validation():
         )
     with pytest.raises(ShapeMismatch):
         SnapshotStack(u=good[0], v=good[0], w=good[0], dx=1.0, dy=1.0, dt=1.0)
-    with pytest.raises(ValueError):
-        SnapshotStack(u=good, v=good, w=good, dx=1.0, dy=1.0, dt=0.0)
+    for bad in ({"dt": 0.0}, {"dt": np.nan}, {"dx": np.nan}, {"dy": np.inf}):
+        spacings = {"dx": 1.0, "dy": 1.0, "dt": 1.0, **bad}
+        with pytest.raises(ValueError):
+            SnapshotStack(u=good, v=good, w=good, **spacings)
+    for nu, dt in ((np.nan, 0.1), (np.inf, 0.1), (0.01, np.nan)):
+        with pytest.raises(ValueError):
+            manufactured_diffusion_stack(nu, 5, 5, 3, dt)
