@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import regression
 from .differentiation import TimeSeries, full_diff
@@ -56,6 +57,10 @@ SWEEP_THRESHOLDS = (1.0, 0.5, 0.1, 0.05, 0.01)
 # run_sweep integrates draws in blocks of at most this many state values
 # (8 MiB of float64), so its memory does not grow with sample_count
 SWEEP_BLOCK_VALUES = 1 << 20
+
+# estimate_time_varying solves its full-width windows in solve_batch calls of
+# at most this many stacked float64 values (256 KiB), so memory stays flat
+WINDOW_BLOCK_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -223,7 +228,9 @@ def estimate_time_varying(
     window is empty emit nothing. A day whose system is rank deficient is
     skipped with a warning, except that a rank-deficient width-1 run is
     retried once at width 2 (per-point systems of the seven-compartment
-    model are degenerate by construction).
+    model are degenerate by construction). Any other failure is raised at
+    the first day it hits. The full-width windows are solved together by
+    regression.solve_batch, in calls of at most WINDOW_BLOCK_VALUES values.
 
     Returns a list of (t_i, ParameterEstimate) in day order.
     """
@@ -240,29 +247,67 @@ def estimate_time_varying(
     n = len(series)
     if n < 3:
         return []
-    # block j holds the interior rows of sample j + 1, so the trimmed window
-    # of day i is blocks i - width .. i - 1
     matrices, rhs = _formulate(model, series.times, series.states, "interior")
+    if d > n:
+        return []
+    reduced = regression.apply_partition(_stack(model, matrices, rhs), partition)
+    count, states = rhs.shape
+    k = reduced.cols
+    blocks = reduced.matrix.reshape(count, states, k)
+    block_rhs = reduced.rhs.reshape(count, states)
+
+    def solve(matrices, rhs):
+        solution = regression.solve_batch(matrices, rhs, ridge_lambda, normalize)
+        return replace(solution, values=partition.combine(solution.values))
+
+    def solutions(width: int):
+        """(day, BatchSolution, index) of each day with a non-empty window, in day order.
+
+        Block j holds the interior rows of sample j + 1, so the window of day
+        i is blocks max(i - width, 0) .. min(i, count) - 1: full width for
+        days width .. count, trimmed or empty for days width - 1 and n - 1.
+        """
+
+        def trimmed(day: int):
+            first, stop = max(day - width, 0), min(day, count)
+            if first < stop:
+                rows = (stop - first) * states
+                batch = blocks[first:stop].reshape(1, rows, k)
+                yield day, solve(batch, block_rhs[first:stop].reshape(1, rows)), 0
+
+        yield from trimmed(width - 1)
+        if width <= count:
+            rows = width * states
+            # the window axis of a sliding view comes last; move it before states
+            windows = np.moveaxis(sliding_window_view(blocks, width, axis=0), -1, 1)
+            targets = np.moveaxis(sliding_window_view(block_rhs, width, axis=0), -1, 1)
+            step = max(1, WINDOW_BLOCK_VALUES // (rows * (k + 1)))
+            for start in range(0, len(windows), step):
+                size = min(step, len(windows) - start)
+                chunk = slice(start, start + size)
+                solution = solve(
+                    windows[chunk].reshape(size, rows, k),
+                    targets[chunk].reshape(size, rows),
+                )
+                for index in range(size):
+                    yield start + width + index, solution, index
+        if n > width:
+            yield from trimmed(n - 1)
 
     def fit(width: int):
         results = []
-        for i in range(width - 1, n):
-            blocks = slice(max(i - width, 0), i)
-            system = _stack(model, matrices[blocks], rhs[blocks])
-            if system.rows == 0:
-                continue
-            try:
-                estimate = solve_partitioned(
-                    system, partition, ridge_lambda=ridge_lambda, normalize=normalize
-                )
-            except RankDeficient:
+        for day, solution, index in solutions(width):
+            error = solution.errors[index]
+            if isinstance(error, RankDeficient):
                 if width == 1:
                     return None
                 warnings.warn(
-                    f"skipping day index {i}: rank-deficient window", stacklevel=3
+                    f"skipping day index {day}: rank-deficient window", stacklevel=3
                 )
-                continue
-            results.append((float(series.times[i]), estimate))
+            elif error is not None:
+                raise error
+            else:
+                results.append((float(series.times[day]), solution.estimate(index)))
         return results
 
     results = fit(d)

@@ -2,20 +2,28 @@
 
 Solvers
 -------
+- solve_batch: B systems of one shape in one pass, one verdict per system
 - solve_ols: ordinary least squares, min ||A omega - b||_2
 - solve_ridge: Tikhonov-regularized least squares, (A'A + lambda I)^-1 A'b
 
 Implementation
 --------------
-Every OLS and ridge system takes one path: a system with a NaN or Inf
-entry is rejected with NonFiniteSystem before any solve; otherwise the
-columns are optionally scaled to unit norm, a ridge system is stacked as
-[A; sqrt(lambda) I] over [b; 0], and one LAPACK least-squares call
-(np.linalg.lstsq, an SVD) returns the solution and the singular values.
-The condition number on the normal-matrix scale, (s_max / s_min)^2, is
-exact. A condition number that overflows means the system does too, and
-raises NonFiniteSystem; above 1e12 (OLS) or at a numerical rank below the
-column count (ridge) the system is declared rank deficient.
+solve_ols and solve_ridge are the batch-of-one case of solve_batch, so every
+OLS and ridge system takes one path. A system with a NaN or Inf entry (or,
+under normalize, a non-finite column norm) is rejected with NonFiniteSystem
+and reaches LAPACK only as zeros. Columns are optionally scaled to unit
+norm, and a ridge system is stacked as [A; sqrt(lambda) I] over [b; 0]. One
+QR factorization of the augmented stack [A | b] (np.linalg.qr, mode "r";
+Golub & Van Loan, Matrix Computations, sec. 5.3) gives the triangle R and
+Q'b, and omega solves R omega = Q'b. The singular values of R are those of
+A, so the condition number on the normal-matrix scale, (s_max / s_min)^2, is
+exact, and the numerical rank follows np.linalg.lstsq's rule (singular
+values above eps * max(rows, cols) * s_max). The residual norm is
+||A omega - b|| of the unscaled, unstacked system. A condition number that
+overflows means the system does too, and raises NonFiniteSystem; a zero
+singular value, a condition number above 1e12 (OLS) or a numerical rank
+below the column count is declared rank deficient. A batch gives these
+verdicts per system, in this order, so one failed system fails no other.
 
 Stacking
 --------
@@ -41,6 +49,7 @@ from .errors import (
 )
 
 RANK_DEFICIENT_CONDITION = 1e12
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -112,6 +121,14 @@ class ParameterPartition:
     def total(self) -> int:
         return len(self.known_indices) + len(self.unknown_indices)
 
+    def combine(self, unknown_values) -> np.ndarray:
+        """Full parameter vectors (..., total) from unknown values (..., n_unknown)."""
+        unknown_values = np.asarray(unknown_values, dtype=float)
+        values = np.empty(unknown_values.shape[:-1] + (self.total,))
+        values[..., list(self.known_indices)] = self.known_values
+        values[..., list(self.unknown_indices)] = unknown_values
+        return values
+
 
 @dataclass(frozen=True)
 class ParameterEstimate:
@@ -126,54 +143,191 @@ class ParameterEstimate:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
 
-def _column_scales(matrix: np.ndarray) -> np.ndarray:
-    # zero columns are left unscaled so the rank check still sees them
-    with np.errstate(over="ignore"):
-        scales = np.linalg.norm(matrix, axis=0)
-    if not np.all(np.isfinite(scales)):
-        raise NonFiniteSystem("a column norm of the system is not finite")
-    scales[scales == 0.0] = 1.0
-    return scales
-
-
 def _check_ridge_lambda(ridge_lambda: float) -> None:
     if not 0.0 <= ridge_lambda < math.inf:
         raise ValueError(f"ridge_lambda must be finite and nonnegative: {ridge_lambda}")
 
 
-def _solve_least_squares(
-    system: StackedSystem, ridge_lambda: float, normalize: bool
-) -> ParameterEstimate:
-    if not (np.isfinite(system.matrix).all() and np.isfinite(system.rhs).all()):
-        raise NonFiniteSystem("the system has a non-finite entry")
-    cols = system.cols
-    scales = _column_scales(system.matrix) if normalize else np.ones(cols)
-    matrix = system.matrix / scales
-    rhs = system.rhs
-    if ridge_lambda > 0:
-        matrix = np.vstack([matrix, math.sqrt(ridge_lambda) * np.eye(cols)])
-        rhs = np.concatenate([rhs, np.zeros(cols)])
-    omega, _, rank, singular = np.linalg.lstsq(matrix, rhs, rcond=None)
+@dataclass(frozen=True)
+class BatchSolution:
+    """Solutions of a stack of systems with one verdict per system.
+
+    values (B, k), residual_norms (B,) and conditions (B,) are NaN for a
+    system whose verdict in `errors` is an EstimationError; a solved system
+    has verdict None.
+    """
+
+    values: np.ndarray
+    residual_norms: np.ndarray
+    conditions: np.ndarray
+    errors: list
+    ridge_lambda: float
+
+    def estimate(self, index: int) -> ParameterEstimate:
+        """The estimate of system `index`; raises its verdict if it failed."""
+        error = self.errors[index]
+        if error is not None:
+            raise error
+        return ParameterEstimate(
+            self.values[index],
+            float(self.residual_norms[index]),
+            float(self.conditions[index]),
+            self.ridge_lambda,
+        )
+
+
+def _shape_error(rows: int, cols: int, ridge_lambda: float):
+    if cols == 0:
+        return ShapeMismatch("system has no parameter columns")
+    if ridge_lambda == 0.0 and rows < cols:
+        return RankDeficient(f"{rows} equations for {cols} unknowns (need rows >= cols)")
+    if rows < 1:
+        return ShapeMismatch("ridge solve needs at least one equation")
+    return None
+
+
+def _verdict(
+    matrix,
+    rhs,
+    norms_finite: bool,
+    singular,
+    residual_norm,
+    ridge_lambda: float,
+    rows: int,
+):
+    """The error of one system that solve_batch flagged, checks in their order.
+
+    `norms_finite` tells whether its column norms are finite (True without
+    normalize), `singular` holds the singular values of its scaled (and, for
+    ridge, stacked) matrix of `rows` rows, and `residual_norm` is the
+    unscaled ||A omega - b||; a value is not read once an earlier check fails.
+    """
+    if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
+        return NonFiniteSystem("the system has a non-finite entry")
+    if not norms_finite:
+        return NonFiniteSystem("a column norm of the system is not finite")
     s_max, s_min = float(singular[0]), float(singular[-1])
     # an exactly singular system is rank deficient, not overflowing
     if s_min == 0.0:
-        raise RankDeficient("zero singular value")
+        return RankDeficient("zero singular value")
     # Python floats overflow to inf without a numpy warning
     ratio = s_max / s_min
     cond = ratio * ratio
     if not math.isfinite(cond):
-        raise NonFiniteSystem(f"condition number {cond} of the system is not finite")
+        return NonFiniteSystem(f"condition number {cond} of the system is not finite")
     if ridge_lambda == 0.0 and cond > RANK_DEFICIENT_CONDITION:
-        raise RankDeficient(f"condition number {cond:.3e} exceeds 1e12")
+        return RankDeficient(f"condition number {cond:.3e} exceeds 1e12")
+    # the numerical rank np.linalg.lstsq reports with rcond=None
+    cols = len(singular)
+    rank = int(np.count_nonzero(singular > _EPS * max(rows, cols) * s_max))
     if rank < cols:
-        raise RankDeficient(
+        return RankDeficient(
             f"numerical rank {rank} < {cols} (lambda={ridge_lambda:.3e})"
         )
-    omega = omega / scales
-    norm = float(np.linalg.norm(system.matrix @ omega - system.rhs))
-    if not math.isfinite(norm):
-        raise NonFiniteSystem(f"non-finite solve: residual norm {norm}")
-    return ParameterEstimate(omega, norm, cond, ridge_lambda)
+    return NonFiniteSystem(f"non-finite solve: residual norm {float(residual_norm)}")
+
+
+def _unsolved(cols: int, errors: list, ridge_lambda: float) -> BatchSolution:
+    count = len(errors)
+    return BatchSolution(
+        np.full((count, cols), np.nan),
+        np.full(count, np.nan),
+        np.full(count, np.nan),
+        errors,
+        ridge_lambda,
+    )
+
+
+def solve_batch(
+    matrices, rhs, ridge_lambda: float = 0.0, normalize: bool = False
+) -> BatchSolution:
+    """Least-squares solutions of B systems of one shape: matrices (B, m, k), rhs (B, m).
+
+    Each system gets the verdict that solve_ols (ridge_lambda = 0) or
+    solve_ridge raises for it alone, and its values equal that batch-of-one
+    call bit for bit. A system with a non-finite entry or column norm is
+    replaced by zeros before any LAPACK call.
+    """
+    _check_ridge_lambda(ridge_lambda)
+    matrices = np.asarray(matrices, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    count, rows, cols = matrices.shape
+    if rhs.shape != (count, rows):
+        raise ShapeMismatch(f"rhs of shape {rhs.shape} for matrices {matrices.shape}")
+    if _shape_error(rows, cols, ridge_lambda) is not None:
+        errors = [_shape_error(rows, cols, ridge_lambda) for _ in range(count)]
+        return _unsolved(cols, errors, ridge_lambda)
+
+    stacked = rows + cols if ridge_lambda > 0 else rows
+    augmented = np.zeros((count, stacked, cols + 1))
+    augmented[:, :rows, :cols] = matrices
+    augmented[:, :rows, cols] = rhs
+    screened = np.isfinite(augmented).all(axis=(1, 2))
+    norms_finite = None
+    if normalize:
+        with np.errstate(over="ignore"):
+            scales = np.linalg.norm(matrices, axis=1)
+        norms_finite = np.isfinite(scales).all(axis=1)
+        screened &= norms_finite
+        # zero columns are left unscaled so the rank check still sees them
+        scales[~screened[:, None] | (scales == 0.0)] = 1.0
+        augmented[:, :rows, :cols] /= scales[:, None, :]
+
+    def verdicts(failed, singular=None, residual_norms=None):
+        errors = [None] * count
+        for i in np.flatnonzero(failed):
+            errors[i] = _verdict(
+                matrices[i],
+                rhs[i],
+                norms_finite is None or norms_finite[i],
+                None if singular is None else singular[i],
+                None if residual_norms is None else residual_norms[i],
+                ridge_lambda,
+                stacked,
+            )
+        return errors
+
+    if not screened.all():
+        if not screened.any():
+            return _unsolved(cols, verdicts(~screened), ridge_lambda)
+        # systems that fail the screen reach LAPACK as zeros
+        augmented[~screened] = 0.0
+    # one QR of the augmented [A | b] (ridge: [A; sqrt(lambda) I] over
+    # [b; 0]) gives R and Q'b; the singular values of R are those of A
+    if ridge_lambda > 0:
+        augmented[:, rows:, :cols] = math.sqrt(ridge_lambda) * np.eye(cols)
+    factor = np.linalg.qr(augmented, mode="r")
+    triangle = factor[:, :cols, :cols]
+    singular = np.linalg.svd(triangle, compute_uv=False)
+    s_max, s_min = singular[:, 0], singular[:, -1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = s_max / s_min
+        conditions = ratio * ratio
+    # _verdict's checks as masks: full numerical rank and a finite condition
+    # number, at most 1e12 without ridge
+    if ridge_lambda == 0.0:
+        well_posed = conditions <= RANK_DEFICIENT_CONDITION
+    else:
+        well_posed = conditions < math.inf
+    solvable = screened & well_posed & (s_min > _EPS * max(stacked, cols) * s_max)
+    every = bool(solvable.all())
+    if not every:
+        triangle = np.where(solvable[:, None, None], triangle, np.eye(cols))
+    values = np.linalg.solve(triangle, factor[:, :cols, cols:])[..., 0]
+    if normalize:
+        values /= scales
+    if not every:
+        values[~solvable] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = (matrices @ values[..., None])[..., 0] - rhs
+        residual_norms = np.sqrt((residuals * residuals).sum(axis=1))
+    solved = solvable & np.isfinite(residual_norms)
+    errors = [None] * count
+    if not solved.all():
+        errors = verdicts(~solved, singular, residual_norms)
+        for array in (values, residual_norms, conditions):
+            array[~solved] = np.nan
+    return BatchSolution(values, residual_norms, conditions, errors, ridge_lambda)
 
 
 def solve_ols(system: StackedSystem, normalize: bool = False) -> ParameterEstimate:
@@ -183,14 +337,9 @@ def solve_ols(system: StackedSystem, normalize: bool = False) -> ParameterEstima
     finite, and RankDeficient when rows < cols or when the condition number
     of the normal matrix A'A exceeds 1e12. `normalize` rescales columns of A
     to unit norm before solving and rescales the estimate back afterwards.
+    The batch-of-one case of solve_batch.
     """
-    if system.cols == 0:
-        raise ShapeMismatch("system has no parameter columns")
-    if system.rows < system.cols:
-        raise RankDeficient(
-            f"{system.rows} equations for {system.cols} unknowns (need rows >= cols)"
-        )
-    return _solve_least_squares(system, 0.0, normalize)
+    return solve_ridge(system, 0.0, normalize=normalize)
 
 
 def solve_ridge(
@@ -200,17 +349,11 @@ def solve_ridge(
 
     For lambda > 0 the normal matrix is invertible in exact arithmetic and a
     single row suffices; RankDeficient is raised only when lambda is too
-    small to give [A; sqrt(lambda) I] full numerical rank. lambda = 0
-    delegates to solve_ols; a negative or non-finite lambda raises ValueError.
+    small to give [A; sqrt(lambda) I] full numerical rank. lambda = 0 is
+    solve_ols; a negative or non-finite lambda raises ValueError.
     """
-    _check_ridge_lambda(ridge_lambda)
-    if ridge_lambda == 0.0:
-        return solve_ols(system, normalize=normalize)
-    if system.cols == 0:
-        raise ShapeMismatch("system has no parameter columns")
-    if system.rows < 1:
-        raise ShapeMismatch("ridge solve needs at least one equation")
-    return _solve_least_squares(system, ridge_lambda, normalize)
+    batch = solve_batch(system.matrix[None], system.rhs[None], ridge_lambda, normalize)
+    return batch.estimate(0)
 
 
 def solve_single_column(system: StackedSystem, ridge_lambda: float = 0.0) -> float:
@@ -269,11 +412,8 @@ def recombine_partition(
     partition: ParameterPartition, unknown_estimate: ParameterEstimate
 ) -> ParameterEstimate:
     """Merge known values and an unknown-block estimate into a full vector."""
-    values = np.empty(partition.total)
-    values[list(partition.known_indices)] = partition.known_values
-    values[list(partition.unknown_indices)] = unknown_estimate.values
     return ParameterEstimate(
-        values,
+        partition.combine(unknown_estimate.values),
         unknown_estimate.residual_norm,
         unknown_estimate.condition_estimate,
         unknown_estimate.ridge_lambda,
@@ -288,8 +428,5 @@ def solve_partitioned(
 ) -> ParameterEstimate:
     """apply_partition, solve, recombine in one call."""
     reduced = apply_partition(system, partition)
-    if ridge_lambda == 0.0:
-        unknown = solve_ols(reduced, normalize=normalize)
-    else:
-        unknown = solve_ridge(reduced, ridge_lambda, normalize=normalize)
+    unknown = solve_ridge(reduced, ridge_lambda, normalize=normalize)
     return recombine_partition(partition, unknown)

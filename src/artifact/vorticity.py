@@ -371,7 +371,9 @@ def write_snapshot_stack(stack: SnapshotStack, directory) -> str:
 def load_snapshot_stack(manifest_path) -> SnapshotStack:
     """Load a stack from a manifest; computes the curl diagnostic RMS.
 
-    The manifest is read by `config.load_config`; its errors become ParseError.
+    The manifest is read by `config.load_config`; its errors, and grid sizes
+    or spacings that no stack can have, become ParseError before any field
+    file is read.
     """
     try:
         values = load_config(manifest_path)
@@ -384,6 +386,16 @@ def load_snapshot_stack(manifest_path) -> SnapshotStack:
         diameter = get_float(values, "diameter", None)
     except ConfigError as exc:
         raise ParseError(f"snapshot manifest: {exc}") from None
+    # the temporal stencils need three snapshots
+    sizes = (("nx", nx, 1), ("ny", ny, 1), ("n_snapshots", n_snapshots, 3))
+    for key, size, least in sizes:
+        if size < least:
+            raise ParseError(f"snapshot manifest: {key}={size}, need at least {least}")
+    for key, spacing in (("dx", dx), ("dy", dy), ("dt", dt)):
+        if not 0.0 < spacing < np.inf:
+            raise ParseError(
+                f"snapshot manifest: {key}={spacing} is not finite and positive"
+            )
     directory = os.path.dirname(os.path.abspath(manifest_path))
     fields = {}
     for name, pattern in FILE_PATTERNS.items():

@@ -16,6 +16,8 @@ from artifact import (
     ParseError,
     RankDeficient,
     TooFewPoints,
+    manufactured_diffusion_stack,
+    write_snapshot_stack,
 )
 from artifact import cli
 from artifact.cli import main
@@ -389,6 +391,31 @@ def test_exit_code_for_conflicting_reynolds_inputs(tmp_path):
     )
     assert code == 2
     assert main(["reynolds", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("dt", "nan"),
+        ("dt", "0"),
+        ("dt", "-0.1"),
+        ("dx", "nan"),
+        ("dy", "-1"),
+        ("n_snapshots", "2"),
+        ("nx", "0"),
+        ("ny", "-3"),
+    ],
+)
+def test_exit_code_for_bad_manifest_values(tmp_path, capsys, key, value):
+    # a manifest value no stack can have is malformed data (3), found before
+    # the (intact) field files are read
+    stack = manufactured_diffusion_stack(0.01, 5, 5, 3, 0.1)
+    manifest = write_snapshot_stack(stack, tmp_path / "fields")
+    lines = open(manifest).read().splitlines()
+    lines = [f"{key}={value}" if line.startswith(f"{key}=") else line for line in lines]
+    open(manifest, "w").write("\n".join(lines) + "\n")
+    assert main(["reynolds", "--manifest", manifest, "--out", str(tmp_path)]) == 3
+    assert f"snapshot manifest: {key}={value}" in capsys.readouterr().err
 
 
 def test_simulate_with_noise_is_seeded(tmp_path):

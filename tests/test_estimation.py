@@ -10,10 +10,12 @@ from artifact import (
     ConstantSchedule,
     EstimationWindow,
     NoiseSpec,
+    NonFiniteSystem,
     ParameterLinearModel,
     ParameterPartition,
     ShapeMismatch,
     SimulationConfig,
+    SinusoidalBetaSchedule,
     StackedSystem,
     SweepSpec,
     TimeSeries,
@@ -28,6 +30,7 @@ from artifact import (
     relative_error_metrics,
     run_sweep,
     s3i3r,
+    s3i3r_matrix,
     simulate,
     sir,
     solve_ols,
@@ -118,7 +121,7 @@ def test_interior_rows_integrate_cubic_exactly(sir_trajectory):
     gives w back to roundoff on a uniform and a non-uniform grid. Pairing
     A(t_i) with the central difference instead misses by 3.6e-4 and 1.5e-3
     on these grids. Each per-day estimate equals the constant estimate over
-    the same trimmed window, bit for bit.
+    the same trimmed window, bit for bit, at any width and solver option.
     """
     w = 0.75
     cubic = ParameterLinearModel(
@@ -138,16 +141,18 @@ def test_interior_rows_integrate_cubic_exactly(sir_trajectory):
         estimate = estimate_constant(cubic, series)
         assert abs(estimate.values[0] - w) / w < 1e-12, name
         cases.append((cubic, series))
-    width = 5
-    for model, series in cases:
-        n = len(series)
-        results = estimate_time_varying(model, series, width)
-        assert [t for t, _ in results] == list(series.times[width - 1 :])
-        for i, (_, estimate) in enumerate(results, start=width - 1):
-            window = EstimationWindow.span(max(i - width + 1, 1), min(i, n - 2))
-            np.testing.assert_array_equal(
-                estimate.values, estimate_constant(model, series, window).values
-            )
+    options = ({}, {"ridge_lambda": 1e-3}, {"normalize": True})
+    for width in (1, 2, 5, 14):
+        for option in options:
+            for model, series in cases:
+                n = len(series)
+                results = estimate_time_varying(model, series, width, **option)
+                days = np.arange(1, n - 1) if width == 1 else np.arange(width - 1, n)
+                assert [t for t, _ in results] == list(series.times[days])
+                for i, (_, estimate) in zip(days, results):
+                    window = EstimationWindow.span(max(i - width + 1, 1), min(i, n - 2))
+                    constant = estimate_constant(model, series, window, **option)
+                    np.testing.assert_array_equal(estimate.values, constant.values)
 
 
 def test_constant_recovery_sir_daily(sir_trajectory):
@@ -202,7 +207,7 @@ def test_time_varying_on_constant_data():
         0.0, 40.0, 0.25, np.array([0.9999, 1e-4, 0.0]), ConstantSchedule(SIR_OMEGA)
     )
     series = simulate(sir(1.0), config)
-    expected_counts = {2: 160, 5: 157, 14: 148, 56: 106}
+    expected_counts = {2: 160, 5: 157, 14: 148, 56: 106, 160: 2, 161: 1}
     for width, count in expected_counts.items():
         results = estimate_time_varying(sir(1.0), series, width)
         assert len(results) == count
@@ -218,6 +223,68 @@ def test_time_varying_attributes_window_end():
     results = estimate_time_varying(sir(1.0), series, 5)
     assert results[0][0] == series.times[4]
     assert results[-1][0] == series.times[-1]
+
+
+def _daily_s3i3r():
+    """Criterion 06's daily S3I3R series under a sinusoidal beta, tau pinned."""
+    model = s3i3r(1.0)
+    omega = np.array([0.4, 1 / 3, 1 / 20, 1 / 20, 0.0, 1 / 10, 1 / 20, 1 / 20])
+    config = SimulationConfig(
+        0.0,
+        56.0,
+        1.0,
+        np.array([0.9999, 1e-4, 0, 0, 0, 0, 0]),
+        SinusoidalBetaSchedule(omega, 0.4, 0.05, 56.0, 0),
+    )
+    partition = ParameterPartition.from_known(8, {model.parameter_index("tau"): 0.0})
+    return model, simulate(model, config), partition
+
+
+WIDENED = "width-1 system is rank deficient; widening the window to 2"
+
+
+def test_time_varying_widens_and_skips_days_in_order():
+    # one sample's seven rows have rank at most 6 (the columns sum to zero),
+    # so width 1 widens to 2, whose two trimmed end windows are skipped
+    model, series, partition = _daily_s3i3r()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = estimate_time_varying(model, series, 1, partition=partition)
+    assert [str(w.message) for w in caught] == [
+        WIDENED,
+        "skipping day index 1: rank-deficient window",
+        "skipping day index 56: rank-deficient window",
+    ]
+    assert {w.filename for w in caught} == {__file__}
+    assert [t for t, _ in results] == list(series.times[2:56])
+
+
+@pytest.mark.parametrize(
+    "sample, expected_warnings",
+    [
+        (1, []),
+        (20, [WIDENED, "skipping day index 1: rank-deficient window"]),
+        (56, [WIDENED, "skipping day index 1: rank-deficient window"]),
+    ],
+)
+def test_time_varying_raises_the_first_non_finite_day(sample, expected_warnings):
+    # a builder that gives NaN at one sample poisons every window holding one
+    # of its three interior blocks; the first such day raises, after the
+    # warnings of the days before it (a NaN at sample 1 already fails width 1)
+    model, series, partition = _daily_s3i3r()
+
+    def build(state, t):
+        matrix = s3i3r_matrix(state, 1.0)
+        return matrix * np.nan if t == series.times[sample] else matrix
+
+    poisoned = ParameterLinearModel(
+        model.name, model.state_names, model.parameter_names, build
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteSystem, match="the system has a non-finite entry"):
+            estimate_time_varying(poisoned, series, 1, partition=partition)
+    assert [str(w.message) for w in caught] == expected_warnings
 
 
 def test_add_noise_zero_epsilon_identity(lv_trajectory):

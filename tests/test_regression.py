@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from artifact import (
     AllZeroColumn,
+    EstimationError,
     IndexOutOfRange,
     NonFiniteSystem,
     ParameterPartition,
@@ -16,6 +17,7 @@ from artifact import (
     apply_partition,
     s3i3r_matrix,
     sir_matrix,
+    solve_batch,
     solve_ols,
     solve_partitioned,
     solve_ridge,
@@ -324,7 +326,8 @@ def test_nan_rejection_does_not_depend_on_the_lapack_build(monkeypatch, normaliz
     def no_solve(*args, **kwargs):
         raise AssertionError("a non-finite system reached the solver")
 
-    monkeypatch.setattr(np.linalg, "lstsq", no_solve)
+    for name in ("lstsq", "qr", "svd", "solve"):
+        monkeypatch.setattr(np.linalg, name, no_solve)
     matrix, rhs = _random_system()
     matrix[2, 1] = np.nan
     system = StackedSystem(matrix, rhs)
@@ -332,3 +335,80 @@ def test_nan_rejection_does_not_depend_on_the_lapack_build(monkeypatch, normaliz
         solve_ols(system, normalize=normalize)
     with pytest.raises(NonFiniteSystem):
         solve_ridge(system, 0.1, normalize=normalize)
+
+
+KINDS = (
+    "well posed",
+    "duplicate column",
+    "zero column",
+    "nan entry",
+    "inf entry",
+    "overflow",
+)
+
+
+def _member(rng, rows, cols, kind):
+    # a well-posed member has singular values in [1, 4], so any two SVD
+    # routes agree on its condition number to a few units of roundoff
+    k = min(rows, cols)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, k)))
+    matrix = (u * rng.uniform(1.0, 4.0, k)) @ v.T
+    rhs = rng.standard_normal(rows)
+    if kind == "duplicate column":
+        matrix[:, -1] = matrix[:, 0]
+    elif kind == "zero column":
+        matrix[:, -1] = 0.0
+    elif kind == "nan entry":
+        matrix[rng.integers(rows), rng.integers(cols)] = np.nan
+    elif kind == "inf entry":
+        rhs[rng.integers(rows)] = -np.inf
+    elif kind == "overflow":
+        matrix[:, 0] *= 1e200
+    return matrix, rhs
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    seed=matrices,
+    rows=st.integers(1, 8),
+    cols=st.integers(1, 3),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+    ridge_lambda=st.sampled_from([0.0, 0.5]),
+    normalize=st.booleans(),
+)
+def test_batch_members_match_their_batch_of_one_solve(
+    seed, rows, cols, kinds, ridge_lambda, normalize
+):
+    rng = np.random.default_rng(seed)
+    members = [_member(rng, rows, cols, kind) for kind in kinds]
+    batch = solve_batch(
+        np.stack([matrix for matrix, _ in members]),
+        np.stack([rhs for _, rhs in members]),
+        ridge_lambda,
+        normalize,
+    )
+    for index, (matrix, rhs) in enumerate(members):
+        system = StackedSystem(matrix, rhs)
+        try:
+            if ridge_lambda == 0.0:
+                single = solve_ols(system, normalize=normalize)
+            else:
+                single = solve_ridge(system, ridge_lambda, normalize=normalize)
+        except EstimationError as exc:
+            error = batch.errors[index]
+            assert (type(error), str(error)) == (type(exc), str(exc))
+            assert np.isnan(batch.values[index]).all()
+            continue
+        assert batch.errors[index] is None
+        np.testing.assert_array_equal(batch.values[index], single.values)
+        assert batch.conditions[index] == single.condition_estimate
+        assert batch.residual_norms[index] == single.residual_norm
+        # the condition number of the matrix the least-squares problem sees
+        scales = np.linalg.norm(matrix, axis=0) if normalize else np.ones(cols)
+        scaled = matrix / np.where(scales == 0.0, 1.0, scales)
+        if ridge_lambda > 0:
+            scaled = np.vstack([scaled, np.sqrt(ridge_lambda) * np.eye(cols)])
+        singular = np.linalg.lstsq(scaled, np.zeros(len(scaled)), rcond=None)[3]
+        expected = (singular[0] / singular[-1]) ** 2
+        assert batch.conditions[index] == pytest.approx(expected, rel=1e-12)
