@@ -9,9 +9,7 @@ Solvers
 Implementation
 --------------
 solve_ols and solve_ridge are the batch-of-one case of solve_batch, so every
-OLS and ridge system takes one path. A system with a NaN or Inf entry (or,
-under normalize, a non-finite column norm) is rejected with NonFiniteSystem
-and reaches LAPACK only as zeros. Columns are optionally scaled to unit
+OLS and ridge system takes one path. Columns are optionally scaled to unit
 norm, and a ridge system is stacked as [A; sqrt(lambda) I] over [b; 0]. One
 QR factorization of the augmented stack [A | b] (np.linalg.qr, mode "r";
 Golub & Van Loan, Matrix Computations, sec. 5.3) gives the triangle R and
@@ -19,11 +17,11 @@ Q'b, and omega solves R omega = Q'b. The singular values of R are those of
 A, so the condition number on the normal-matrix scale, (s_max / s_min)^2, is
 exact, and the numerical rank follows np.linalg.lstsq's rule (singular
 values above eps * max(rows, cols) * s_max). The residual norm is
-||A omega - b|| of the unscaled, unstacked system. A condition number that
-overflows means the system does too, and raises NonFiniteSystem; a zero
-singular value, a condition number above 1e12 (OLS) or a numerical rank
-below the column count is declared rank deficient. A batch gives these
-verdicts per system, in this order, so one failed system fails no other.
+||A omega - b|| of the unscaled, unstacked system. Verdicts are decided in
+one place, the ordered check list of solve_batch (shape, non-finite
+entries, singular values, condition number, rank, residual norm): a system
+gets the error of its first failing check, a failed system fails no other,
+and one that fails the non-finite checks reaches LAPACK only as zeros.
 
 Stacking
 --------
@@ -176,68 +174,6 @@ class BatchSolution:
         )
 
 
-def _shape_error(rows: int, cols: int, ridge_lambda: float):
-    if cols == 0:
-        return ShapeMismatch("system has no parameter columns")
-    if ridge_lambda == 0.0 and rows < cols:
-        return RankDeficient(f"{rows} equations for {cols} unknowns (need rows >= cols)")
-    if rows < 1:
-        return ShapeMismatch("ridge solve needs at least one equation")
-    return None
-
-
-def _verdict(
-    matrix,
-    rhs,
-    norms_finite: bool,
-    singular,
-    residual_norm,
-    ridge_lambda: float,
-    rows: int,
-):
-    """The error of one system that solve_batch flagged, checks in their order.
-
-    `norms_finite` tells whether its column norms are finite (True without
-    normalize), `singular` holds the singular values of its scaled (and, for
-    ridge, stacked) matrix of `rows` rows, and `residual_norm` is the
-    unscaled ||A omega - b||; a value is not read once an earlier check fails.
-    """
-    if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
-        return NonFiniteSystem("the system has a non-finite entry")
-    if not norms_finite:
-        return NonFiniteSystem("a column norm of the system is not finite")
-    s_max, s_min = float(singular[0]), float(singular[-1])
-    # an exactly singular system is rank deficient, not overflowing
-    if s_min == 0.0:
-        return RankDeficient("zero singular value")
-    # Python floats overflow to inf without a numpy warning
-    ratio = s_max / s_min
-    cond = ratio * ratio
-    if not math.isfinite(cond):
-        return NonFiniteSystem(f"condition number {cond} of the system is not finite")
-    if ridge_lambda == 0.0 and cond > RANK_DEFICIENT_CONDITION:
-        return RankDeficient(f"condition number {cond:.3e} exceeds 1e12")
-    # the numerical rank np.linalg.lstsq reports with rcond=None
-    cols = len(singular)
-    rank = int(np.count_nonzero(singular > _EPS * max(rows, cols) * s_max))
-    if rank < cols:
-        return RankDeficient(
-            f"numerical rank {rank} < {cols} (lambda={ridge_lambda:.3e})"
-        )
-    return NonFiniteSystem(f"non-finite solve: residual norm {float(residual_norm)}")
-
-
-def _unsolved(cols: int, errors: list, ridge_lambda: float) -> BatchSolution:
-    count = len(errors)
-    return BatchSolution(
-        np.full((count, cols), np.nan),
-        np.full(count, np.nan),
-        np.full(count, np.nan),
-        errors,
-        ridge_lambda,
-    )
-
-
 def solve_batch(
     matrices, rhs, ridge_lambda: float = 0.0, normalize: bool = False
 ) -> BatchSolution:
@@ -251,82 +187,114 @@ def solve_batch(
     _check_ridge_lambda(ridge_lambda)
     matrices = np.asarray(matrices, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
+    if matrices.ndim != 3:
+        raise ShapeMismatch(f"matrices must be (B, m, k), got shape {matrices.shape}")
     count, rows, cols = matrices.shape
     if rhs.shape != (count, rows):
         raise ShapeMismatch(f"rhs of shape {rhs.shape} for matrices {matrices.shape}")
-    if _shape_error(rows, cols, ridge_lambda) is not None:
-        errors = [_shape_error(rows, cols, ridge_lambda) for _ in range(count)]
-        return _unsolved(cols, errors, ridge_lambda)
-
     stacked = rows + cols if ridge_lambda > 0 else rows
     augmented = np.zeros((count, stacked, cols + 1))
     augmented[:, :rows, :cols] = matrices
     augmented[:, :rows, cols] = rhs
-    screened = np.isfinite(augmented).all(axis=(1, 2))
-    norms_finite = None
+    # every verdict as (passed mask, error type, message), in the order they
+    # are decided: a system that does not pass them all gets the error of
+    # the first entry it fails, with the message's fields read at that system
+    checks = [
+        (cols > 0, ShapeMismatch, "system has no parameter columns"),
+        (
+            ridge_lambda > 0.0 or rows >= cols,
+            RankDeficient,
+            "{rows} equations for {cols} unknowns (need rows >= cols)",
+        ),
+        (rows > 0, ShapeMismatch, "ridge solve needs at least one equation"),
+        (
+            np.logical_and.reduce(np.isfinite(augmented), axis=(1, 2)),
+            NonFiniteSystem,
+            "the system has a non-finite entry",
+        ),
+    ]
     if normalize:
         with np.errstate(over="ignore"):
             scales = np.linalg.norm(matrices, axis=1)
-        norms_finite = np.isfinite(scales).all(axis=1)
-        screened &= norms_finite
-        # zero columns are left unscaled so the rank check still sees them
-        scales[~screened[:, None] | (scales == 0.0)] = 1.0
-        augmented[:, :rows, :cols] /= scales[:, None, :]
-
-    def verdicts(failed, singular=None, residual_norms=None):
-        errors = [None] * count
-        for i in np.flatnonzero(failed):
-            errors[i] = _verdict(
-                matrices[i],
-                rhs[i],
-                norms_finite is None or norms_finite[i],
-                None if singular is None else singular[i],
-                None if residual_norms is None else residual_norms[i],
-                ridge_lambda,
-                stacked,
-            )
-        return errors
-
-    if not screened.all():
-        if not screened.any():
-            return _unsolved(cols, verdicts(~screened), ridge_lambda)
-        # systems that fail the screen reach LAPACK as zeros
-        augmented[~screened] = 0.0
-    # one QR of the augmented [A | b] (ridge: [A; sqrt(lambda) I] over
-    # [b; 0]) gives R and Q'b; the singular values of R are those of A
-    if ridge_lambda > 0:
-        augmented[:, rows:, :cols] = math.sqrt(ridge_lambda) * np.eye(cols)
-    factor = np.linalg.qr(augmented, mode="r")
-    triangle = factor[:, :cols, :cols]
-    singular = np.linalg.svd(triangle, compute_uv=False)
-    s_max, s_min = singular[:, 0], singular[:, -1]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratio = s_max / s_min
-        conditions = ratio * ratio
-    # _verdict's checks as masks: full numerical rank and a finite condition
-    # number, at most 1e12 without ridge
-    if ridge_lambda == 0.0:
-        well_posed = conditions <= RANK_DEFICIENT_CONDITION
+        message = "a column norm of the system is not finite"
+        checks.append((np.isfinite(scales).all(axis=1), NonFiniteSystem, message))
+    passed = True
+    for mask, _, _ in checks:
+        passed = passed & mask
+    screened = np.count_nonzero(passed)
+    if not screened:
+        # nothing passed the screen: no LAPACK call and no singular values;
+        # every value is set to NaN below
+        values, singular = np.empty((count, cols)), np.empty((count, 0))
+        residual_norms, conditions = np.empty(count), np.empty(count)
+        tolerance = np.empty(count)
     else:
-        well_posed = conditions < math.inf
-    solvable = screened & well_posed & (s_min > _EPS * max(stacked, cols) * s_max)
-    every = bool(solvable.all())
-    if not every:
-        triangle = np.where(solvable[:, None, None], triangle, np.eye(cols))
-    values = np.linalg.solve(triangle, factor[:, :cols, cols:])[..., 0]
-    if normalize:
-        values /= scales
-    if not every:
-        values[~solvable] = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = (matrices @ values[..., None])[..., 0] - rhs
-        residual_norms = np.sqrt((residuals * residuals).sum(axis=1))
-    solved = solvable & np.isfinite(residual_norms)
+        if normalize:
+            # zero columns are left unscaled so the rank check still sees them
+            scales[~passed[:, None] | (scales == 0.0)] = 1.0
+            augmented[:, :rows, :cols] /= scales[:, None, :]
+        if screened < count:
+            # systems that fail the screen reach LAPACK as zeros
+            augmented[~passed] = 0.0
+        # one QR of the augmented [A | b] (ridge: [A; sqrt(lambda) I] over
+        # [b; 0]) gives R and Q'b; the singular values of R are those of A
+        if ridge_lambda > 0:
+            augmented[:, rows:, :cols] = math.sqrt(ridge_lambda) * np.eye(cols)
+        factor = np.linalg.qr(augmented, mode="r")
+        triangle = factor[:, :cols, :cols]
+        singular = np.linalg.svd(triangle, compute_uv=False)
+        s_max, s_min = singular[:, 0], singular[:, -1]
+        # the checks report overflows and divisions by zero, not numpy warnings
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ratio = s_max / s_min
+            conditions = ratio * ratio
+            # np.linalg.lstsq's numerical rank counts singular values above this
+            tolerance = _EPS * max(stacked, cols) * s_max
+            solve_checks = [
+                # an exactly singular system is rank deficient, not overflowing
+                (s_min != 0.0, RankDeficient, "zero singular value"),
+                (
+                    np.isfinite(conditions),
+                    NonFiniteSystem,
+                    "condition number {condition} of the system is not finite",
+                ),
+                (
+                    ridge_lambda > 0.0 or conditions <= RANK_DEFICIENT_CONDITION,
+                    RankDeficient,
+                    "condition number {condition:.3e} exceeds 1e12",
+                ),
+                (
+                    s_min > tolerance,
+                    RankDeficient,
+                    "numerical rank {rank} < {cols} (lambda={ridge_lambda:.3e})",
+                ),
+            ]
+            for mask, _, _ in solve_checks:
+                passed = passed & mask
+            if np.count_nonzero(passed) < count:
+                triangle = np.where(passed[:, None, None], triangle, np.eye(cols))
+            values = np.linalg.solve(triangle, factor[:, :cols, cols:])[..., 0]
+            if normalize:
+                values /= scales
+            residuals = (matrices @ values[..., None])[..., 0] - rhs
+            residual_norms = np.sqrt(np.add.reduce(residuals * residuals, axis=1))
+        finite = np.isfinite(residual_norms)
+        message = "non-finite solve: residual norm {residual}"
+        checks += solve_checks + [(finite, NonFiniteSystem, message)]
+        passed = passed & finite
     errors = [None] * count
-    if not solved.all():
-        errors = verdicts(~solved, singular, residual_norms)
+    if np.count_nonzero(passed) < count:
+        failed = ~passed
+        first = np.argmin(np.broadcast_arrays(*(mask for mask, _, _ in checks)), axis=0)
+        fields = {"rows": rows, "cols": cols, "ridge_lambda": ridge_lambda}
+        for i in np.flatnonzero(failed):
+            _, kind, message = checks[first[i]]
+            fields["condition"] = conditions.item(i)
+            fields["rank"] = np.count_nonzero(singular[i] > tolerance[i])
+            fields["residual"] = residual_norms.item(i)
+            errors[i] = kind(message.format(**fields))
         for array in (values, residual_norms, conditions):
-            array[~solved] = np.nan
+            array[failed] = np.nan
     return BatchSolution(values, residual_norms, conditions, errors, ridge_lambda)
 
 

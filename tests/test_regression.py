@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -335,6 +336,124 @@ def test_nan_rejection_does_not_depend_on_the_lapack_build(monkeypatch, normaliz
         solve_ols(system, normalize=normalize)
     with pytest.raises(NonFiniteSystem):
         solve_ridge(system, 0.1, normalize=normalize)
+    if normalize:
+        # under normalize an overflowing column norm fails the screen too
+        overflowing, _ = _random_system()
+        overflowing[:, 0] *= 1e200
+        batch = solve_batch(
+            np.stack([matrix, overflowing]), np.stack([rhs, rhs]), 0.0, True
+        )
+        assert [str(error) for error in batch.errors] == [
+            "the system has a non-finite entry",
+            "a column norm of the system is not finite",
+        ]
+
+
+def _verdict_case(edit):
+    matrix, rhs = _random_system()
+    edit(matrix, rhs)
+    return matrix, rhs
+
+
+def _nan_entry(matrix, rhs):
+    matrix[2, 1] = np.nan
+
+
+def _scale_column(matrix, rhs):
+    matrix[:, 0] *= 1e200
+
+
+def _zero_column(matrix, rhs):
+    matrix[:, 1] = 0.0
+
+
+def _duplicate_column(matrix, rhs):
+    matrix[:, 1] = matrix[:, 0]
+
+
+def _rhs_minus_inf(matrix, rhs):
+    rhs[3] = -np.inf
+
+
+def _nan_entry_and_zero_column(matrix, rhs):
+    _zero_column(matrix, rhs)
+    _nan_entry(matrix, rhs)
+
+
+VERDICTS = [
+    # (system, ridge_lambda, normalize, error type, full-match pattern)
+    pytest.param(
+        (np.ones((3, 0)), np.ones(3)), 0.0, False, ShapeMismatch,
+        re.escape("system has no parameter columns"), id="no columns",
+    ),
+    pytest.param(
+        (np.ones((1, 2)), np.ones(1)), 0.0, False, RankDeficient,
+        re.escape("1 equations for 2 unknowns (need rows >= cols)"), id="wide",
+    ),
+    pytest.param(
+        (np.ones((0, 2)), np.ones(0)), 0.5, False, ShapeMismatch,
+        re.escape("ridge solve needs at least one equation"), id="no rows",
+    ),
+    pytest.param(
+        _verdict_case(_nan_entry), 0.0, False, NonFiniteSystem,
+        re.escape("the system has a non-finite entry"), id="nan entry",
+    ),
+    pytest.param(
+        _verdict_case(_rhs_minus_inf), 0.0, False, NonFiniteSystem,
+        re.escape("the system has a non-finite entry"), id="inf rhs",
+    ),
+    pytest.param(
+        _verdict_case(_scale_column), 0.0, True, NonFiniteSystem,
+        re.escape("a column norm of the system is not finite"), id="column norm",
+    ),
+    pytest.param(
+        _verdict_case(_scale_column), 0.0, False, NonFiniteSystem,
+        re.escape("condition number inf of the system is not finite"),
+        id="condition overflow",
+    ),
+    pytest.param(
+        _verdict_case(_zero_column), 0.0, False, RankDeficient,
+        re.escape("zero singular value"), id="zero column",
+    ),
+    pytest.param(
+        _verdict_case(_duplicate_column), 0.0, False, RankDeficient,
+        r"condition number .* exceeds 1e12", id="duplicate column",
+    ),
+    pytest.param(
+        _verdict_case(_duplicate_column), 1e-40, False, RankDeficient,
+        re.escape("numerical rank 1 < 2 (lambda=1.000e-40)"), id="numerical rank",
+    ),
+    pytest.param(
+        (np.ones((2, 1)), np.array([1e200, -1e200])), 0.0, False, NonFiniteSystem,
+        re.escape("non-finite solve: residual norm inf"), id="residual overflow",
+    ),
+    pytest.param(
+        _verdict_case(_nan_entry_and_zero_column), 0.0, False, NonFiniteSystem,
+        re.escape("the system has a non-finite entry"), id="first check wins",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "system, ridge_lambda, normalize, error_type, pattern", VERDICTS
+)
+def test_each_verdict_has_its_type_and_message(
+    system, ridge_lambda, normalize, error_type, pattern
+):
+    matrix, rhs = system
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = solve_batch(matrix[None], rhs[None], ridge_lambda, normalize)
+    (error,) = batch.errors
+    assert type(error) is error_type
+    assert re.fullmatch(pattern, str(error))
+    assert np.isnan(batch.values).all()
+    assert np.isnan(batch.residual_norms).all() and np.isnan(batch.conditions).all()
+
+
+def test_batch_of_the_wrong_rank_is_rejected():
+    with pytest.raises(ShapeMismatch, match=r"\(5, 2\)"):
+        solve_batch(np.ones((5, 2)), np.ones(5))
 
 
 KINDS = (
@@ -404,11 +523,17 @@ def test_batch_members_match_their_batch_of_one_solve(
         np.testing.assert_array_equal(batch.values[index], single.values)
         assert batch.conditions[index] == single.condition_estimate
         assert batch.residual_norms[index] == single.residual_norm
-        # the condition number of the matrix the least-squares problem sees
+        # lstsq on the matrix the least-squares problem sees is the oracle
+        # for the condition number and, scaled back, for the values
         scales = np.linalg.norm(matrix, axis=0) if normalize else np.ones(cols)
-        scaled = matrix / np.where(scales == 0.0, 1.0, scales)
+        scales = np.where(scales == 0.0, 1.0, scales)
+        scaled, stacked_rhs = matrix / scales, rhs
         if ridge_lambda > 0:
             scaled = np.vstack([scaled, np.sqrt(ridge_lambda) * np.eye(cols)])
-        singular = np.linalg.lstsq(scaled, np.zeros(len(scaled)), rcond=None)[3]
+            stacked_rhs = np.concatenate([rhs, np.zeros(cols)])
+        solution, _, _, singular = np.linalg.lstsq(scaled, stacked_rhs, rcond=None)
         expected = (singular[0] / singular[-1]) ** 2
         assert batch.conditions[index] == pytest.approx(expected, rel=1e-12)
+        oracle = solution / scales
+        error = np.abs(batch.values[index] - oracle)
+        assert (error <= 1e-12 * np.maximum(1.0, np.abs(oracle))).all()
