@@ -425,8 +425,9 @@ def run_sweep(
     Draws are integrated together (simulate_draws) in blocks of at most
     SWEEP_BLOCK_VALUES state values, then each draw's rows are formulated once
     and solved for each normalize setting. Failed draws are recorded with a
-    reason and excluded from the error arrays, never fatal. `workers` is
-    accepted for compatibility and has no effect.
+    reason and excluded from the error arrays, never fatal; an error of the
+    builder at the shared initial state is raised. `workers` is accepted for
+    compatibility and has no effect.
     """
     partition = sweep.fixed
     unknown = list(partition.unknown_indices)
@@ -435,9 +436,7 @@ def run_sweep(
     for index in range(count):
         rng = np.random.default_rng(np.random.SeedSequence((sweep.seed, index)))
         draws[index] = [rng.uniform(lo, hi) for lo, hi in sweep.domain]
-    omegas = np.empty((count, model.n_params))
-    omegas[:, list(partition.known_indices)] = partition.known_values
-    omegas[:, unknown] = draws
+    omegas = partition.combine(draws)
     block = max(1, SWEEP_BLOCK_VALUES // (len(time_grid(sim_template)) * model.n_states))
     # "full" rows keep estimate_constant's default window, samples 1..n-2
     window = slice(1, -1) if derivative == "full" else slice(None)

@@ -6,13 +6,16 @@ held constant through the four stages. States are never clipped; a step
 fails with NonFiniteState when it produces NaN or Inf, or with whatever
 error the model's builder raises.
 
-simulate and erk4_step integrate one state; simulate_draws steps many
-constant-parameter draws together through the same RK4 core, one batched
-builder call per stage.
+simulate and simulate_draws share one RK4 loop driven by omega_at(t):
+simulate is its one-draw case, stepped as one state through
+model.build_matrix; a batch of draws takes one build_matrices call per
+stage, and a failing draw stops alone. Builder shapes are checked once, on
+the initial state, before the first step.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,35 +130,68 @@ def erk4_step(
     return new_state
 
 
-def _initial_state(model: ParameterLinearModel, config: SimulationConfig) -> np.ndarray:
-    state = np.asarray(config.initial_state, dtype=float)
-    if state.shape != (model.n_states,):
-        raise ShapeMismatch(
-            f"initial state has shape {state.shape}, model wants ({model.n_states},)"
-        )
-    return state
-
-
 def time_grid(config: SimulationConfig) -> np.ndarray:
     """Sample times t0, t0 + step, ... up to t_end within half a step."""
     n_steps = int(np.floor((config.t_end - config.t0) / config.step + 0.5))
     return config.t0 + config.step * np.arange(n_steps + 1)
 
 
+def _integrate(model, config, omega_at, draws):
+    """The one RK4 loop: (times, states, failures) as simulate_draws documents.
+
+    omega_at(t) gives (n_params,) for one draw, else (draws, n_params).
+    """
+    x = config.initial_state
+    if x.shape != (model.n_states,):
+        raise ShapeMismatch(
+            f"initial state has shape {x.shape}, model wants ({model.n_states},)"
+        )
+    times, h = time_grid(config), config.step
+    states = np.empty((draws, len(times), model.n_states))
+    states[:, 0] = x
+    build = model.build_matrix
+    if draws > 1:
+        x, build = states[:, 0].copy(), functools.partial(build_matrices, model)
+    # a wrong matrix shape would broadcast in the stages: it fails every draw
+    build_matrices(model, x, times[0])
+    failures = {}
+    active, rows = np.arange(draws), slice(None)  # the draws still stepping
+    # a dying draw may overflow; its rows are checked after each step
+    with np.errstate(all="ignore"):
+        for i in range(len(times) - 1):
+            t = times[i]
+            omega = np.asarray(omega_at(t), dtype=float)[rows]
+            try:
+                x = _rk4(build, x, t, omega, h)
+            except EstimationError:
+                # find the draws that raised by stepping each one alone
+                x, omega = x.reshape(len(active), -1), omega.reshape(len(active), -1)
+                stepped = np.full_like(x, np.nan)
+                for row in range(len(x)):
+                    try:
+                        stepped[row] = _rk4(model.build_matrix, x[row], t, omega[row], h)
+                    except EstimationError as exc:
+                        failures[int(active[row])] = exc
+                x = stepped
+            if not np.isfinite(x).all():
+                finite = np.isfinite(x.reshape(len(active), -1)).all(axis=1)
+                message = f"non-finite state at step {i + 1} (t={t})"
+                for row in np.flatnonzero(~finite):
+                    failures.setdefault(int(active[row]), NonFiniteState(message))
+                active = rows = active[finite]
+                if active.size == 0:
+                    break
+                x = x[finite]
+            states[rows, i + 1] = x
+    return times, states, failures
+
+
 def simulate(model: ParameterLinearModel, config: SimulationConfig) -> TimeSeries:
     """Integrate from t0 to t_end inclusive (within half-step tolerance)."""
-    state = _initial_state(model, config)
-    times = time_grid(config)
-    states = np.empty((len(times), model.n_states))
-    states[0] = state
-    for i in range(len(times) - 1):
-        t = times[i]
-        omega = np.asarray(config.schedule.omega_at(t), dtype=float)
-        state = _rk4(model.build_matrix, state, t, omega, config.step)
-        if not np.all(np.isfinite(state)):
-            raise NonFiniteState(f"non-finite state at step {i + 1} (t={t})")
-        states[i + 1] = state
-    return TimeSeries(times, states)
+    times, states, failures = _integrate(model, config, config.schedule.omega_at, 1)
+    if failures:
+        raise failures[0]
+    return TimeSeries(times, states[0])
 
 
 def simulate_draws(model: ParameterLinearModel, config: SimulationConfig, omegas):
@@ -166,53 +202,16 @@ def simulate_draws(model: ParameterLinearModel, config: SimulationConfig, omegas
     simulate() under ConstantSchedule(omegas[d]) bit for bit. A draw that
     raises an EstimationError or turns non-finite stops there and is
     reported with the error simulate() would raise; no draw affects another.
+    The builder's error at the shared initial state is raised for all.
 
     Returns (times, states, failures): states has shape
     (draws, len(times), n_states), and failures maps a draw index to its
     error (the rows of a failed draw past its failing step are undefined).
     """
-    x0 = _initial_state(model, config)
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 2 or omegas.shape[1] != model.n_params:
         raise ShapeMismatch(
             f"expected omegas of shape (draws, {model.n_params}), got {omegas.shape}"
         )
-    times = time_grid(config)
-    h = config.step
-    states = np.empty((omegas.shape[0], len(times), model.n_states))
-    states[:, 0] = x0
-    failures = {}
-    active = np.arange(omegas.shape[0])
-    x = states[:, 0].copy()
-    omega = omegas
-
-    def build(x, t):
-        return build_matrices(model, x, t)
-
-    # a dying draw may overflow; its rows are checked after each step
-    with np.errstate(all="ignore"):
-        for i in range(len(times) - 1):
-            t = times[i]
-            try:
-                x = _rk4(build, x, t, omega, h)
-            except EstimationError:
-                # find the draws that raised by stepping each one alone
-                stepped = np.full_like(x, np.nan)
-                for row in range(x.shape[0]):
-                    try:
-                        stepped[row] = _rk4(model.build_matrix, x[row], t, omega[row], h)
-                    except EstimationError as exc:
-                        failures[int(active[row])] = exc
-                x = stepped
-            if not np.isfinite(x).all():
-                finite = np.isfinite(x).all(axis=1)
-                for row in np.flatnonzero(~finite):
-                    failures.setdefault(
-                        int(active[row]),
-                        NonFiniteState(f"non-finite state at step {i + 1} (t={t})"),
-                    )
-                active, x, omega = active[finite], x[finite], omega[finite]
-                if active.size == 0:
-                    break
-            states[active, i + 1] = x
-    return times, states, failures
+    omega = omegas[0] if len(omegas) == 1 else omegas
+    return _integrate(model, config, lambda t: omega, len(omegas))

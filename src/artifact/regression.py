@@ -18,10 +18,10 @@ A, so the condition number on the normal-matrix scale, (s_max / s_min)^2, is
 exact, and the numerical rank follows np.linalg.lstsq's rule (singular
 values above eps * max(rows, cols) * s_max). The residual norm is
 ||A omega - b|| of the unscaled, unstacked system. Verdicts are decided in
-one place, the ordered check list of solve_batch (shape, non-finite
-entries, singular values, condition number, rank, residual norm): a system
-gets the error of its first failing check, a failed system fails no other,
-and one that fails the non-finite checks reaches LAPACK only as zeros.
+one place, the ordered check list of solve_batch (shape, non-finite entries,
+non-finite QR factor, singular values, condition number, rank, residual
+norm): a system gets the error of its first failing check, a failed system
+fails no other, and one with non-finite entries meets LAPACK as zeros.
 
 Stacking
 --------
@@ -182,7 +182,8 @@ def solve_batch(
     Each system gets the verdict that solve_ols (ridge_lambda = 0) or
     solve_ridge raises for it alone, and its values equal that batch-of-one
     call bit for bit. A system with a non-finite entry or column norm is
-    replaced by zeros before any LAPACK call.
+    replaced by zeros before any LAPACK call, and one whose QR factor
+    overflows by the identity before the SVD.
     """
     _check_ridge_lambda(ridge_lambda)
     matrices = np.asarray(matrices, dtype=float)
@@ -242,6 +243,10 @@ def solve_batch(
             augmented[:, rows:, :cols] = math.sqrt(ridge_lambda) * np.eye(cols)
         factor = np.linalg.qr(augmented, mode="r")
         triangle = factor[:, :cols, :cols]
+        # finite entries can still overflow a column norm in the factorization
+        factored = np.logical_and.reduce(np.isfinite(triangle), axis=(1, 2))
+        if not factored.all():
+            triangle = np.where(factored[:, None, None], triangle, np.eye(cols))
         singular = np.linalg.svd(triangle, compute_uv=False)
         s_max, s_min = singular[:, 0], singular[:, -1]
         # the checks report overflows and divisions by zero, not numpy warnings
@@ -251,6 +256,7 @@ def solve_batch(
             # np.linalg.lstsq's numerical rank counts singular values above this
             tolerance = _EPS * max(stacked, cols) * s_max
             solve_checks = [
+                (factored, NonFiniteSystem, "the system's QR factor is not finite"),
                 # an exactly singular system is rank deficient, not overflowing
                 (s_min != 0.0, RankDeficient, "zero singular value"),
                 (
@@ -325,15 +331,21 @@ def solve_ridge(
 
 
 def solve_single_column(system: StackedSystem, ridge_lambda: float = 0.0) -> float:
-    """Scalar normal equation sum(a*b) / (sum(a*a) + lambda) for 1-column systems."""
+    """Scalar normal equation sum(a*b) / (sum(a*a) + lambda) for 1-column systems.
+
+    Raises NonFiniteSystem when either sum is not finite.
+    """
     if system.cols != 1:
         raise ShapeMismatch(f"expected a single column, got {system.cols}")
     _check_ridge_lambda(ridge_lambda)
     a = system.matrix[:, 0]
-    denominator = float(a @ a) + ridge_lambda
-    if denominator == 0.0:
+    with np.errstate(all="ignore"):
+        squares, products = float(a @ a), float(a @ system.rhs)
+    if not (math.isfinite(squares) and math.isfinite(products)):
+        raise NonFiniteSystem(f"sums a'a = {squares}, a'b = {products} are not finite")
+    if squares + ridge_lambda == 0.0:
         raise AllZeroColumn("regressor column is identically zero")
-    return float(a @ system.rhs) / denominator
+    return products / (squares + ridge_lambda)
 
 
 def stack_systems(blocks) -> StackedSystem:

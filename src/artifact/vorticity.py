@@ -130,19 +130,9 @@ def manufactured_diffusion_stack(
     """Analytic decaying field w = exp(-2 nu t) sin x sin y on [0, pi]^2.
 
     Solves the transport equation exactly with u = v = 0 and 1/Re = nu, so
-    it serves as a ground-truth oracle.
+    it serves as a ground-truth oracle: advected_diffusion_stack at rest.
     """
-    if not (0.0 < nu < np.inf and 0.0 < dt < np.inf) or min(nx, ny, n_snapshots) < 3:
-        raise ValueError("need finite positive nu, dt, grid >= 3, snapshots >= 3")
-    x = np.linspace(0.0, np.pi, nx)
-    y = np.linspace(0.0, np.pi, ny)
-    plane = np.outer(np.sin(x), np.sin(y))
-    times = dt * np.arange(n_snapshots)
-    w = np.exp(-2.0 * nu * times)[:, None, None] * plane[None, :, :]
-    zeros = np.zeros_like(w)
-    return SnapshotStack(
-        u=zeros, v=zeros.copy(), w=w, dx=x[1] - x[0], dy=y[1] - y[0], dt=dt
-    )
+    return advected_diffusion_stack(nu, 0.0, 0.0, nx, ny, n_snapshots, dt)
 
 
 def advected_diffusion_stack(
@@ -154,14 +144,13 @@ def advected_diffusion_stack(
     the transport equation with the same 1/Re = nu; used to exercise the
     advective terms of the assembly.
     """
+    if not (0.0 < nu < np.inf and 0.0 < dt < np.inf) or min(nx, ny, n_snapshots) < 3:
+        raise ValueError("need finite positive nu, dt, grid >= 3, snapshots >= 3")
     x = np.linspace(0.0, np.pi, nx)
     y = np.linspace(0.0, np.pi, ny)
-    times = dt * np.arange(n_snapshots)
-    w = np.empty((n_snapshots, nx, ny))
-    for n, t in enumerate(times):
-        w[n] = np.exp(-2.0 * nu * t) * np.outer(
-            np.sin(x - cx * t), np.sin(y - cy * t)
-        )
+    t = dt * np.arange(n_snapshots)[:, None]
+    w = np.sin(x - cx * t)[:, :, None] * np.sin(y - cy * t)[:, None, :]
+    w *= np.exp(-2.0 * nu * t)[:, :, None]
     u = np.full_like(w, cx)
     v = np.full_like(w, cy)
     return SnapshotStack(u=u, v=v, w=w, dx=x[1] - x[0], dy=y[1] - y[0], dt=dt)

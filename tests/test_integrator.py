@@ -1,5 +1,7 @@
 """Fixed-step RK4: order, conservation and schedule behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -152,8 +154,11 @@ def test_overflow_raises_non_finite():
     config = SimulationConfig(
         0.0, 1.0, 0.1, np.array([1e154]), ConstantSchedule([1e154])
     )
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
-        simulate(blow_up, config)
+    # the overflow is the loop's verdict, not a numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState, match=r"at step 1 \(t=0.0\)"):
+            simulate(blow_up, config)
 
 
 def test_simulate_draws_equal_one_draw_runs_bit_for_bit():
@@ -188,6 +193,9 @@ def test_simulate_draws_isolates_a_raising_draw():
     config = SimulationConfig(0.0, 1.0, 0.1, np.array([1.0]), ConstantSchedule([0.0]))
     omegas = np.array([[-0.1], [-2.0], [-0.2]])
     times, states, failures = simulate_draws(model, config, omegas)
+    start_low = SimulationConfig(0.0, 1.0, 0.1, np.array([0.4]), ConstantSchedule([0.0]))
+    with pytest.raises(DegenerateDenominator):
+        simulate_draws(model, start_low, omegas)  # every draw shares the state
     assert list(failures) == [1]
     assert isinstance(failures[1], DegenerateDenominator)
     with pytest.raises(DegenerateDenominator):
@@ -198,3 +206,38 @@ def test_simulate_draws_isolates_a_raising_draw():
             SimulationConfig(0.0, 1.0, 0.1, np.array([1.0]), ConstantSchedule(omegas[draw])),
         )
         np.testing.assert_array_equal(states[draw], one.states)
+
+
+def one_row_model():
+    # three states, but every matrix has one row: it would broadcast over
+    # the state in the RK4 stages
+    return ParameterLinearModel(
+        "one_row", ("x", "y", "z"), ("rate",),
+        lambda states, t: np.ones(np.shape(states)[:-1] + (1, 1)),
+    )
+
+
+@pytest.mark.parametrize("draws", [1, 3])
+def test_wrong_matrix_shape_raises_before_the_first_step(draws):
+    config = SimulationConfig(
+        0.0, 1.0, 1.0, np.array([1.0, 2.0, 3.0]), ConstantSchedule([0.3])
+    )
+    with pytest.raises(ShapeMismatch, match="built matrices of shape"):
+        simulate(one_row_model(), config)
+    with pytest.raises(ShapeMismatch, match="built matrices of shape"):
+        simulate_draws(one_row_model(), config, np.full((draws, 1), 0.3))
+
+
+def test_one_draw_of_a_one_state_builder_equals_simulate():
+    # indexes its one state, so a batch of states would break it
+    swap = ParameterLinearModel(
+        "swap", ("p", "q"), ("rate",), lambda s, t: np.array([[s[1]], [-s[0]]])
+    )
+    config = SimulationConfig(
+        0.0, 2.0, 0.1, np.array([1.0, 0.0]), ConstantSchedule([0.7])
+    )
+    times, states, failures = simulate_draws(swap, config, [[0.7]])
+    one = simulate(swap, config)
+    assert failures == {}
+    np.testing.assert_array_equal(times, one.times)
+    np.testing.assert_array_equal(states[0], one.states)

@@ -133,6 +133,24 @@ def test_single_column_zero_regressor():
         solve_single_column(StackedSystem(np.zeros((5, 1)), np.ones(5)))
 
 
+@pytest.mark.parametrize(
+    "matrix, rhs",
+    [
+        ([[1.0], [np.nan], [2.0]], [1.0, 2.0, 3.0]),
+        ([[1.0], [2.0], [3.0]], [1.0, np.inf, 3.0]),
+        ([[1e200], [1.0], [2.0]], [1.0, 2.0, 3.0]),
+        # an all-zero column is rejected as non-finite first
+        ([[0.0], [0.0], [0.0]], [1.0, np.nan, 3.0]),
+    ],
+    ids=["nan regressor", "inf target", "overflowing sum", "zero column"],
+)
+def test_single_column_rejects_non_finite_sums(matrix, rhs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSystem, match="sums a'a = "):
+            solve_single_column(StackedSystem(matrix, rhs), 0.5)
+
+
 def test_stack_two_sir_blocks():
     blocks = [
         (sir_matrix([0.9, 0.1, 0.0], 1.0), np.zeros(3)),
@@ -363,6 +381,11 @@ def _scale_column(matrix, rhs):
     matrix[:, 0] *= 1e200
 
 
+def _overflow_factor(matrix, rhs):
+    # finite entries whose column norm overflows in the QR factorization
+    matrix[:, 0] = 1e308
+
+
 def _zero_column(matrix, rhs):
     matrix[:, 1] = 0.0
 
@@ -412,6 +435,10 @@ VERDICTS = [
         id="condition overflow",
     ),
     pytest.param(
+        _verdict_case(_overflow_factor), 0.0, False, NonFiniteSystem,
+        re.escape("the system's QR factor is not finite"), id="factor overflow",
+    ),
+    pytest.param(
         _verdict_case(_zero_column), 0.0, False, RankDeficient,
         re.escape("zero singular value"), id="zero column",
     ),
@@ -451,6 +478,18 @@ def test_each_verdict_has_its_type_and_message(
     assert np.isnan(batch.residual_norms).all() and np.isnan(batch.conditions).all()
 
 
+def test_an_overflowing_factor_fails_only_its_own_system():
+    matrix, rhs = _random_system()
+    overflowing = matrix.copy()
+    _overflow_factor(overflowing, rhs)
+    batch = solve_batch(np.stack([overflowing, matrix]), np.stack([rhs, rhs]))
+    assert type(batch.errors[0]) is NonFiniteSystem and batch.errors[1] is None
+    single = solve_batch(matrix[None], rhs[None])
+    np.testing.assert_array_equal(batch.values[1], single.values[0])
+    assert batch.residual_norms[1] == single.residual_norms[0]
+    assert batch.conditions[1] == single.conditions[0]
+
+
 def test_batch_of_the_wrong_rank_is_rejected():
     with pytest.raises(ShapeMismatch, match=r"\(5, 2\)"):
         solve_batch(np.ones((5, 2)), np.ones(5))
@@ -463,6 +502,7 @@ KINDS = (
     "nan entry",
     "inf entry",
     "overflow",
+    "factor overflow",
 )
 
 
@@ -484,6 +524,8 @@ def _member(rng, rows, cols, kind):
         rhs[rng.integers(rows)] = -np.inf
     elif kind == "overflow":
         matrix[:, 0] *= 1e200
+    elif kind == "factor overflow":
+        _overflow_factor(matrix, rhs)
     return matrix, rhs
 
 

@@ -10,6 +10,7 @@ from artifact import (
     AllZeroColumn,
     DimensionMismatch,
     MissingField,
+    NonFiniteSystem,
     NonPhysical,
     ParseError,
     RankDeficient,
@@ -102,6 +103,16 @@ def test_uniform_field_degenerates():
         solve_ols(system)
     with pytest.raises(AllZeroColumn):
         estimate_inverse_re(stack)
+
+
+def test_nan_vorticity_is_a_non_finite_system():
+    stack = manufactured_diffusion_stack(NU, 9, 9, 5, 0.1)
+    stack.w[2, 4, 4] = np.nan
+    with pytest.raises(NonFiniteSystem):
+        estimate_inverse_re(stack)
+    sensors = SensorSet(positions=((4, 4), (2, 6)), region=(), seed=0)
+    with pytest.raises(NonFiniteSystem):
+        estimate_inverse_re(stack, sensors)
 
 
 def reference_interior_fields(stack):
