@@ -60,11 +60,12 @@ from .integrator import (
     simulate,
 )
 from .models import get_model
-from .regression import ParameterPartition
+from .regression import ParameterPartition, _solve_column_sums
 from .vorticity import (
+    _fit_sums,
+    _reynolds_estimate,
+    _sensor_sums,
     default_wake_region,
-    estimate_inverse_re,
-    estimate_reynolds,
     load_snapshot_stack,
     manufactured_diffusion_stack,
 )
@@ -519,22 +520,17 @@ def cmd_reynolds(args) -> list:
         if stack.cylinder_center is not None and stack.diameter is not None:
             region = default_wake_region(stack)
         else:
-            region = (
-                0.0,
-                (stack.nx - 1) * stack.dx,
-                0.0,
-                (stack.ny - 1) * stack.dy,
-            )
+            region = (0.0, (stack.nx - 1) * stack.dx, 0.0, (stack.ny - 1) * stack.dy)
     elif len(region) != 4:
         raise ConfigError("reynolds.region needs x_lo,x_hi,y_lo,y_hi")
+    draws = list(_sensor_sums(stack, region, counts, repeats, seed))
+    full_sums = _fit_sums(stack)
     rows = []
     full_field = {}
     for method, lam in (("plain", 0.0), ("ridge", ridge)):
-        for count in counts:
+        for count, sums in draws:
             try:
-                est = estimate_reynolds(
-                    stack, region, [count], repeats=repeats, ridge_lambda=lam, seed=seed
-                )[0]
+                est = _reynolds_estimate(count, sums, lam)
                 rows.append(
                     [
                         method,
@@ -550,7 +546,7 @@ def cmd_reynolds(args) -> list:
                 rows.append(
                     [method, count, np.nan, np.nan, np.nan, np.nan, "nonphysical"]
                 )
-        inverse = estimate_inverse_re(stack, None, lam)
+        inverse = _solve_column_sums(*full_sums, lam)
         full_field[method] = {
             "inverse_re": inverse,
             "re": 1.0 / inverse,

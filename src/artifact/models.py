@@ -203,6 +203,9 @@ def build_matrices(model: ParameterLinearModel, states, t) -> np.ndarray:
     """
     states = np.asarray(states, dtype=float)
     shape = states.shape[:-1] + (model.n_states, model.n_params)
+    if states.ndim > 1 and 0 in states.shape[:-1]:
+        # an empty batch has nothing to build, nor to probe the builder with
+        return np.empty(shape)
     if states.ndim > 1 and _broadcasts(model, states, t):
         matrices = model.build_matrix(states, t)
     else:

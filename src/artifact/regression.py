@@ -337,10 +337,14 @@ def solve_single_column(system: StackedSystem, ridge_lambda: float = 0.0) -> flo
     """
     if system.cols != 1:
         raise ShapeMismatch(f"expected a single column, got {system.cols}")
-    _check_ridge_lambda(ridge_lambda)
     a = system.matrix[:, 0]
     with np.errstate(all="ignore"):
-        squares, products = float(a @ a), float(a @ system.rhs)
+        return _solve_column_sums(float(a @ a), float(a @ system.rhs), ridge_lambda)
+
+
+def _solve_column_sums(squares: float, products: float, ridge_lambda: float) -> float:
+    """products / (squares + lambda) from the sums a'a and a'b of one column."""
+    _check_ridge_lambda(ridge_lambda)
     if not (math.isfinite(squares) and math.isfinite(products)):
         raise NonFiniteSystem(f"sums a'a = {squares}, a'b = {products} are not finite")
     if squares + ridge_lambda == 0.0:

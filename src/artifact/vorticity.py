@@ -16,7 +16,9 @@ Formulations
   nodes; a sensor system reads only the stencil values around its sensors,
   so its cost scales with sensors x snapshots, not with the grid
 - solve: scalar normal equation sum(a b) / (sum(a a) + lambda), identical to
-  the general solver on the stacked one-column system
+  the general solver on the stacked one-column system; the full-field sums
+  are accumulated one interior snapshot at a time, so the stacked system is
+  never held
 
 Snapshot files are raw little-endian float64, row-major with x fastest, so
 a file holds ny rows of nx values; in memory fields are (nx, ny) with x
@@ -46,7 +48,7 @@ from .errors import (
     RegionTooSmall,
     ShapeMismatch,
 )
-from .regression import StackedSystem, solve_single_column
+from .regression import StackedSystem, _solve_column_sums
 
 FILE_PATTERNS = {"u": "u_%04d.bin", "v": "v_%04d.bin", "w": "w_%04d.bin"}
 
@@ -142,7 +144,8 @@ def advected_diffusion_stack(
 
     w = exp(-2 nu t) sin(x - cx t) sin(y - cy t) with u = cx, v = cy solves
     the transport equation with the same 1/Re = nu; used to exercise the
-    advective terms of the assembly.
+    advective terms of the assembly. u and v are read-only broadcast views
+    of the constant velocity, so copy them before writing.
     """
     if not (0.0 < nu < np.inf and 0.0 < dt < np.inf) or min(nx, ny, n_snapshots) < 3:
         raise ValueError("need finite positive nu, dt, grid >= 3, snapshots >= 3")
@@ -151,8 +154,8 @@ def advected_diffusion_stack(
     t = dt * np.arange(n_snapshots)[:, None]
     w = np.sin(x - cx * t)[:, :, None] * np.sin(y - cy * t)[:, None, :]
     w *= np.exp(-2.0 * nu * t)[:, :, None]
-    u = np.full_like(w, cx)
-    v = np.full_like(w, cy)
+    u = np.broadcast_to(float(cx), w.shape)
+    v = np.broadcast_to(float(cy), w.shape)
     return SnapshotStack(u=u, v=v, w=w, dx=x[1] - x[0], dy=y[1] - y[0], dt=dt)
 
 
@@ -254,25 +257,62 @@ def assemble_vorticity_system(stack: SnapshotStack, sensors: SensorSet) -> Stack
     return StackedSystem(laplacian.reshape(-1, 1), target.ravel())
 
 
+def _fit_sums(stack: SnapshotStack, sensors: SensorSet | None = None) -> tuple:
+    """Sums a'a and a'b of a sensor system, or of every interior node.
+
+    The full-field sums are accumulated one interior snapshot at a time on
+    slice views, so the (n - 2)(nx - 2)(ny - 2) system is never held.
+    """
+    if sensors is not None:
+        system = assemble_vorticity_system(stack, sensors)
+        blocks = [(system.matrix, system.rhs)]
+    else:
+        w, u, v, core = stack.w, stack.u, stack.v, np.s_[1:-1, 1:-1]
+        blocks = (
+            _transport_rows(stack, interior_neighbours(w[n]), w[n + 1][core],
+                            w[n - 1][core], u[n][core], v[n][core])
+            for n in range(1, stack.n_snapshots - 1)
+        )
+    squares = products = 0.0
+    with np.errstate(all="ignore"):
+        for laplacian, target in blocks:
+            a = laplacian.ravel()
+            squares += float(a @ a)
+            products += float(a @ target.ravel())
+    return squares, products
+
+
 def estimate_inverse_re(
     stack: SnapshotStack, sensors: SensorSet | None = None, ridge_lambda: float = 0.0
 ) -> float:
     """Estimated 1/Re from a sensor set, or from every interior node."""
-    if sensors is not None:
-        return solve_single_column(
-            assemble_vorticity_system(stack, sensors), ridge_lambda
+    return _solve_column_sums(*_fit_sums(stack, sensors), ridge_lambda)
+
+
+def _sensor_sums(stack: SnapshotStack, region, sensor_counts, repeats: int, seed: int):
+    """Yield (count, each repeat's (a'a, a'b)) from estimate_reynolds's draws."""
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
+    nodes = _admissible_nodes(stack, region)
+    for count in map(int, sensor_counts):
+        sums = []
+        for repeat in range(repeats):
+            state = np.random.SeedSequence((seed, count, repeat)).generate_state(1)
+            sensors = _draw_sensors(nodes, region, count, int(state[0]))
+            sums.append(_fit_sums(stack, sensors))
+        yield count, sums
+
+
+def _reynolds_estimate(count: int, sums, ridge_lambda: float) -> ReynoldsEstimate:
+    """Seed-averaged estimate from each repeat's (a'a, a'b) at one lambda."""
+    inverses = np.array([_solve_column_sums(*pair, ridge_lambda) for pair in sums])
+    if np.any(inverses <= 0) or inverses.mean() <= 0:
+        raise NonPhysical(
+            f"non-positive inverse Reynolds estimate at sensor count {count}"
         )
-    w = stack.w
-    laplacian, target = _transport_rows(
-        stack,
-        interior_neighbours(w[1:-1]),
-        w[2:, 1:-1, 1:-1],
-        w[:-2, 1:-1, 1:-1],
-        stack.u[1:-1, 1:-1, 1:-1],
-        stack.v[1:-1, 1:-1, 1:-1],
-    )
-    return solve_single_column(
-        StackedSystem(laplacian.reshape(-1, 1), target.ravel()), ridge_lambda
+    per_seed = tuple(1.0 / inv for inv in inverses)
+    return ReynoldsEstimate(
+        count, float(np.mean(per_seed)), float(inverses.mean()), per_seed, ridge_lambda
     )
 
 
@@ -291,33 +331,10 @@ def estimate_reynolds(
     numbers are averaged directly; NonPhysical is raised when any per-seed
     inverse estimate (or their mean) is not positive.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    nodes = _admissible_nodes(stack, region)
-    results = []
-    for count in sensor_counts:
-        inverses = []
-        for repeat in range(repeats):
-            sequence = np.random.SeedSequence((seed, int(count), repeat))
-            draw_seed = int(sequence.generate_state(1)[0])
-            sensors = _draw_sensors(nodes, region, int(count), draw_seed)
-            inverses.append(estimate_inverse_re(stack, sensors, ridge_lambda))
-        inverses = np.array(inverses)
-        if np.any(inverses <= 0) or inverses.mean() <= 0:
-            raise NonPhysical(
-                f"non-positive inverse Reynolds estimate at sensor count {count}"
-            )
-        per_seed = tuple(1.0 / inv for inv in inverses)
-        results.append(
-            ReynoldsEstimate(
-                sensor_count=int(count),
-                re=float(np.mean(per_seed)),
-                inverse_re=float(inverses.mean()),
-                per_seed=per_seed,
-                ridge_lambda=ridge_lambda,
-            )
-        )
-    return results
+    return [
+        _reynolds_estimate(count, sums, ridge_lambda)
+        for count, sums in _sensor_sums(stack, region, sensor_counts, repeats, seed)
+    ]
 
 
 def curl_consistency_rms(stack: SnapshotStack) -> float:

@@ -221,6 +221,17 @@ def test_broadcasting_builder_is_called_once_per_batch():
     assert calls == [(5, 3)]
 
 
+def test_empty_batch_of_an_unprobed_builder():
+    model = ParameterLinearModel(
+        "empty", ("x",), ("a",), lambda states, t: np.asarray(states)[..., None]
+    )
+    matrices = build_matrices(model, np.empty((0, 1)), 0.0)
+    assert matrices.shape == (0, 1, 1)
+    np.testing.assert_array_equal(
+        build_matrices(model, np.ones((3, 1)), 0.0), np.ones((3, 1, 1))
+    )
+
+
 def test_wrongly_shaped_builder_is_rejected():
     model = ParameterLinearModel("bad", ("x",), ("a",), lambda state, t: np.eye(2))
     with pytest.raises(ShapeMismatch):

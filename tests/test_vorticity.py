@@ -93,6 +93,19 @@ def test_advected_field_recovery():
     assert abs(inverse - NU) / NU < 1e-3
 
 
+def test_advected_velocities_are_read_only_broadcast_views(tmp_path):
+    stack = advected_diffusion_stack(NU, 0.3, 0.2, 9, 7, 5, 0.1)
+    for field, value in ((stack.u, 0.3), (stack.v, 0.2)):
+        assert not field.flags.writeable
+        assert field.strides == (0, 0, 0)
+        assert np.all(field == value)
+    materialized = dataclasses.replace(stack, u=stack.u.copy(), v=stack.v.copy())
+    assert curl_consistency_rms(stack) == curl_consistency_rms(materialized)
+    loaded = load_snapshot_stack(write_snapshot_stack(stack, tmp_path / "fields"))
+    for name in ("u", "v", "w"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(stack, name))
+
+
 def test_uniform_field_degenerates():
     stack = uniform_stack()
     sensors = sample_sensors(stack, (0.0, 0.8, 0.0, 0.8), 3, seed=0)
@@ -113,6 +126,30 @@ def test_nan_vorticity_is_a_non_finite_system():
     sensors = SensorSet(positions=((4, 4), (2, 6)), region=(), seed=0)
     with pytest.raises(NonFiniteSystem):
         estimate_inverse_re(stack, sensors)
+
+
+@pytest.mark.parametrize("snapshot", [-2, -1], ids=["last interior", "last"])
+def test_nan_in_a_late_snapshot_is_a_non_finite_system(snapshot):
+    # the streamed full-field sums read the last snapshots in their final block
+    stack = manufactured_diffusion_stack(NU, 9, 9, 5, 0.1)
+    stack.w[snapshot, 4, 4] = np.nan
+    with pytest.raises(NonFiniteSystem):
+        estimate_inverse_re(stack)
+
+
+def test_overflowing_total_of_finite_snapshot_sums_is_non_finite():
+    # one spike per snapshot, the same in each, so a'b = 0 and every
+    # snapshot's a'a = 20 c^2 is finite while their sum over three overflows
+    w = np.zeros((5, 5, 5))
+    w[:, 2, 2] = 2.2e153
+    stack = SnapshotStack(
+        u=np.zeros_like(w), v=np.zeros_like(w), w=w, dx=1.0, dy=1.0, dt=1.0
+    )
+    laplacian, target = reference_interior_fields(stack)
+    assert all(np.isfinite(float(a.ravel() @ a.ravel())) for a in laplacian)
+    assert not target.any()
+    with pytest.raises(NonFiniteSystem, match="a'a = inf"):
+        estimate_inverse_re(stack)
 
 
 def reference_interior_fields(stack):
@@ -161,10 +198,24 @@ def test_sensor_rows_match_full_field_slices():
     assert system.matrix[:, 0].tobytes() == expected_matrix.tobytes()
     assert system.rhs.tobytes() == expected_rhs.tobytes()
     full = estimate_inverse_re(stack)
-    reference = float(laplacian.ravel() @ target.ravel()) / float(
-        laplacian.ravel() @ laplacian.ravel()
-    )
-    assert full == reference
+    # the full-field sums are accumulated one interior snapshot at a time
+    squares = products = 0.0
+    for a, b in zip(laplacian, target):
+        squares += float(a.ravel() @ a.ravel())
+        products += float(a.ravel() @ b.ravel())
+    assert full == products / squares
+
+
+@pytest.mark.parametrize(
+    "stack",
+    [random_stack(), advected_diffusion_stack(NU, 0.3, 0.2, 65, 65, 21, 0.05)],
+    ids=["random", "advected"],
+)
+def test_streamed_full_field_matches_the_stacked_formula(stack):
+    laplacian, target = reference_interior_fields(stack)
+    a, b = laplacian.ravel(), target.ravel()
+    one_shot = float(a @ b) / float(a @ a)
+    assert estimate_inverse_re(stack) == pytest.approx(one_shot, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize(
