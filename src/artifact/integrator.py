@@ -124,7 +124,8 @@ def erk4_step(
     """One classical RK4 update of one state with omega held fixed across the stages."""
     if h <= 0:
         raise ValueError("step must be positive")
-    new_state = _rk4(model.build_matrix, state, t, np.asarray(omega, dtype=float), h)
+    build = functools.partial(build_matrices, model)
+    new_state = _rk4(build, state, t, np.asarray(omega, dtype=float), h)
     if not np.all(np.isfinite(new_state)):
         raise NonFiniteState(f"non-finite state after step from t={t}")
     return new_state

@@ -13,17 +13,16 @@ to linear regression on stacked A blocks. Built-ins:
 The epidemic matrices have zero column sums by construction, so the total
 population is conserved for any parameter vector.
 
-Batched contract: build_matrix(states, t) maps states of shape
-(..., n_states) to matrices of shape (..., n_states, n_params), one matrix
-per state along the leading axes. A single state is the case with no leading
-axes. The built-in builders broadcast; a custom builder that only takes one
-state still works through build_matrices, which probes each builder once and
-calls a one-state builder once per state.
+Batched contract: a model declared batched=True has a build_matrix(states,
+t) that maps states of shape (..., n_states) to matrices of shape
+(..., n_states, n_params), one matrix per state along the leading axes; a
+single state is the case with no leading axes. The built-in builders are
+declared batched. An undeclared builder takes one state at a time, and
+build_matrices calls it once per state.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,12 +39,11 @@ from .errors import (
 class ParameterLinearModel:
     """Named model with a builder for the system matrix A(x; t).
 
-    build_matrix(states, t) takes states of shape (..., n_states) and
-    returns matrices of shape (..., n_states, n_params); t is a float or an
-    array matching the leading axes. A builder that only takes one state of
-    shape (n_states,) and a float t is also accepted: build_matrices compares
-    its result for a small batch with one-state calls, once per builder, and
-    then loops over the states.
+    build_matrix(state, t) takes one state of shape (n_states,) and a float t
+    and returns a matrix of shape (n_states, n_params). With batched=True it
+    also takes states of shape (..., n_states) and t as a float or an array
+    matching the leading axes, and returns matrices of shape
+    (..., n_states, n_params). Undeclared builders are called once per state.
     """
 
     name: str
@@ -53,6 +51,7 @@ class ParameterLinearModel:
     parameter_names: tuple
     build_matrix: Callable[[np.ndarray, float | np.ndarray], np.ndarray]
     population: float | None = None
+    batched: bool = False
 
     @property
     def n_states(self) -> int:
@@ -144,72 +143,27 @@ def s3i3r_matrix(states, population: float) -> np.ndarray:
     return a
 
 
-# builder -> whether it honours the batched contract. A cache of a property
-# of the builder function: weak keys, so it ends with the builder's model.
-_BROADCASTS = weakref.WeakKeyDictionary()
-
-
-def _broadcasts(model: ParameterLinearModel, states: np.ndarray, t) -> bool:
-    """Whether model.build_matrix maps a batch of states to one matrix per state.
-
-    Decided once per builder on a probe of leading shape (2, 3) drawn from
-    states (..., n_states) and t: the builder broadcasts when its result for
-    the probe equals the six one-state calls bit for bit. The result of a
-    one-state builder cannot pass by having the right shape by chance, as it
-    can for a batch whose length equals n_states: indexing the state axis of
-    the probe gives arrays of leading shape (3,), so its result never has
-    leading shape (2, 3). An error of a one-state call propagates and leaves
-    the question open.
-    """
-    build = model.build_matrix
-    try:
-        return _BROADCASTS[build]
-    except (KeyError, TypeError):
-        pass
-    rows, times = _rows_and_times(states, t)
-    pick = np.linspace(0, len(rows) - 1, 6).astype(int)
-    probe, probe_times = rows[pick], times[pick]
-    expected = np.array(
-        [build(x, float(tt)) for x, tt in zip(probe, probe_times)], dtype=float
-    )
-    try:
-        batched = build(probe.reshape(2, 3, -1), probe_times.reshape(2, 3))
-        verdict = np.shape(batched) == (2, 3) + expected.shape[1:] and np.array_equal(
-            np.reshape(batched, expected.shape), expected, equal_nan=True
-        )
-    except (ValueError, TypeError, IndexError, ShapeMismatch):
-        # how a one-state builder typically rejects a batch
-        verdict = False
-    try:
-        _BROADCASTS[build] = verdict
-    except TypeError:
-        pass  # not weakly referenceable: probed again on the next call
-    return verdict
-
-
-def _rows_and_times(states: np.ndarray, t):
-    """States (..., n) as rows (m, n), and t broadcast to one float per row."""
-    rows = states.reshape(-1, states.shape[-1])
-    times = np.broadcast_to(np.asarray(t, dtype=float), states.shape[:-1]).reshape(-1)
-    return rows, times
-
-
 def build_matrices(model: ParameterLinearModel, states, t) -> np.ndarray:
     """A(x; t) for states of shape (..., n_states), shaped (..., n_states, n_params).
 
-    t is a float or an array matching the leading axes of states. A builder
-    that broadcasts (see _broadcasts) gets the whole batch in one call; any
-    other builder is called once per state with a float t.
+    t is a float or an array matching the leading axes of states. A batched
+    model, or a single state, takes one builder call; an undeclared builder
+    is called once per state with a float t.
     """
     states = np.asarray(states, dtype=float)
+    if states.ndim == 0 or states.shape[-1] != model.n_states:
+        raise ShapeMismatch(
+            f"model {model.name} wants states of shape (..., {model.n_states}), "
+            f"got {states.shape}"
+        )
     shape = states.shape[:-1] + (model.n_states, model.n_params)
-    if states.ndim > 1 and 0 in states.shape[:-1]:
-        # an empty batch has nothing to build, nor to probe the builder with
-        return np.empty(shape)
-    if states.ndim > 1 and _broadcasts(model, states, t):
+    if 0 in states.shape[:-1]:
+        return np.empty(shape)  # an empty batch has nothing to build
+    if model.batched or states.ndim == 1:
         matrices = model.build_matrix(states, t)
     else:
-        rows, times = _rows_and_times(states, t)
+        rows = states.reshape(-1, model.n_states)
+        times = np.broadcast_to(np.asarray(t, dtype=float), states.shape[:-1]).reshape(-1)
         matrices = np.array(
             [model.build_matrix(x, float(tt)) for x, tt in zip(rows, times)],
             dtype=float,
@@ -231,7 +185,7 @@ def eval_rhs(model: ParameterLinearModel, state, omega, t: float = 0.0) -> np.nd
         raise ShapeMismatch(
             f"expected {model.n_params} parameters, got shape {omega.shape}"
         )
-    return model.build_matrix(np.asarray(state, dtype=float), t) @ omega
+    return build_matrices(model, state, t) @ omega
 
 
 def lotka_volterra() -> ParameterLinearModel:
@@ -240,6 +194,7 @@ def lotka_volterra() -> ParameterLinearModel:
         state_names=("prey", "predator"),
         parameter_names=("alpha", "beta", "gamma", "delta"),
         build_matrix=lambda state, t: lotka_volterra_matrix(state),
+        batched=True,
     )
 
 
@@ -251,6 +206,7 @@ def sir(population: float) -> ParameterLinearModel:
         state_names=("S", "I", "R"),
         parameter_names=("beta", "gamma"),
         build_matrix=lambda state, t: sir_matrix(state, population),
+        batched=True,
         population=population,
     )
 
@@ -272,6 +228,7 @@ def s3i3r(population: float) -> ParameterLinearModel:
             "phi2",
         ),
         build_matrix=lambda state, t: s3i3r_matrix(state, population),
+        batched=True,
         population=population,
     )
 

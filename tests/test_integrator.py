@@ -15,6 +15,7 @@ from artifact import (
     SimulationConfig,
     SinusoidalBetaSchedule,
     erk4_step,
+    eval_rhs,
     lotka_volterra,
     simulate,
     sir,
@@ -226,6 +227,14 @@ def test_wrong_matrix_shape_raises_before_the_first_step(draws):
         simulate(one_row_model(), config)
     with pytest.raises(ShapeMismatch, match="built matrices of shape"):
         simulate_draws(one_row_model(), config, np.full((draws, 1), 0.3))
+
+
+def test_wrong_matrix_shape_raises_in_one_step_and_one_rhs():
+    state = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(ShapeMismatch, match="built matrices of shape"):
+        erk4_step(one_row_model(), state, 0.0, [0.3], 0.1)
+    with pytest.raises(ShapeMismatch, match="built matrices of shape"):
+        eval_rhs(one_row_model(), state, [0.3])
 
 
 def test_one_draw_of_a_one_state_builder_equals_simulate():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -174,8 +176,8 @@ def test_batched_builder_rejects_wrong_state_width():
 
 
 def test_scalar_only_builder_is_looped_per_state():
-    # np.array([[x0, t]]) handles one state only; the first batch is probed
-    # once (six one-state calls and one (2, 3) batch), then looped per state
+    # np.array([[x0, t]]) handles one state only: undeclared, it is called
+    # once per state from the first batch on, and never on other states
     calls = []
 
     def build(state, t):
@@ -186,7 +188,7 @@ def test_scalar_only_builder_is_looped_per_state():
     states = np.array([[1.0], [2.0], [3.0]])
     matrices = build_matrices(model, states, np.array([0.5, 1.5, 2.5]))
     np.testing.assert_array_equal(matrices, [[[1.0, 0.5]], [[2.0, 1.5]], [[3.0, 2.5]]])
-    assert calls == [(1,)] * 6 + [(2, 3, 1)] + [(1,)] * 3
+    assert calls == [(1,)] * 3
     del calls[:]
     build_matrices(model, states, 0.0)
     assert calls == [(1,)] * 3
@@ -211,17 +213,43 @@ def test_broadcasting_builder_is_called_once_per_batch():
         calls.append(np.shape(states))
         return sir_matrix(states, 7.0)
 
-    model = ParameterLinearModel("counted", ("S", "I", "R"), ("beta", "gamma"), build)
+    model = ParameterLinearModel(
+        "counted", ("S", "I", "R"), ("beta", "gamma"), build, batched=True
+    )
     states = np.random.default_rng(8).uniform(0.1, 4.0, (5, 3))
-    matrices = build_matrices(model, states, 0.0)
-    np.testing.assert_array_equal(matrices, sir_matrix(states, 7.0))
-    assert calls == [(3,)] * 6 + [(2, 3, 3), (5, 3)]
-    del calls[:]
-    build_matrices(model, states, 0.0)
-    assert calls == [(5, 3)]
+    for _ in range(2):
+        matrices = build_matrices(model, states, 0.0)
+        np.testing.assert_array_equal(matrices, sir_matrix(states, 7.0))
+        assert calls == [(5, 3)]
+        del calls[:]
+    # the same builder left undeclared is looped, to the same values
+    looped = dataclasses.replace(model, batched=False)
+    np.testing.assert_array_equal(build_matrices(looped, states, 0.0), matrices)
+    assert calls == [(3,)] * 5
 
 
-def test_empty_batch_of_an_unprobed_builder():
+def test_registry_models_are_declared_batched():
+    calls = []
+    for name in ("lotka_volterra", "sir", "s3i3r"):
+        model = get_model(name, None if name == "lotka_volterra" else 7.0)
+        assert model.batched
+
+        def traced(states, t, _build=model.build_matrix):
+            calls.append(np.shape(states))
+            return _build(states, t)
+
+        wrapped = dataclasses.replace(model, build_matrix=traced)
+        assert wrapped.batched
+        states = np.random.default_rng(9).uniform(0.1, 4.0, (4, model.n_states))
+        # the first call after get_model is the one batched call
+        np.testing.assert_array_equal(
+            build_matrices(wrapped, states, 0.0), model.build_matrix(states, 0.0)
+        )
+        assert calls == [(4, model.n_states)]
+        del calls[:]
+
+
+def test_empty_batch_of_an_undeclared_builder():
     model = ParameterLinearModel(
         "empty", ("x",), ("a",), lambda states, t: np.asarray(states)[..., None]
     )
@@ -230,6 +258,22 @@ def test_empty_batch_of_an_unprobed_builder():
     np.testing.assert_array_equal(
         build_matrices(model, np.ones((3, 1)), 0.0), np.ones((3, 1, 1))
     )
+
+
+@pytest.mark.parametrize("states", [np.ones((4, 2)), np.float64(1.0)])
+def test_wrong_state_width_is_rejected_before_any_builder_call(states):
+    calls = []
+
+    def build(state, t):
+        calls.append(np.shape(state))
+        return np.array([[state[0]]])
+
+    decay = ParameterLinearModel("decay", ("x",), ("rate",), build)
+    with pytest.raises(ShapeMismatch, match="wants states of shape"):
+        build_matrices(decay, states, 0.0)
+    with pytest.raises(ShapeMismatch, match="wants states of shape"):
+        eval_rhs(decay, states, [1.0])
+    assert calls == []
 
 
 def test_wrongly_shaped_builder_is_rejected():
