@@ -194,8 +194,6 @@ def _partition_from_config(entries: dict, model):
         except EstimationError:
             raise ConfigError(f"unknown parameter {name!r} in {key}") from None
         known[index] = get_float(entries, key)
-    if not known:
-        return None
     return ParameterPartition.from_known(model.n_params, known)
 
 
@@ -358,8 +356,6 @@ def cmd_sweep(args) -> list:
         (flat[2 * k], flat[2 * k + 1]) for k in range(len(flat) // 2)
     )
     partition = _partition_from_config(entries, model)
-    if partition is None:
-        partition = ParameterPartition.all_unknown(model.n_params)
     try:
         spec = SweepSpec(
             domain=domain,

@@ -250,11 +250,8 @@ def estimate_time_varying(
     matrices, rhs = _formulate(model, series.times, series.states, "interior")
     if d > n:
         return []
-    reduced = regression.apply_partition(_stack(model, matrices, rhs), partition)
-    count, states = rhs.shape
-    k = reduced.cols
-    blocks = reduced.matrix.reshape(count, states, k)
-    block_rhs = reduced.rhs.reshape(count, states)
+    blocks, block_rhs = partition.reduce(matrices, rhs)
+    count, states, k = blocks.shape
 
     def solve(matrices, rhs):
         solution = regression.solve_batch(matrices, rhs, ridge_lambda, normalize)
@@ -423,16 +420,15 @@ def run_sweep(
 
     Draw i is seeded by SeedSequence((seed, i)), so results are order-stable.
     Draws are integrated together (simulate_draws) in blocks of at most
-    SWEEP_BLOCK_VALUES state values, then each draw's rows are formulated once
-    and solved for each normalize setting. Failed draws are recorded with a
-    reason and excluded from the error arrays, never fatal; an error of the
-    builder at the shared initial state is raised. `workers` is accepted for
-    compatibility and has no effect.
+    SWEEP_BLOCK_VALUES state values, then each draw's rows are formulated and
+    reduced to the unknowns once and solved for each normalize setting.
+    Failed draws are recorded with a reason and excluded from the error
+    arrays, never fatal; an error of the builder at the shared initial state
+    is raised. `workers` is accepted for compatibility and has no effect.
     """
     partition = sweep.fixed
-    unknown = list(partition.unknown_indices)
     count = sweep.sample_count
-    draws = np.empty((count, len(unknown)))
+    draws = np.empty((count, len(partition.unknown_indices)))
     for index in range(count):
         rng = np.random.default_rng(np.random.SeedSequence((sweep.seed, index)))
         draws[index] = [rng.uniform(lo, hi) for lo, hi in sweep.domain]
@@ -457,16 +453,14 @@ def run_sweep(
                 error = EstimationError("zero parameter draw")
             if error is None:
                 try:
-                    system = _stack(
-                        model,
-                        *_formulate(model, times[window], trajectory[window], derivative),
+                    matrices, rhs = partition.reduce(
+                        *_formulate(model, times[window], trajectory[window], derivative)
                     )
+                    system = matrices.reshape(1, rhs.size, len(drawn)), rhs.reshape(1, -1)
                     row = []
                     for normalize in (False, True) if with_normalized else (False,):
-                        estimate = solve_partitioned(
-                            system, partition, normalize=normalize
-                        )
-                        relative = np.abs((estimate.values[unknown] - drawn) / drawn)
+                        solution = regression.solve_batch(*system, normalize=normalize)
+                        relative = np.abs((solution.estimate(0).values - drawn) / drawn)
                         row += [relative.max(), relative.mean()]
                     statistics[:, index] = row
                 except EstimationError as exc:
@@ -474,13 +468,9 @@ def run_sweep(
             if error is not None:
                 failures.append((index, f"{type(error).__name__}: {error}"))
                 failure_counts[type(error).__name__] += 1
-    result = SweepResult(
-        count, statistics[0], statistics[1], failures, dict(failure_counts)
+    return SweepResult(
+        count, *statistics[:2], failures, dict(failure_counts), *statistics[2:]
     )
-    if with_normalized:
-        result.max_errors_normalized = statistics[2]
-        result.mean_errors_normalized = statistics[3]
-    return result
 
 
 def subsample_noise_table(

@@ -9,8 +9,8 @@ error the model's builder raises.
 simulate and simulate_draws share one RK4 loop driven by omega_at(t):
 simulate is its one-draw case, stepped as one state through
 model.build_matrix; a batch of draws takes one build_matrices call per
-stage, and a failing draw stops alone. Builder shapes are checked once, on
-the initial state, before the first step.
+stage, and a failing draw stops alone. Builder shapes and the parameter
+width are checked once, on the initial state, before the first step.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .differentiation import TimeSeries
 from .errors import EstimationError, NonFiniteState, ShapeMismatch
-from .models import ParameterLinearModel, build_matrices
+from .models import ParameterLinearModel, build_matrices, check_parameters
 
 
 class ConstantSchedule:
@@ -94,6 +94,10 @@ class SimulationConfig:
     schedule: object
 
     def __post_init__(self):
+        if not np.isfinite([self.t0, self.t_end, self.step]).all():
+            raise ValueError(
+                f"t0, t_end and step must be finite: {self.t0}, {self.t_end}, {self.step}"
+            )
         if self.t_end <= self.t0:
             raise ValueError("t_end must exceed t0")
         if not 0 < self.step <= self.t_end - self.t0:
@@ -125,7 +129,7 @@ def erk4_step(
     if h <= 0:
         raise ValueError("step must be positive")
     build = functools.partial(build_matrices, model)
-    new_state = _rk4(build, state, t, np.asarray(omega, dtype=float), h)
+    new_state = _rk4(build, state, t, check_parameters(model, omega), h)
     if not np.all(np.isfinite(new_state)):
         raise NonFiniteState(f"non-finite state after step from t={t}")
     return new_state
@@ -153,8 +157,11 @@ def _integrate(model, config, omega_at, draws):
     build = model.build_matrix
     if draws > 1:
         x, build = states[:, 0].copy(), functools.partial(build_matrices, model)
-    # a wrong matrix shape would broadcast in the stages: it fails every draw
+    # a wrong matrix or parameter shape would broadcast in the stages: it
+    # fails every draw (simulate_draws checks its own parameters)
     build_matrices(model, x, times[0])
+    if draws == 1:
+        check_parameters(model, omega_at(times[0]))
     failures = {}
     active, rows = np.arange(draws), slice(None)  # the draws still stepping
     # a dying draw may overflow; its rows are checked after each step

@@ -178,14 +178,19 @@ def build_matrices(model: ParameterLinearModel, states, t) -> np.ndarray:
     return matrices.reshape(shape)
 
 
-def eval_rhs(model: ParameterLinearModel, state, omega, t: float = 0.0) -> np.ndarray:
-    """Right-hand side A(x; t) @ omega."""
+def check_parameters(model: ParameterLinearModel, omega) -> np.ndarray:
+    """omega as a float vector; ShapeMismatch unless its shape is (n_params,)."""
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (model.n_params,):
         raise ShapeMismatch(
             f"expected {model.n_params} parameters, got shape {omega.shape}"
         )
-    return build_matrices(model, state, t) @ omega
+    return omega
+
+
+def eval_rhs(model: ParameterLinearModel, state, omega, t: float = 0.0) -> np.ndarray:
+    """Right-hand side A(x; t) @ omega."""
+    return build_matrices(model, state, t) @ check_parameters(model, omega)
 
 
 def lotka_volterra() -> ParameterLinearModel:

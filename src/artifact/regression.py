@@ -27,8 +27,10 @@ Stacking
 --------
 Per-sample residual blocks are concatenated vertically into one tall system
 (stack_systems). Known parameters are eliminated before solving by moving
-their contribution to the right-hand side (apply_partition); the estimate is
-recombined afterwards so callers always see the full parameter vector.
+their contribution to the right-hand side: ParameterPartition.reduce does it
+for blocks with any leading axes, and apply_partition for one StackedSystem.
+ParameterPartition.combine puts the known values back, so callers always see
+the full parameter vector.
 """
 
 from __future__ import annotations
@@ -118,6 +120,26 @@ class ParameterPartition:
     @property
     def total(self) -> int:
         return len(self.known_indices) + len(self.unknown_indices)
+
+    def reduce(self, matrices, rhs):
+        """Systems (..., m, total), (..., m) reduced to their unknown columns.
+
+        The rhs loses the known columns' share A_known @ known_values; with
+        every parameter known it is the residual vector itself.
+        """
+        matrices = np.asarray(matrices, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        cols = matrices.shape[-1]
+        indices = sorted(self.known_indices + self.unknown_indices)
+        if indices != list(range(cols)):
+            raise IndexOutOfRange(f"partition indices {indices} do not cover 0..{cols - 1}")
+        if rhs.shape != matrices.shape[:-1]:
+            raise ShapeMismatch(f"rhs of shape {rhs.shape} for matrices {matrices.shape}")
+        if self.known_indices:
+            known = matrices[..., list(self.known_indices)]
+            share = known.reshape(-1, len(self.known_indices)) @ self.known_values
+            rhs = rhs - share.reshape(rhs.shape)
+        return matrices[..., list(self.unknown_indices)], rhs
 
     def combine(self, unknown_values) -> np.ndarray:
         """Full parameter vectors (..., total) from unknown values (..., n_unknown)."""
@@ -373,23 +395,8 @@ def stack_systems(blocks) -> StackedSystem:
 def apply_partition(
     system: StackedSystem, partition: ParameterPartition
 ) -> StackedSystem:
-    """Reduce a system to its unknown columns.
-
-    The known columns' contribution A_known @ known_values is subtracted from
-    the right-hand side. With every parameter known the result has zero
-    columns and the rhs is the residual vector itself.
-    """
-    indices = partition.known_indices + partition.unknown_indices
-    if sorted(indices) != list(range(system.cols)):
-        raise IndexOutOfRange(
-            f"partition indices {sorted(indices)} do not cover 0..{system.cols - 1}"
-        )
-    unknown = list(partition.unknown_indices)
-    rhs = system.rhs
-    if partition.known_indices:
-        known_block = system.matrix[:, list(partition.known_indices)]
-        rhs = rhs - known_block @ partition.known_values
-    return StackedSystem(system.matrix[:, unknown], rhs)
+    """Reduce a system to its unknown columns (ParameterPartition.reduce)."""
+    return StackedSystem(*partition.reduce(system.matrix, system.rhs))
 
 
 def recombine_partition(

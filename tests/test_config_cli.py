@@ -8,6 +8,9 @@ import pytest
 
 from artifact import (
     ConfigError,
+    SimulationConfig,
+    SinusoidalBetaSchedule,
+    SnapshotStack,
     DimensionMismatch,
     MissingColumn,
     MissingField,
@@ -17,6 +20,8 @@ from artifact import (
     RankDeficient,
     TooFewPoints,
     manufactured_diffusion_stack,
+    simulate,
+    sir,
     write_snapshot_stack,
 )
 from artifact import cli
@@ -467,3 +472,161 @@ def test_estimate_varying_mode(tmp_path, who_csv):
     assert rows[0] == ["t", "beta", "gamma", "residual_norm", "condition"]
     # known gamma passes through every windowed row
     assert all(float(row[2]) == 0.072 for row in rows[1:])
+
+
+SINUSOIDAL_CONF = (
+    "model.name=sir\n"
+    "model.population=1.0\n"
+    "sim.t_end=70\n"
+    "sim.step=1\n"
+    "sim.x0=0.9999,0.0001,0.0\n"
+    "schedule.type=sinusoidal\n"
+    "schedule.base=0.4,0.3333333333333333\n"
+    "schedule.mean=0.4\n"
+    "schedule.amplitude=0.05\n"
+    "schedule.period=70\n"
+)
+
+
+def test_simulate_sinusoidal_schedule(tmp_path):
+    for parameter, index in (("beta", 0), ("gamma", 1)):
+        conf = write(
+            tmp_path / "sin.conf", SINUSOIDAL_CONF + f"schedule.parameter={parameter}\n"
+        )
+        out = tmp_path / parameter
+        assert main(["simulate", "--config", conf, "--out", str(out)]) == 0
+        data = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        schedule = SinusoidalBetaSchedule(
+            [0.4, 0.3333333333333333], 0.4, 0.05, 70.0, index=index
+        )
+        config = SimulationConfig(0.0, 70.0, 1.0, [0.9999, 0.0001, 0.0], schedule)
+        expected = simulate(sir(1.0), config)
+        np.testing.assert_array_equal(data[:, 0], expected.times)
+        np.testing.assert_array_equal(data[:, 1:], expected.states)
+    # the modulated parameter defaults to the model's first one, beta
+    conf = write(tmp_path / "default.conf", SINUSOIDAL_CONF)
+    assert main(["simulate", "--config", conf, "--out", str(tmp_path / "d")]) == 0
+    default = (tmp_path / "d" / "trajectory.csv").read_bytes()
+    assert default == (tmp_path / "beta" / "trajectory.csv").read_bytes()
+    conf = write(tmp_path / "bad.conf", SINUSOIDAL_CONF + "schedule.parameter=zeta\n")
+    assert main(["simulate", "--config", conf, "--out", str(tmp_path / "e")]) == 2
+    conf = write(tmp_path / "kind.conf", SIR_CONF + "schedule.type=weekly\n")
+    assert main(["simulate", "--config", conf, "--out", str(tmp_path / "f")]) == 2
+
+
+@pytest.mark.parametrize("key, value", [("t_end", "inf"), ("t_end", "nan"), ("step", "inf")])
+def test_exit_code_for_non_finite_times(tmp_path, capsys, key, value):
+    lines = [
+        f"sim.{key}={value}" if line.startswith(f"sim.{key}=") else line
+        for line in SIR_CONF.splitlines()
+    ]
+    # an infinite horizon would overflow the length of the time grid
+    sweep = lines + ["sweep.domain=0,0.5,0,0.3", "sweep.samples=2"]
+    for command, body in (("simulate", lines), ("sweep", sweep)):
+        conf = write(tmp_path / f"{command}.conf", "\n".join(body) + "\n")
+        assert main([command, "--config", conf, "--out", str(tmp_path / "out")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+
+def test_estimate_varying_mode_with_truth(tmp_path):
+    conf = write(
+        tmp_path / "run.conf",
+        SIR_CONF.replace("estimate.mode=constant", "estimate.mode=varying")
+        + "estimate.window=14\n",
+    )
+    truth = write(tmp_path / "truth.csv", "beta,gamma\n0.5,0.3333333333333333\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", conf, "--out", str(out)]) == 0
+    data = str(out / "trajectory.csv")
+    assert main(
+        ["estimate", "--config", conf, "--data", data, "--truth", truth, "--out", str(out)]
+    ) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["mode"] == "varying"
+    # days 13..79: the first day with a window is its width - 1
+    assert summary["estimates"] == 67
+    errors = summary["mean_relative_errors"]
+    assert sorted(errors) == ["beta", "gamma"]
+    # the mean over the day rows of |truth - estimate| / truth
+    rows = np.loadtxt(out / "estimates.csv", delimiter=",", skiprows=1)
+    expected = np.abs(rows[:, 1:3] - [0.5, 1.0 / 3.0]) / [0.5, 1.0 / 3.0]
+    assert errors["beta"] == pytest.approx(expected[:, 0].mean(), rel=1e-12)
+    assert errors["gamma"] == pytest.approx(expected[:, 1].mean(), rel=1e-12)
+    assert max(errors.values()) < 1e-2
+
+
+def test_sweep_with_normalized_solves(tmp_path):
+    sweep = (
+        "model.name=lotka_volterra\n"
+        "sim.t_end=10\n"
+        "sim.points=200\n"
+        "sim.x0=1,1\n"
+        "sweep.domain=0.1,0.9,0.5,1.5,0.7,1.5,0.3,1.2\n"
+        "sweep.samples=4\n"
+        "sweep.seed=8\n"
+    )
+    plain, both = tmp_path / "plain", tmp_path / "both"
+    conf = write(tmp_path / "plain.conf", sweep)
+    assert main(["sweep", "--config", conf, "--out", str(plain)]) == 0
+    conf = write(tmp_path / "both.conf", sweep + "sweep.normalized=1\n")
+    assert main(["sweep", "--config", conf, "--out", str(both)]) == 0
+    with open(plain / "draws.csv") as handle:
+        plain_rows = list(csv.reader(handle))
+    with open(both / "draws.csv") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == [
+        "index",
+        "max_rel_error",
+        "mean_rel_error",
+        "max_rel_error_normalizing",
+        "mean_rel_error_normalizing",
+        "status",
+    ]
+    # the plain columns do not depend on whether the normalized pair is solved
+    assert [row[:3] + row[5:] for row in rows[1:]] == plain_rows[1:]
+    assert all(float(row[3]) < 0.05 and float(row[4]) <= float(row[3]) for row in rows[1:])
+    fractions = json.loads((both / "fractions.json").read_text())["fraction_below"]
+    assert sorted(fractions) == ["max", "max_normalizing", "mean", "mean_normalizing"]
+    assert fractions["max_normalizing"]["0.05"] == 1.0
+    plain_fractions = json.loads((plain / "fractions.json").read_text())["fraction_below"]
+    assert {key: fractions[key] for key in ("max", "mean")} == plain_fractions
+
+
+def test_reynolds_manifest_with_region_reports_nonphysical_rows(tmp_path):
+    # the decaying field played backwards grows, so every fit gives 1/Re < 0
+    decaying = manufactured_diffusion_stack(0.01, 33, 33, 11, 0.1)
+    growing = SnapshotStack(
+        u=np.zeros_like(decaying.w),
+        v=np.zeros_like(decaying.w),
+        w=decaying.w[::-1].copy(),
+        dx=decaying.dx,
+        dy=decaying.dy,
+        dt=decaying.dt,
+    )
+    manifest = write_snapshot_stack(growing, tmp_path / "fields")
+    conf = write(
+        tmp_path / "re.conf",
+        "reynolds.counts=4,8\n"
+        "reynolds.repeats=2\n"
+        "reynolds.region=0.5,2.5,0.5,2.5\n",
+    )
+    out = tmp_path / "out"
+    args = ["reynolds", "--config", conf, "--manifest", manifest, "--out", str(out)]
+    assert main(args) == 0
+    with open(out / "convergence.csv") as handle:
+        rows = list(csv.reader(handle))
+    assert [row[:2] for row in rows[1:]] == [
+        ["plain", "4"], ["plain", "8"], ["ridge", "4"], ["ridge", "8"]
+    ]
+    assert all(row[6] == "nonphysical" for row in rows[1:])
+    assert all(value == "nan" for row in rows[1:] for value in row[2:6])
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["source"] == "snapshots"
+    assert summary["full_field"]["plain"]["inverse_re"] < 0
+    # the region is read: one too small for eight sensors fails the run
+    small = write(
+        tmp_path / "small.conf",
+        "reynolds.counts=8\nreynolds.repeats=1\nreynolds.region=0.5,0.7,0.5,0.7\n",
+    )
+    small_args = ["reynolds", "--config", small, "--manifest", manifest]
+    assert main(small_args + ["--out", str(tmp_path / "small")]) == 4

@@ -392,6 +392,43 @@ def test_sweep_deterministic_and_accurate():
     assert np.nanmax(a.max_errors) < 1e-3
 
 
+def test_estimators_reduce_each_series_once(monkeypatch):
+    # run_sweep reduces each draw once whether or not it also solves the
+    # normalized systems; estimate_time_varying reduces its blocks once
+    calls = []
+    reduce = ParameterPartition.reduce
+
+    def counted(self, matrices, rhs):
+        calls.append(np.shape(matrices))
+        return reduce(self, matrices, rhs)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the estimators reduce their blocks directly")
+
+    monkeypatch.setattr(ParameterPartition, "reduce", counted)
+    monkeypatch.setattr(estimation, "solve_partitioned", unused)
+    monkeypatch.setattr(estimation.regression, "apply_partition", unused)
+    spec = SweepSpec(
+        domain=((0.1, 0.9), (0.5, 1.5)),
+        sample_count=3,
+        fixed=ParameterPartition.from_known(4, {2: 1.1, 3: 0.9}),
+        seed=8,
+    )
+    config = SimulationConfig(
+        0.0, 10.0, 0.1, np.array([1.0, 1.0]), ConstantSchedule(LV_OMEGA)
+    )
+    for with_normalized in (False, True):
+        calls.clear()
+        result = run_sweep(lotka_volterra(), spec, config, with_normalized=with_normalized)
+        assert not result.failures
+        assert calls == [(99, 2, 4)] * 3
+    calls.clear()
+    series = simulate(lotka_volterra(), config)
+    results = estimate_time_varying(lotka_volterra(), series, 5, partition=spec.fixed)
+    assert calls == [(99, 2, 4)]
+    assert all(values[2:].tolist() == [1.1, 0.9] for values in (e.values for _, e in results))
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(((0.5, 0.1),), 10, ParameterPartition.all_unknown(1))

@@ -137,6 +137,22 @@ def test_config_validation():
         SimulationConfig(0.0, 1.0, 2.0, np.zeros(2), ConstantSchedule(np.zeros(4)))
 
 
+@pytest.mark.parametrize(
+    "t0, t_end, step",
+    [
+        (0.0, np.inf, 0.1),
+        (-np.inf, 1.0, 0.1),
+        (0.0, np.nan, 0.1),
+        (np.nan, 1.0, 0.1),
+        (0.0, 1.0, np.nan),
+        (0.0, 1.0, np.inf),
+    ],
+)
+def test_config_rejects_non_finite_times(t0, t_end, step):
+    with pytest.raises(ValueError, match="must be finite"):
+        SimulationConfig(t0, t_end, step, np.zeros(2), ConstantSchedule(np.zeros(4)))
+
+
 def test_initial_state_shape_checked():
     config = SimulationConfig(
         0.0, 1.0, 0.1, np.array([1.0, 1.0]), ConstantSchedule([0.5, 0.3])
@@ -250,3 +266,18 @@ def test_one_draw_of_a_one_state_builder_equals_simulate():
     assert failures == {}
     np.testing.assert_array_equal(times, one.times)
     np.testing.assert_array_equal(states[0], one.states)
+
+
+def test_wrong_parameter_width_raises_shape_mismatch():
+    message = r"expected 4 parameters, got shape \(2,\)"
+    with pytest.raises(ShapeMismatch, match=message):
+        erk4_step(lotka_volterra(), np.array([1.0, 1.0]), 0.0, [0.7, 1.3], 0.1)
+    x0 = np.array([0.99, 0.01, 0.0])
+    message = r"expected 2 parameters, got shape \(3,\)"
+    for schedule in (
+        ConstantSchedule([0.3, 0.1, 0.2]),
+        PiecewiseSchedule([0.0, 0.5], [[0.3, 0.1, 0.2], [0.2, 0.1, 0.2]]),
+    ):
+        config = SimulationConfig(0.0, 1.0, 0.1, x0, schedule)
+        with pytest.raises(ShapeMismatch, match=message):
+            simulate(sir(1.0), config)

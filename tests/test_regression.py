@@ -192,6 +192,38 @@ def test_partition_all_known_leaves_residual():
     np.testing.assert_allclose(reduced.rhs, 0.25, atol=1e-14)
 
 
+@pytest.mark.parametrize("known", [{}, {1: 0.75}, {0: 0.3, 2: -1.2}, {0: 1.0, 1: 2.0, 2: 3.0}])
+def test_partition_reduce_on_blocks_matches_apply_partition(known):
+    # blocks with two leading axes reduce to the bits of the stacked system
+    rng = np.random.default_rng(5)
+    matrices = rng.normal(size=(2, 4, 5, 3))
+    rhs = rng.normal(size=(2, 4, 5))
+    partition = ParameterPartition.from_known(3, known)
+    blocks, block_rhs = partition.reduce(matrices, rhs)
+    n_unknown = 3 - len(known)
+    assert blocks.shape == (2, 4, 5, n_unknown)
+    assert block_rhs.shape == (2, 4, 5)
+    stacked = apply_partition(
+        StackedSystem(matrices.reshape(-1, 3), rhs.reshape(-1)), partition
+    )
+    np.testing.assert_array_equal(blocks.reshape(40, n_unknown), stacked.matrix)
+    np.testing.assert_array_equal(block_rhs.reshape(-1), stacked.rhs)
+    np.testing.assert_array_equal(
+        blocks, matrices[..., list(partition.unknown_indices)]
+    )
+
+
+def test_partition_reduce_checks_coverage_and_shapes():
+    partition = ParameterPartition.from_known(3, {1: 0.5})
+    message = re.escape("partition indices [0, 1, 2] do not cover 0..3")
+    with pytest.raises(IndexOutOfRange, match=message):
+        partition.reduce(np.ones((2, 5, 4)), np.ones((2, 5)))
+    with pytest.raises(IndexOutOfRange, match=message):
+        apply_partition(StackedSystem(np.ones((5, 4)), np.ones(5)), partition)
+    with pytest.raises(ShapeMismatch, match="rhs of shape"):
+        partition.reduce(np.ones((2, 5, 3)), np.ones((2, 4)))
+
+
 def test_partition_gamma_known_matches_free_beta(sir_trajectory):
     from artifact import EstimationWindow, estimate_constant, sir
 
