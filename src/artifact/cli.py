@@ -194,6 +194,8 @@ def _partition_from_config(entries: dict, model):
         except EstimationError:
             raise ConfigError(f"unknown parameter {name!r} in {key}") from None
         known[index] = get_float(entries, key)
+        if not math.isfinite(known[index]):
+            raise ConfigError(f"{key} must be finite, got {entries[key]!r}")
     return ParameterPartition.from_known(model.n_params, known)
 
 
@@ -519,6 +521,9 @@ def cmd_reynolds(args) -> list:
             region = (0.0, (stack.nx - 1) * stack.dx, 0.0, (stack.ny - 1) * stack.dy)
     elif len(region) != 4:
         raise ConfigError("reynolds.region needs x_lo,x_hi,y_lo,y_hi")
+    elif not all(map(math.isfinite, region)):
+        value = entries["reynolds.region"]
+        raise ConfigError(f"reynolds.region must be finite, got {value!r}")
     draws = list(_sensor_sums(stack, region, counts, repeats, seed))
     full_sums = _fit_sums(stack)
     rows = []

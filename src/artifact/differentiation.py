@@ -92,7 +92,7 @@ class Neighbours(NamedTuple):
     """Values of a field at each stencil node and its four grid neighbours.
 
     east is the +x neighbour (i + 1), north the +y neighbour (j + 1). The
-    five arrays broadcast together; the stencils below work on any shape.
+    five arrays share one shape; the stencils below work on any shape.
     """
 
     center: np.ndarray
@@ -113,16 +113,30 @@ def interior_neighbours(values: np.ndarray) -> Neighbours:
     )
 
 
-def central_difference(ahead, behind, spacing):
-    """Second-order first derivative (f[k+1] - f[k-1]) / (2 h)."""
-    return (ahead - behind) / (2.0 * spacing)
+def central_difference(ahead, behind, spacing, out=None):
+    """Second-order first derivative (f[k+1] - f[k-1]) / (2 h).
+
+    Written into `out` when given, an array of the broadcast shape.
+    """
+    out = np.subtract(ahead, behind, out=out)
+    return np.divide(out, 2.0 * spacing, out=out)
 
 
-def five_point_laplacian(f: Neighbours, dx: float, dy: float):
-    """Second-order Laplacian from the five stencil values."""
-    return (f.east - 2.0 * f.center + f.west) / dx**2 + (
-        f.north - 2.0 * f.center + f.south
-    ) / dy**2
+def five_point_laplacian(f: Neighbours, dx: float, dy: float, out=None, work=None):
+    """Second-order Laplacian ((E - 2C) + W) / dx^2 + ((N - 2C) + S) / dy^2.
+
+    2C is computed once. `out` receives the result and `work` is scratch;
+    either, when given, is an array of the stencil values' common shape.
+    """
+    work = np.multiply(2.0, f.center, out=work)
+    out = np.subtract(f.east, work, out=out)
+    out += f.west
+    out /= dx**2
+    np.subtract(f.north, work, out=work)
+    work += f.south
+    work /= dy**2
+    out += work
+    return out
 
 
 def _require_interior(field: GridField):

@@ -13,12 +13,19 @@ Formulations
 - temporal derivative: central difference across snapshots (first and last
   snapshot dropped)
 - spatial derivatives: second-order central stencils at strictly interior
-  nodes; a sensor system reads only the stencil values around its sensors,
-  so its cost scales with sensors x snapshots, not with the grid
+  nodes, one definition each in `differentiation`, shared by the sensor and
+  the full-field fits; a sensor system reads only the stencil values around
+  its sensors, so its cost scales with sensors x snapshots, not with the grid
+- sensor draws: all repeats of one sensor count are drawn first, then their
+  stencil values are gathered in one fancy index of shape
+  (repeats, count, n - 2) and differenced once; each repeat's sums are dot
+  products over its own sensor-major rows, so they equal those of the
+  repeat's system assembled on its own, bit for bit
 - solve: scalar normal equation sum(a b) / (sum(a a) + lambda), identical to
   the general solver on the stacked one-column system; the full-field sums
-  are accumulated one interior snapshot at a time, so the stacked system is
-  never held
+  are accumulated one interior snapshot at a time, each snapshot's Laplacian
+  and target written into the same three (nx - 2, ny - 2) buffers, so
+  neither the stacked system nor a per-snapshot temporary is allocated
 
 Snapshot files are raw little-endian float64, row-major with x fastest, so
 a file holds ny rows of nx values; in memory fields are (nx, ny) with x
@@ -196,34 +203,70 @@ def sample_sensors(
     stack: SnapshotStack, region, count: int, seed: int = 0
 ) -> SensorSet:
     """Uniform draw of `count` admissible nodes without replacement."""
-    return _draw_sensors(_admissible_nodes(stack, region), region, count, seed)
+    nodes = _draw_nodes(_admissible_nodes(stack, region), count, seed)
+    return SensorSet(tuple(map(tuple, nodes.tolist())), tuple(region), seed)
 
 
-def _draw_sensors(nodes: np.ndarray, region, count: int, seed: int) -> SensorSet:
+def _draw_nodes(nodes: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """(count, 2) rows of `nodes` drawn without replacement, in `nodes` order."""
     if count > len(nodes):
         raise RegionTooSmall(
             f"requested {count} sensors but region admits {len(nodes)} nodes"
         )
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(nodes), size=count, replace=False)
-    positions = tuple(map(tuple, nodes[np.sort(chosen)].tolist()))
-    return SensorSet(positions=positions, region=tuple(region), seed=seed)
+    return nodes[np.sort(rng.choice(len(nodes), size=count, replace=False))]
 
 
-def _transport_rows(stack: SnapshotStack, w: Neighbours, later, earlier, u, v):
+def _transport_rows(
+    stack: SnapshotStack, w: Neighbours, later, earlier, u, v, out=(None, None, None)
+):
     """Regressor (Laplacian) and target (advective derivative) from stencil values.
 
     `w` holds the vorticity around each row's node at snapshot n, `later` and
     `earlier` the node's vorticity at n + 1 and n - 1, `u` and `v` its
-    velocity at n. Every argument broadcasts to the rows' shape.
+    velocity at n; all share the rows' shape. The target is
+    (later - earlier)/(2 dt) + u (E - W)/(2 dx) + v (N - S)/(2 dy), summed
+    left to right. `out` holds the Laplacian, target and scratch arrays of
+    that shape to write into; None entries are allocated.
     """
-    laplacian = five_point_laplacian(w, stack.dx, stack.dy)
-    target = (
-        central_difference(later, earlier, stack.dt)
-        + u * central_difference(w.east, w.west, stack.dx)
-        + v * central_difference(w.north, w.south, stack.dy)
-    )
+    laplacian, target, work = out
+    laplacian = five_point_laplacian(w, stack.dx, stack.dy, out=laplacian, work=work)
+    target = central_difference(later, earlier, stack.dt, out=target)
+    work = central_difference(w.east, w.west, stack.dx, out=work)
+    work *= u
+    target += work
+    central_difference(w.north, w.south, stack.dy, out=work)
+    work *= v
+    target += work
     return laplacian, target
+
+
+def _sensor_rows(stack: SnapshotStack, positions: np.ndarray) -> tuple:
+    """Laplacian and target at (..., 2) sensor nodes over interior snapshots.
+
+    Both have shape positions.shape[:-1] + (n_snapshots - 2,): one gather
+    per stencil value covers every sensor of every set in `positions`.
+    """
+    i, j = positions[..., :1], positions[..., 1:]
+    # fancy indexing wraps negative indices, so reject before any gather
+    outside = np.flatnonzero(
+        (i < 1) | (i > stack.nx - 2) | (j < 1) | (j > stack.ny - 2)
+    )
+    if outside.size:
+        bad_i, bad_j = positions.reshape(-1, 2)[outside[0]]
+        raise ShapeMismatch(f"sensor ({bad_i}, {bad_j}) is not strictly interior")
+    n = np.arange(1, stack.n_snapshots - 1)
+    w = stack.w
+    return _transport_rows(
+        stack,
+        Neighbours(
+            w[n, i, j], w[n, i + 1, j], w[n, i - 1, j], w[n, i, j + 1], w[n, i, j - 1]
+        ),
+        w[n + 1, i, j],
+        w[n - 1, i, j],
+        stack.u[n, i, j],
+        stack.v[n, i, j],
+    )
 
 
 def assemble_vorticity_system(stack: SnapshotStack, sensors: SensorSet) -> StackedSystem:
@@ -234,45 +277,12 @@ def assemble_vorticity_system(stack: SnapshotStack, sensors: SensorSet) -> Stack
     around the sensors are read.
     """
     nodes = np.array(sensors.positions, dtype=np.intp).reshape(-1, 2)
-    i, j = nodes[:, :1], nodes[:, 1:]
-    # fancy indexing wraps negative indices, so reject before any gather
-    outside = np.flatnonzero(
-        (i < 1) | (i > stack.nx - 2) | (j < 1) | (j > stack.ny - 2)
-    )
-    if outside.size:
-        bad_i, bad_j = nodes[outside[0]]
-        raise ShapeMismatch(f"sensor ({bad_i}, {bad_j}) is not strictly interior")
-    n = np.arange(1, stack.n_snapshots - 1)
-    w = stack.w
-    laplacian, target = _transport_rows(
-        stack,
-        Neighbours(
-            w[n, i, j], w[n, i + 1, j], w[n, i - 1, j], w[n, i, j + 1], w[n, i, j - 1]
-        ),
-        w[n + 1, i, j],
-        w[n - 1, i, j],
-        stack.u[n, i, j],
-        stack.v[n, i, j],
-    )
+    laplacian, target = _sensor_rows(stack, nodes)
     return StackedSystem(laplacian.reshape(-1, 1), target.ravel())
 
 
-def _fit_sums(stack: SnapshotStack, sensors: SensorSet | None = None) -> tuple:
-    """Sums a'a and a'b of a sensor system, or of every interior node.
-
-    The full-field sums are accumulated one interior snapshot at a time on
-    slice views, so the (n - 2)(nx - 2)(ny - 2) system is never held.
-    """
-    if sensors is not None:
-        system = assemble_vorticity_system(stack, sensors)
-        blocks = [(system.matrix, system.rhs)]
-    else:
-        w, u, v, core = stack.w, stack.u, stack.v, np.s_[1:-1, 1:-1]
-        blocks = (
-            _transport_rows(stack, interior_neighbours(w[n]), w[n + 1][core],
-                            w[n - 1][core], u[n][core], v[n][core])
-            for n in range(1, stack.n_snapshots - 1)
-        )
+def _column_sums(blocks) -> tuple:
+    """a'a and a'b summed over (regressor, target) blocks, one ddot pair each."""
     squares = products = 0.0
     with np.errstate(all="ignore"):
         for laplacian, target in blocks:
@@ -280,6 +290,26 @@ def _fit_sums(stack: SnapshotStack, sensors: SensorSet | None = None) -> tuple:
             squares += float(a @ a)
             products += float(a @ target.ravel())
     return squares, products
+
+
+def _fit_sums(stack: SnapshotStack, sensors: SensorSet | None = None) -> tuple:
+    """Sums a'a and a'b of a sensor system, or of every interior node.
+
+    The full-field sums are accumulated one interior snapshot at a time, the
+    snapshot's Laplacian and target written into the same three
+    (nx - 2, ny - 2) buffers each time, so neither the
+    (n - 2)(nx - 2)(ny - 2) system nor a per-snapshot temporary is allocated.
+    """
+    if sensors is not None:
+        system = assemble_vorticity_system(stack, sensors)
+        return _column_sums([(system.matrix, system.rhs)])
+    w, u, v, core = stack.w, stack.u, stack.v, np.s_[1:-1, 1:-1]
+    buffers = tuple(np.empty((stack.nx - 2, stack.ny - 2)) for _ in range(3))
+    return _column_sums(
+        _transport_rows(stack, interior_neighbours(w[n]), w[n + 1][core],
+                        w[n - 1][core], u[n][core], v[n][core], buffers)
+        for n in range(1, stack.n_snapshots - 1)
+    )
 
 
 def estimate_inverse_re(
@@ -290,17 +320,24 @@ def estimate_inverse_re(
 
 
 def _sensor_sums(stack: SnapshotStack, region, sensor_counts, repeats: int, seed: int):
-    """Yield (count, each repeat's (a'a, a'b)) from estimate_reynolds's draws."""
+    """Yield (count, each repeat's (a'a, a'b)) from estimate_reynolds's draws.
+
+    All repeats of one count are drawn first; their stencil values are then
+    gathered and differenced at once, as a (repeats, count, n - 2) block.
+    """
+    counts = [int(count) for count in sensor_counts]
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
+    if any(count < 1 for count in counts):
+        raise ValueError("sensor counts must be at least 1")
     nodes = _admissible_nodes(stack, region)
-    for count in map(int, sensor_counts):
-        sums = []
+    for count in counts:
+        draws = []
         for repeat in range(repeats):
             state = np.random.SeedSequence((seed, count, repeat)).generate_state(1)
-            sensors = _draw_sensors(nodes, region, count, int(state[0]))
-            sums.append(_fit_sums(stack, sensors))
-        yield count, sums
+            draws.append(_draw_nodes(nodes, count, int(state[0])))
+        laplacian, target = _sensor_rows(stack, np.stack(draws))
+        yield count, [_column_sums([block]) for block in zip(laplacian, target)]
 
 
 def _reynolds_estimate(count: int, sums, ridge_lambda: float) -> ReynoldsEstimate:

@@ -630,3 +630,52 @@ def test_reynolds_manifest_with_region_reports_nonphysical_rows(tmp_path):
     )
     small_args = ["reynolds", "--config", small, "--manifest", manifest]
     assert main(small_args + ["--out", str(tmp_path / "small")]) == 4
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_exit_code_for_non_finite_known_values(tmp_path, capsys, value):
+    conf = write(tmp_path / "sir.conf", SIR_CONF)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", conf, "--out", str(out)]) == 0
+    data = str(out / "trajectory.csv")
+    known = write(tmp_path / "known.conf", SIR_CONF + f"known.gamma={value}\n")
+    assert main(["estimate", "--config", known, "--data", data, "--out", str(out)]) == 2
+    assert "known.gamma must be finite" in capsys.readouterr().err
+    # an S3I3R sweep with the vaccination rate held at the given value
+    sweep = write(
+        tmp_path / "sweep.conf",
+        "model.name=s3i3r\n"
+        "model.population=5701010\n"
+        "sim.t_end=20\n"
+        "sim.step=1\n"
+        "sim.x0=5600000,100000,1000,10,0,0,0\n"
+        f"known.tau={value}\n"
+        "sweep.domain=0,0.5,0,0.3,0,0.3,0,0.3,0,0.03,0,0.3,0,0.5\n"
+        "sweep.samples=3\n",
+    )
+    assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep")]) == 2
+    assert "known.tau must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("region", ["0,nan,0,3", "inf,3,0,3", "0,3,-inf,3"])
+def test_exit_code_for_non_finite_reynolds_region(tmp_path, capsys, region):
+    conf = write(
+        tmp_path / "re.conf",
+        "reynolds.nx=17\nreynolds.ny=17\nreynolds.snapshots=5\n"
+        f"reynolds.counts=4\nreynolds.repeats=1\nreynolds.region={region}\n",
+    )
+    args = ["reynolds", "--config", conf, "--manufactured", "0.01"]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 2
+    assert "reynolds.region must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("counts", ["4,0", "-3", "0"])
+def test_exit_code_for_sensor_count_below_one(tmp_path, capsys, counts):
+    conf = write(
+        tmp_path / "re.conf",
+        "reynolds.nx=17\nreynolds.ny=17\nreynolds.snapshots=5\n"
+        f"reynolds.counts={counts}\nreynolds.repeats=1\n",
+    )
+    args = ["reynolds", "--config", conf, "--manufactured", "0.01"]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 2
+    assert "sensor counts must be at least 1" in capsys.readouterr().err

@@ -32,6 +32,7 @@ from artifact import (
     solve_ols,
     write_snapshot_stack,
 )
+from artifact import vorticity
 
 NU = 0.01
 REGION = (0.5, 2.5, 0.5, 2.5)
@@ -276,6 +277,68 @@ def test_estimate_reynolds_single_repeat(stack65):
     assert estimates[0].inverse_re == inverse
     assert estimates[0].re == 1.0 / inverse
     assert len(estimates[0].per_seed) == 1
+
+
+def repeat_sensors(stack, region, count, repeats, seed):
+    """The sensor sets estimate_reynolds draws for one count, drawn one at a time."""
+    sets = []
+    for repeat in range(repeats):
+        state = np.random.SeedSequence((seed, count, repeat)).generate_state(1)
+        sets.append(sample_sensors(stack, region, count, seed=int(state[0])))
+    return sets
+
+
+@pytest.mark.parametrize(
+    "stack, region",
+    [
+        (random_stack(), (0.0, 3.0, 0.0, 4.9)),
+        (advected_diffusion_stack(NU, 0.3, 0.2, 65, 65, 21, 0.05), REGION),
+    ],
+    ids=["random", "advected"],
+)
+def test_batched_sensor_sums_match_one_set_at_a_time(stack, region):
+    # each repeat's sums from the one gather per count equal the sums of
+    # that repeat's sensor set assembled on its own, bit for bit; random data
+    # gives some non-positive fits, which estimate_reynolds rejects, so the
+    # sums are compared here and the per-seed estimates below
+    batched = list(vorticity._sensor_sums(stack, region, [3, 7], 5, 11))
+    assert [count for count, _ in batched] == [3, 7]
+    for count, sums in batched:
+        sets = repeat_sensors(stack, region, count, 5, 11)
+        assert sums == [vorticity._fit_sums(stack, sensors) for sensors in sets]
+
+
+def test_estimate_reynolds_per_seed_equals_one_set_fits():
+    stack = advected_diffusion_stack(NU, 0.3, 0.2, 65, 65, 21, 0.05)
+    estimates = estimate_reynolds(stack, REGION, [3, 7], repeats=5, seed=11)
+    assert [estimate.sensor_count for estimate in estimates] == [3, 7]
+    for estimate in estimates:
+        sets = repeat_sensors(stack, REGION, estimate.sensor_count, 5, 11)
+        expected = tuple(1 / estimate_inverse_re(stack, sensors) for sensors in sets)
+        assert estimate.per_seed == expected
+
+
+def test_stencil_arithmetic_runs_once_per_sensor_count(monkeypatch):
+    stack = advected_diffusion_stack(NU, 0.3, 0.2, 65, 65, 21, 0.05)
+    shapes = []
+    transport_rows = vorticity._transport_rows
+
+    def counted(stack, w, *args, **kwargs):
+        shapes.append(w.center.shape)
+        return transport_rows(stack, w, *args, **kwargs)
+
+    monkeypatch.setattr(vorticity, "_transport_rows", counted)
+    estimate_reynolds(stack, REGION, [3, 7], repeats=5, seed=11)
+    assert shapes == [(5, 3, 19), (5, 7, 19)]
+
+
+@pytest.mark.parametrize("counts", [[4, 0], [-3], [0]])
+def test_sensor_count_below_one_is_rejected_before_any_draw(stack65, monkeypatch, counts):
+    draws = []
+    monkeypatch.setattr(vorticity, "_draw_nodes", lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match="sensor counts must be at least 1"):
+        estimate_reynolds(stack65, REGION, counts, repeats=2, seed=0)
+    assert not draws
 
 
 def test_estimate_reynolds_deterministic(stack65):
