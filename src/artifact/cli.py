@@ -116,13 +116,16 @@ def _resolve_seed(args, entries: dict, key: str) -> int:
     return get_int(entries, key, 0)
 
 
-def _model_from_config(entries: dict):
-    name = get_str(entries, "model.name")
+def _model_from_config(entries: dict, name: str | None = None):
+    """The configured model; `name`, if given, replaces the model.name key."""
+    name = name or get_str(entries, "model.name")
     population = get_float(entries, "model.population", None)
     try:
         return get_model(name, population)
-    except (ShapeMismatch, NonPositivePopulation) as exc:
+    except ShapeMismatch as exc:
         raise ConfigError(str(exc)) from None
+    except NonPositivePopulation as exc:
+        raise ConfigError(f"model.population: {exc}") from None
 
 
 def _parameter_vector(entries: dict, key: str, model) -> np.ndarray:
@@ -135,11 +138,9 @@ def _parameter_vector(entries: dict, key: str, model) -> np.ndarray:
     return np.asarray(values)
 
 
-def _schedule_from_config(entries: dict, model, allow_absent: bool = False):
+def _schedule_from_config(entries: dict, model):
     kind = get_str(entries, "schedule.type", "constant")
     if kind == "constant":
-        if allow_absent and "schedule.omega" not in entries:
-            return ConstantSchedule(np.zeros(model.n_params))
         return ConstantSchedule(_parameter_vector(entries, "schedule.omega", model))
     if kind == "sinusoidal":
         base = _parameter_vector(entries, "schedule.base", model)
@@ -158,7 +159,7 @@ def _schedule_from_config(entries: dict, model, allow_absent: bool = False):
     raise ConfigError(f"unknown schedule.type {kind!r}")
 
 
-def _sim_config_from(entries: dict, model, allow_default_schedule: bool = False):
+def _sim_config_from(entries: dict, model, schedule) -> SimulationConfig:
     t0 = get_float(entries, "sim.t0", 0.0)
     t_end = get_float(entries, "sim.t_end")
     if "sim.points" in entries:
@@ -174,13 +175,9 @@ def _sim_config_from(entries: dict, model, allow_default_schedule: bool = False)
             f"sim.x0 has {len(x0)} values, model {model.name} has "
             f"{model.n_states} states"
         )
-    schedule = _schedule_from_config(entries, model, allow_absent=allow_default_schedule)
-    try:
-        return SimulationConfig(
-            t0=t0, t_end=t_end, step=step, initial_state=x0, schedule=schedule
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return SimulationConfig(
+        t0=t0, t_end=t_end, step=step, initial_state=x0, schedule=schedule
+    )
 
 
 def _partition_from_config(entries: dict, model):
@@ -194,8 +191,6 @@ def _partition_from_config(entries: dict, model):
         except EstimationError:
             raise ConfigError(f"unknown parameter {name!r} in {key}") from None
         known[index] = get_float(entries, key)
-        if not math.isfinite(known[index]):
-            raise ConfigError(f"{key} must be finite, got {entries[key]!r}")
     return ParameterPartition.from_known(model.n_params, known)
 
 
@@ -247,7 +242,7 @@ def _read_truth_csv(path, model) -> np.ndarray:
 def cmd_simulate(args) -> list:
     entries = load_config(args.config)
     model = _model_from_config(entries)
-    sim_config = _sim_config_from(entries, model)
+    sim_config = _sim_config_from(entries, model, _schedule_from_config(entries, model))
     series = simulate(model, sim_config)
     epsilon = get_float(entries, "noise.epsilon", 0.0)
     if epsilon > 0:
@@ -284,9 +279,13 @@ def cmd_estimate(args) -> list:
 
     if mode == "constant":
         if "estimate.start" in entries or "estimate.stop" in entries:
-            window = EstimationWindow.span(
-                get_int(entries, "estimate.start"), get_int(entries, "estimate.stop")
-            )
+            start = get_int(entries, "estimate.start")
+            stop = get_int(entries, "estimate.stop")
+            if stop < start:
+                raise ConfigError(
+                    f"estimate.stop={stop} is before estimate.start={start}"
+                )
+            window = EstimationWindow.span(start, stop)
         else:
             window = None
         estimate = estimate_constant(
@@ -350,7 +349,9 @@ def cmd_estimate(args) -> list:
 def cmd_sweep(args) -> list:
     entries = load_config(args.config)
     model = _model_from_config(entries)
-    sim_config = _sim_config_from(entries, model, allow_default_schedule=True)
+    # simulate_draws replaces the schedule with each draw's parameters
+    schedule = ConstantSchedule(np.zeros(model.n_params))
+    sim_config = _sim_config_from(entries, model, schedule)
     flat = get_floats(entries, "sweep.domain")
     if len(flat) % 2 != 0:
         raise ConfigError("sweep.domain needs lo,hi pairs")
@@ -413,13 +414,13 @@ def cmd_sweep(args) -> list:
 
 def cmd_covid(args) -> list:
     entries = load_config(args.config)
-    population = get_float(entries, "model.population")
+    # the model first, so a bad population is a config error, not a data one
+    model = _model_from_config(entries, "sir")
     gamma = get_float(entries, "covid.gamma", 1.0 / 9.0)
     width = get_int(entries, "covid.window", 14)
     ridge = get_float(entries, "covid.ridge", 0.0)
     raw = load_who_csv(args.data)
-    series = build_sir_states(raw, population, FixedRates(gamma1=gamma))
-    model = get_model("sir", population)
+    series = build_sir_states(raw, model.population, FixedRates(gamma1=gamma))
     out = _ensure_out(args.out)
     _write_csv(
         os.path.join(out, "states.csv"),
@@ -521,9 +522,6 @@ def cmd_reynolds(args) -> list:
             region = (0.0, (stack.nx - 1) * stack.dx, 0.0, (stack.ny - 1) * stack.dy)
     elif len(region) != 4:
         raise ConfigError("reynolds.region needs x_lo,x_hi,y_lo,y_hi")
-    elif not all(map(math.isfinite, region)):
-        value = entries["reynolds.region"]
-        raise ConfigError(f"reynolds.region must be finite, got {value!r}")
     draws = list(_sensor_sums(stack, region, counts, repeats, seed))
     full_sums = _fit_sums(stack)
     rows = []

@@ -2,10 +2,13 @@
 
 One assignment per line, # starts a comment, blank lines ignored. Section
 membership is by key prefix (sim.step, noise.epsilon), not by bracketed
-headers, so a file parses to a single flat dict of strings.
+headers, so a file parses to a single flat dict of strings. Numbers must be
+finite: get_float and get_floats reject NaN or an infinity with ConfigError.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import ConfigError
 
@@ -34,16 +37,20 @@ def load_config(path) -> dict:
     return entries
 
 
-def _get(entries: dict, key: str, default, parse, kind: str):
+def _get(entries: dict, key: str, default, parse, kind: str, finite: bool = False):
     if key not in entries:
         if default is _MISSING:
             raise ConfigError(f"missing required config key {key}")
         return default
     value = entries[key]
     try:
-        return parse(value)
+        parsed = parse(value)
     except ValueError:
         raise ConfigError(f"config key {key} is not {kind}: {value!r}") from None
+    numbers = parsed if isinstance(parsed, list) else [parsed]
+    if finite and not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{key}={value}: {key} must be finite")
+    return parsed
 
 
 def _comma_list(parse):
@@ -59,12 +66,12 @@ def get_int(entries: dict, key: str, default=_MISSING):
 
 
 def get_float(entries: dict, key: str, default=_MISSING):
-    return _get(entries, key, default, float, "a number")
+    return _get(entries, key, default, float, "a number", finite=True)
 
 
 def get_floats(entries: dict, key: str, default=_MISSING):
     """Comma-separated float list."""
-    return _get(entries, key, default, _comma_list(float), "a number list")
+    return _get(entries, key, default, _comma_list(float), "a number list", finite=True)
 
 
 def get_ints(entries: dict, key: str, default=_MISSING):

@@ -27,6 +27,7 @@ models were produced with "full" windows starting at the first sample.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -110,6 +111,8 @@ class SweepSpec:
     def __post_init__(self):
         domain = tuple((float(lo), float(hi)) for lo, hi in self.domain)
         for lo, hi in domain:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"interval [{lo}, {hi}] is not finite")
             if hi < lo:
                 raise ValueError(f"interval [{lo}, {hi}] is reversed")
         if self.sample_count < 1:

@@ -23,6 +23,7 @@ build_matrices calls it once per state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -91,10 +92,18 @@ def lotka_volterra_matrix(states) -> np.ndarray:
     return a
 
 
+def check_population(population: float) -> None:
+    """NonPositivePopulation unless 0 < population < inf (NaN fails too).
+
+    A float comparison, no numpy: the matrix builders run once per RK4 stage.
+    """
+    if not 0.0 < population < math.inf:
+        raise NonPositivePopulation(f"population {population} must be finite and positive")
+
+
 def sir_matrix(states, population: float) -> np.ndarray:
     """(..., 3, 2) system matrices; columns (beta, gamma) each sum to zero."""
-    if population <= 0:
-        raise NonPositivePopulation(f"population {population} must be positive")
+    check_population(population)
     states = _as_states(states, 3)
     s, i = states[..., 0], states[..., 1]
     si = s * i / population
@@ -113,8 +122,7 @@ def s3i3r_matrix(states, population: float) -> np.ndarray:
     proportion to their share of the vaccinatable pool V = S + I1 + R1, and
     into R2 at unit rate, so the column sums to zero like all others.
     """
-    if population <= 0:
-        raise NonPositivePopulation(f"population {population} must be positive")
+    check_population(population)
     states = _as_states(states, 7)
     s, i1, i2, i3, r1 = (states[..., k] for k in range(5))
     pool = s + i1 + r1
@@ -204,8 +212,7 @@ def lotka_volterra() -> ParameterLinearModel:
 
 
 def sir(population: float) -> ParameterLinearModel:
-    if population <= 0:
-        raise NonPositivePopulation(f"population {population} must be positive")
+    check_population(population)
     return ParameterLinearModel(
         name="sir",
         state_names=("S", "I", "R"),
@@ -217,8 +224,7 @@ def sir(population: float) -> ParameterLinearModel:
 
 
 def s3i3r(population: float) -> ParameterLinearModel:
-    if population <= 0:
-        raise NonPositivePopulation(f"population {population} must be positive")
+    check_population(population)
     return ParameterLinearModel(
         name="s3i3r",
         state_names=("S", "I1", "I2", "I3", "R1", "R2", "R3"),

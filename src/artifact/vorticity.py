@@ -414,9 +414,9 @@ def write_snapshot_stack(stack: SnapshotStack, directory) -> str:
 def load_snapshot_stack(manifest_path) -> SnapshotStack:
     """Load a stack from a manifest; computes the curl diagnostic RMS.
 
-    The manifest is read by `config.load_config`; its errors, and grid sizes
-    or spacings that no stack can have, become ParseError before any field
-    file is read.
+    The manifest is read by `config.load_config` and its getters, which reject
+    non-finite numbers; their errors, and grid sizes or spacings that no stack
+    can have, become ParseError before any field file is read.
     """
     try:
         values = load_config(manifest_path)
@@ -435,10 +435,8 @@ def load_snapshot_stack(manifest_path) -> SnapshotStack:
         if size < least:
             raise ParseError(f"snapshot manifest: {key}={size}, need at least {least}")
     for key, spacing in (("dx", dx), ("dy", dy), ("dt", dt)):
-        if not 0.0 < spacing < np.inf:
-            raise ParseError(
-                f"snapshot manifest: {key}={spacing} is not finite and positive"
-            )
+        if spacing <= 0:
+            raise ParseError(f"snapshot manifest: {key}={spacing} is not positive")
     directory = os.path.dirname(os.path.abspath(manifest_path))
     fields = {}
     for name, pattern in FILE_PATTERNS.items():

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from artifact import (
 )
 from artifact import cli
 from artifact.cli import main
+from conftest import synthetic_daily_counts
+
 from artifact.config import (
     get_float,
     get_floats,
@@ -679,3 +683,115 @@ def test_exit_code_for_sensor_count_below_one(tmp_path, capsys, counts):
     args = ["reynolds", "--config", conf, "--manufactured", "0.01"]
     assert main(args + ["--out", str(tmp_path / "out")]) == 2
     assert "sensor counts must be at least 1" in capsys.readouterr().err
+
+
+COVID_DAILY = Path(__file__).resolve().parents[1] / "configs" / "covid_daily.csv"
+
+
+def test_committed_covid_csv_is_the_synthetic_epidemic():
+    lines = COVID_DAILY.read_text().splitlines()
+    assert lines[0] == "date,new_cases"
+    assert lines[1].startswith("2020-03-01,")
+    counts = [int(line.split(",")[1]) for line in lines[1:]]
+    assert counts == synthetic_daily_counts(130).tolist()
+
+
+def test_getters_reject_non_finite_numbers():
+    entries = {"x": "nan", "xs": "1,inf,2", "ok": "1e308"}
+    with pytest.raises(ConfigError, match="^x=nan: x must be finite$"):
+        get_float(entries, "x")
+    with pytest.raises(ConfigError, match="^xs=1,inf,2: xs must be finite$"):
+        get_floats(entries, "xs")
+    assert get_float(entries, "ok") == 1e308
+    # a default is returned as given
+    assert get_float(entries, "absent", math.inf) == math.inf
+
+
+SWEEP_CONF = (
+    "model.name=sir\n"
+    "model.population=1.0\n"
+    "sim.t_end=20\n"
+    "sim.step=1\n"
+    "sim.x0=0.9999,0.0001,0.0\n"
+    "sweep.domain=0,0.5,0,0.3\n"
+    "sweep.samples=2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, body, key",
+    [
+        ("sweep", SWEEP_CONF.replace("0,0.5,0,0.3", "0,nan,0,0.3"), "sweep.domain"),
+        ("sweep", SWEEP_CONF.replace("0,0.5,0,0.3", "0,inf,0,0.3"), "sweep.domain"),
+        ("covid", "model.population=inf\ncovid.gamma=0.072\n", "model.population"),
+        ("simulate", SIR_CONF.replace("0.9999,0.0001", "0.9999,nan"), "sim.x0"),
+        ("simulate", SIR_CONF.replace("omega=0.5", "omega=nan"), "schedule.omega"),
+        ("simulate", SINUSOIDAL_CONF.replace("mean=0.4", "mean=nan"), "schedule.mean"),
+        ("simulate", SIR_CONF + "noise.epsilon=nan\n", "noise.epsilon"),
+        ("simulate", SIR_CONF.replace("population=1.0", "population=inf"), "model.population"),
+        ("sweep", SWEEP_CONF.replace("population=1.0", "population=inf"), "model.population"),
+    ],
+    ids=[
+        "sweep-domain-nan",
+        "sweep-domain-inf",
+        "covid-population-inf",
+        "simulate-x0-nan",
+        "simulate-omega-nan",
+        "simulate-mean-nan",
+        "simulate-epsilon-nan",
+        "simulate-population-inf",
+        "sweep-population-inf",
+    ],
+)
+def test_exit_code_for_non_finite_config_numbers(tmp_path, capsys, command, body, key):
+    conf = write(tmp_path / "run.conf", body)
+    args = [command, "--config", conf, "--out", str(tmp_path / "out")]
+    if command == "covid":
+        args += ["--data", str(COVID_DAILY)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_ignores_schedule_keys(tmp_path):
+    # simulate_draws replaces the schedule with each draw's parameters
+    plain = write(tmp_path / "plain.conf", SWEEP_CONF)
+    scheduled = write(
+        tmp_path / "scheduled.conf",
+        SWEEP_CONF + "schedule.type=sinusoidal\nschedule.omega=0.5\n",
+    )
+    for conf, out in ((plain, "a"), (scheduled, "b")):
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / out)]) == 0
+    for name in ("draws.csv", "fractions.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("population", ["0", "-5700000"])
+def test_exit_code_for_non_positive_covid_population(tmp_path, capsys, population):
+    # the model is built before the case counts are read into compartments
+    conf = write(tmp_path / "covid.conf", f"model.population={population}\n")
+    args = ["covid", "--config", conf, "--data", str(COVID_DAILY)]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "model.population" in err
+    assert "must be finite and positive" in err
+
+
+def test_exit_code_for_reversed_estimate_window(tmp_path, capsys):
+    conf = write(tmp_path / "sir.conf", SIR_CONF)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", conf, "--out", str(out)]) == 0
+    data = str(out / "trajectory.csv")
+    reversed_window = write(
+        tmp_path / "reversed.conf",
+        SIR_CONF.replace("estimate.start=0", "estimate.start=30").replace(
+            "estimate.stop=49", "estimate.stop=20"
+        ),
+    )
+    args = ["estimate", "--config", reversed_window, "--data", data]
+    assert main(args + ["--out", str(tmp_path / "fit")]) == 2
+    err = capsys.readouterr().err
+    assert "estimate.stop=20" in err
+    assert "estimate.start=30" in err

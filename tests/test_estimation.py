@@ -438,6 +438,15 @@ def test_sweep_spec_validation():
         SweepSpec(((0.1, 0.5),), 0, ParameterPartition.all_unknown(1))
 
 
+@pytest.mark.parametrize(
+    "interval", [(0.0, np.inf), (0.0, np.nan), (-np.inf, 1.0), (np.nan, np.nan)]
+)
+def test_sweep_spec_rejects_non_finite_bounds(interval):
+    # uniform draws on such an interval overflow or are NaN
+    with pytest.raises(ValueError, match="not finite"):
+        SweepSpec((interval,), 3, ParameterPartition.all_unknown(1))
+
+
 def _per_draw_reference(model, spec, config, derivative, with_normalized):
     """Sweep errors by one simulate and estimate_constant call per draw."""
     unknown = list(spec.fixed.unknown_indices)

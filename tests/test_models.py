@@ -17,6 +17,7 @@ from artifact import (
 from artifact import ParameterLinearModel
 from artifact.models import (
     build_matrices,
+    check_population,
     lotka_volterra_matrix,
     s3i3r_matrix,
     sir_matrix,
@@ -280,3 +281,20 @@ def test_wrongly_shaped_builder_is_rejected():
     model = ParameterLinearModel("bad", ("x",), ("a",), lambda state, t: np.eye(2))
     with pytest.raises(ShapeMismatch):
         build_matrices(model, np.ones((3, 1)), 0.0)
+
+
+@pytest.mark.parametrize("population", [0.0, -2.0, np.inf, -np.inf, np.nan])
+def test_population_must_be_finite_and_positive(population):
+    with pytest.raises(NonPositivePopulation, match="finite and positive"):
+        check_population(population)
+    # every site that takes a population uses the one check
+    for call in (
+        lambda: sir(population),
+        lambda: s3i3r(population),
+        lambda: sir_matrix(np.ones(3), population),
+        lambda: s3i3r_matrix(np.ones(7), population),
+    ):
+        with pytest.raises(NonPositivePopulation):
+            call()
+    check_population(5.7e6)
+    check_population(1)
