@@ -18,7 +18,9 @@ x_{i+1} - x_{i-1} = integral of A(x; t) omega over [t_{i-1}, t_{i+1}],
 divided by the span. The right-hand side is the central difference; the
 matrix is the Simpson-weighted mean of A at samples i-1, i and i+1, with
 weights (1, 4, 1)/6 on a uniform grid and the general three-point Simpson
-weights otherwise. Endpoints are dropped.
+weights otherwise. Endpoints are dropped. The weights are applied to the
+model's (m, F) features, which are then multiplied by its coefficient table
+once (models.py).
 "full": derivative at every sample of the formulated span (full_diff:
 central inside, first-order one-sided at the two span ends), paired with A
 at that sample. The published constant-recovery numbers for the epidemic
@@ -45,7 +47,12 @@ from .errors import (
     UnderDetermined,
 )
 from .integrator import SimulationConfig, simulate_draws, time_grid
-from .models import ParameterLinearModel, build_matrices
+from .models import (
+    ParameterLinearModel,
+    build_matrices,
+    check_features,
+    matrices_from_features,
+)
 from .regression import (
     ParameterEstimate,
     ParameterPartition,
@@ -134,29 +141,33 @@ def _formulate(model: ParameterLinearModel, times, states, derivative: str):
     """Per-sample regression blocks of one series: matrices (m, d, k), rhs (m, d).
 
     "interior" gives the m = n - 2 blocks of samples 1..n-2, each built from
-    its own three samples only; "full" gives one block per sample.
+    its own three samples only; "full" gives one block per sample. Both
+    weight the model's features and multiply by its table once.
     """
     if states.shape[-1] != model.n_states:
         raise ShapeMismatch(
             f"series has {states.shape[-1]} states, model {model.name} wants {model.n_states}"
         )
+    features, coefficients = model.library()
+    values = features(states, times)
+    check_features(model, values, states, len(coefficients))
     if derivative == "interior":
         if len(times) < 3:
             raise TooFewPoints("series too short for any interior window")
         h1 = times[1:-1] - times[:-2]
         h2 = times[2:] - times[1:-1]
         span = times[2:] - times[:-2]
-        built = build_matrices(model, states, times)
         # three-point Simpson rule over [t_{i-1}, t_{i+1}], divided by its span
-        matrices = (
-            (2.0 - h2 / h1)[:, None, None] * built[:-2]
-            + (span * span / (h1 * h2))[:, None, None] * built[1:-1]
-            + (2.0 - h1 / h2)[:, None, None] * built[2:]
+        weighted = (
+            (2.0 - h2 / h1)[:, None] * values[:-2]
+            + (span * span / (h1 * h2))[:, None] * values[1:-1]
+            + (2.0 - h1 / h2)[:, None] * values[2:]
         ) / 6.0
+        matrices = matrices_from_features(weighted, coefficients)
         return matrices, (states[2:] - states[:-2]) / span[:, None]
     if derivative == "full":
         rhs = full_diff(TimeSeries(times, states)).states
-        return build_matrices(model, states, times), rhs
+        return matrices_from_features(values, coefficients), rhs
     raise ValueError(f"unknown derivative mode {derivative!r}")
 
 

@@ -4,25 +4,37 @@ The step size doubles as the output sampling interval: every solver step is
 stored. Parameter schedules are evaluated once at the start of each step and
 held constant through the four stages. States are never clipped; a step
 fails with NonFiniteState when it produces NaN or Inf, or with whatever
-error the model's builder raises.
+error the model's features or builder raise.
 
-simulate and simulate_draws share one RK4 loop driven by omega_at(t):
-simulate is its one-draw case, stepped as one state through
-model.build_matrix; a batch of draws takes one build_matrices call per
-stage, and a failing draw stops alone. Builder shapes and the parameter
-width are checked once, on the initial state, before the first step.
+Every stage evaluates the one right-hand-side form of models.py:
+features(x, t) @ M with M = coefficients . omega. M is computed once per
+run for constant parameters (per draw for a batch of draws) and once per
+step under any other schedule, so no system matrix is built inside the
+loop. A model without declared features runs through the same code with its
+flattened matrices and the identity table.
+
+simulate and simulate_draws share one RK4 loop: simulate is its one-draw
+case, stepped as one state; a batch of draws takes one features call per
+stage, and a failing draw stops alone. The features' shape and the
+parameter width are checked once, on the initial state, before the first
+step.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .differentiation import TimeSeries
 from .errors import EstimationError, NonFiniteState, ShapeMismatch
-from .models import ParameterLinearModel, build_matrices, check_parameters
+from .models import (
+    ParameterLinearModel,
+    check_features,
+    check_parameters,
+    parameter_table,
+    rates,
+)
 
 
 class ConstantSchedule:
@@ -107,18 +119,17 @@ class SimulationConfig:
         )
 
 
-def _rk4(build, state, t, omega, h):
-    """Classical RK4 update of states (..., n) under parameters (..., k).
+def _rk4(features, state, t, table, h):
+    """Classical RK4 update of states (..., n) under parameter tables (..., F, n).
 
-    build(states, t) returns the matrices (..., n, k); omega is held fixed
-    across the stages.
+    features(states, t) returns (..., F); the table is held fixed across the
+    stages.
     """
-    column = omega[..., None]
     half = t + 0.5 * h
-    k1 = (build(state, t) @ column)[..., 0]
-    k2 = (build(state + 0.5 * h * k1, half) @ column)[..., 0]
-    k3 = (build(state + 0.5 * h * k2, half) @ column)[..., 0]
-    k4 = (build(state + h * k3, t + h) @ column)[..., 0]
+    k1 = rates(features(state, t), table)
+    k2 = rates(features(state + 0.5 * h * k1, half), table)
+    k3 = rates(features(state + 0.5 * h * k2, half), table)
+    k4 = rates(features(state + h * k3, t + h), table)
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -126,10 +137,12 @@ def erk4_step(
     model: ParameterLinearModel, state: np.ndarray, t: float, omega, h: float
 ) -> np.ndarray:
     """One classical RK4 update of one state with omega held fixed across the stages."""
-    if h <= 0:
-        raise ValueError("step must be positive")
-    build = functools.partial(build_matrices, model)
-    new_state = _rk4(build, state, t, check_parameters(model, omega), h)
+    if not 0 < h < np.inf:
+        raise ValueError("step must be finite and positive")
+    features, coefficients = model.library()
+    check_features(model, features(state, t), state, len(coefficients))
+    table = parameter_table(coefficients, check_parameters(model, omega))
+    new_state = _rk4(features, state, t, table, h)
     if not np.all(np.isfinite(new_state)):
         raise NonFiniteState(f"non-finite state after step from t={t}")
     return new_state
@@ -141,10 +154,11 @@ def time_grid(config: SimulationConfig) -> np.ndarray:
     return config.t0 + config.step * np.arange(n_steps + 1)
 
 
-def _integrate(model, config, omega_at, draws):
+def _integrate(model, config, omega, draws):
     """The one RK4 loop: (times, states, failures) as simulate_draws documents.
 
-    omega_at(t) gives (n_params,) for one draw, else (draws, n_params).
+    omega is a constant (n_params,) vector, a constant (draws, n_params)
+    array, or a schedule's omega_at(t) for one draw, read at every step.
     """
     x = config.initial_state
     if x.shape != (model.n_states,):
@@ -154,30 +168,42 @@ def _integrate(model, config, omega_at, draws):
     times, h = time_grid(config), config.step
     states = np.empty((draws, len(times), model.n_states))
     states[:, 0] = x
-    build = model.build_matrix
     if draws > 1:
-        x, build = states[:, 0].copy(), functools.partial(build_matrices, model)
-    # a wrong matrix or parameter shape would broadcast in the stages: it
+        x = states[:, 0].copy()
+    features, coefficients = model.library()
+    # a wrong features or parameter shape would broadcast in the stages: it
     # fails every draw (simulate_draws checks its own parameters)
-    build_matrices(model, x, times[0])
-    if draws == 1:
-        check_parameters(model, omega_at(times[0]))
+    check_features(model, features(x, times[0]), x, len(coefficients))
+    if callable(omega):  # a schedule: one table per step, from a checked omega
+
+        def table_at(t):
+            return parameter_table(coefficients, check_parameters(model, omega(t)))
+
+    else:
+        table = parameter_table(
+            coefficients, check_parameters(model, omega) if draws == 1 else omega
+        )
+
+        def table_at(t):
+            return table
+
     failures = {}
     active, rows = np.arange(draws), slice(None)  # the draws still stepping
     # a dying draw may overflow; its rows are checked after each step
     with np.errstate(all="ignore"):
         for i in range(len(times) - 1):
             t = times[i]
-            omega = np.asarray(omega_at(t), dtype=float)[rows]
+            step_table = table_at(t)[rows]
             try:
-                x = _rk4(build, x, t, omega, h)
+                x = _rk4(features, x, t, step_table, h)
             except EstimationError:
                 # find the draws that raised by stepping each one alone
-                x, omega = x.reshape(len(active), -1), omega.reshape(len(active), -1)
+                x = x.reshape(len(active), -1)
+                step_table = step_table.reshape((len(active),) + step_table.shape[-2:])
                 stepped = np.full_like(x, np.nan)
                 for row in range(len(x)):
                     try:
-                        stepped[row] = _rk4(model.build_matrix, x[row], t, omega[row], h)
+                        stepped[row] = _rk4(features, x[row], t, step_table[row], h)
                     except EstimationError as exc:
                         failures[int(active[row])] = exc
                 x = stepped
@@ -196,7 +222,9 @@ def _integrate(model, config, omega_at, draws):
 
 def simulate(model: ParameterLinearModel, config: SimulationConfig) -> TimeSeries:
     """Integrate from t0 to t_end inclusive (within half-step tolerance)."""
-    times, states, failures = _integrate(model, config, config.schedule.omega_at, 1)
+    schedule = config.schedule
+    omega = schedule.omega if isinstance(schedule, ConstantSchedule) else schedule.omega_at
+    times, states, failures = _integrate(model, config, omega, 1)
     if failures:
         raise failures[0]
     return TimeSeries(times, states[0])
@@ -222,4 +250,4 @@ def simulate_draws(model: ParameterLinearModel, config: SimulationConfig, omegas
             f"expected omegas of shape (draws, {model.n_params}), got {omegas.shape}"
         )
     omega = omegas[0] if len(omegas) == 1 else omegas
-    return _integrate(model, config, lambda t: omega, len(omegas))
+    return _integrate(model, config, omega, len(omegas))

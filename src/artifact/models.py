@@ -10,21 +10,35 @@ to linear regression on stacked A blocks. Built-ins:
   vaccination and death flows, parameters
   (beta, gamma1, gamma2, gamma3, tau, theta, phi1, phi2)
 
-The epidemic matrices have zero column sums by construction, so the total
-population is conserved for any parameter vector.
+Every built-in A(x) is a signed copy of a few state features:
+A[..., i, j] = sum over f of features[..., f] * coefficients[f, i, j], with a
+constant table of entries in {-1, 0, 1} (the Theta(x) Xi factorization of
+SINDy, with Xi known instead of fitted). Lotka-Volterra has 3 features
+(x, x*y, y), SIR 2 (S*I/N, I) and S3I3R 8 (S*I1/N, S/V, I1/V, R1/V, I1, I2,
+I3, 1) with V = S + I1 + R1. Each A entry is one signed feature, so the
+product is exact. The epidemic tables sum to zero over the state axis,
+except in the vaccination column, where S/V + I1/V + R1/V = 1 balances the
+constant feature; so the total population is conserved for any parameter
+vector.
 
-Batched contract: a model declared batched=True has a build_matrix(states,
+Matrix contract: a model declared batched=True has a build_matrix(states,
 t) that maps states of shape (..., n_states) to matrices of shape
 (..., n_states, n_params), one matrix per state along the leading axes; a
 single state is the case with no leading axes. The built-in builders are
 declared batched. An undeclared builder takes one state at a time, and
 build_matrices calls it once per state.
+
+Right-hand-side contract: model.library() gives (features(states, t),
+coefficients), the one form the integrator and the estimators use. A model
+that declares features gets them back with its table; any other model gets
+its flattened matrices, features = A(x; t) reshaped to (..., n_states *
+n_params), with the identity as its table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -45,6 +59,13 @@ class ParameterLinearModel:
     also takes states of shape (..., n_states) and t as a float or an array
     matching the leading axes, and returns matrices of shape
     (..., n_states, n_params). Undeclared builders are called once per state.
+
+    features and coefficients, given together, declare A as a feature
+    library times a constant table: features(states, t) maps states of shape
+    (..., n_states) to (..., F), with t as for a batched builder, and
+    coefficients has shape (F, n_states, n_params). The table's shape is
+    checked here, once; the integrator and the estimators then use the
+    features instead of build_matrix.
     """
 
     name: str
@@ -53,6 +74,24 @@ class ParameterLinearModel:
     build_matrix: Callable[[np.ndarray, float | np.ndarray], np.ndarray]
     population: float | None = None
     batched: bool = False
+    features: Callable[[np.ndarray, float | np.ndarray], np.ndarray] | None = None
+    coefficients: np.ndarray | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if (self.features is None) != (self.coefficients is None):
+            raise ShapeMismatch(
+                f"model {self.name} must declare features and coefficients together"
+            )
+        if self.coefficients is None:
+            return
+        table = np.array(self.coefficients, dtype=float)
+        if table.ndim != 3 or table.shape[1:] != (self.n_states, self.n_params):
+            raise ShapeMismatch(
+                f"model {self.name} has a coefficient table of shape {table.shape}, "
+                f"expected (features, {self.n_states}, {self.n_params})"
+            )
+        table.setflags(write=False)
+        object.__setattr__(self, "coefficients", table)
 
     @property
     def n_states(self) -> int:
@@ -70,6 +109,22 @@ class ParameterLinearModel:
                 f"model {self.name} has no parameter {name!r}"
             ) from None
 
+    def library(self):
+        """(features(states, t), coefficients): the one right-hand-side form.
+
+        A model without declared features gives its flattened matrices,
+        (..., n_states * n_params) from build_matrices, and the identity table.
+        """
+        if self.features is not None:
+            return self.features, self.coefficients
+        size = self.n_states * self.n_params
+
+        def flattened(states, t):
+            matrices = build_matrices(self, states, t)
+            return matrices.reshape(matrices.shape[:-2] + (size,))
+
+        return flattened, np.eye(size).reshape(size, self.n_states, self.n_params)
+
 
 def _as_states(states, expected: int) -> np.ndarray:
     states = np.asarray(states, dtype=float)
@@ -80,39 +135,170 @@ def _as_states(states, expected: int) -> np.ndarray:
     return states
 
 
+def _flow_table(features, states, parameters, flows) -> np.ndarray:
+    """Read-only (F, n_states, n_params) table of sign entries, from named flows.
+
+    Each flow (feature, parameter, source, target) moves feature * parameter
+    out of the source state and into the target state; None is outside the
+    system.
+    """
+    table = np.zeros((len(features), len(states), len(parameters)))
+    for feature, parameter, source, target in flows:
+        f, p = features.index(feature), parameters.index(parameter)
+        if source is not None:
+            table[f, states.index(source), p] = -1.0
+        if target is not None:
+            table[f, states.index(target), p] = 1.0
+    table.setflags(write=False)
+    return table
+
+
+def matrices_from_features(features, coefficients) -> np.ndarray:
+    """A = features (..., F) times the table (F, n, k), shaped (..., n, k)."""
+    flat = coefficients.reshape(len(coefficients), -1)
+    return (features @ flat).reshape(np.shape(features)[:-1] + coefficients.shape[1:])
+
+
+def parameter_table(coefficients, omega) -> np.ndarray:
+    """M = coefficients . omega, shaped (..., F, n) for omega of shape (..., k).
+
+    Every omega goes through the same matrix-vector product, so a batch of
+    parameter vectors gives each one's table bit for bit.
+    """
+    count, n_states, n_params = coefficients.shape
+    product = coefficients.reshape(count * n_states, n_params) @ omega[..., None]
+    return product.reshape(omega.shape[:-1] + (count, n_states))
+
+
+def rates(features, table) -> np.ndarray:
+    """dx/dt = features (..., F) times M (..., F, n), shaped (..., n).
+
+    einsum rounds each product before adding them in feature order, for
+    one state and a batch alike. A BLAS product (matmul) fuses
+    multiply-adds instead, which moves the last bits of rates such as
+    Lotka-Volterra's x*alpha - x*y*beta that the sweep tests pin.
+    """
+    return np.einsum("...f,...fn->...n", features, table)
+
+
+def check_features(model: ParameterLinearModel, features, states, count: int) -> None:
+    """ShapeMismatch unless features has shape states.shape[:-1] + (count,)."""
+    expected = np.shape(states)[:-1] + (count,)
+    if np.shape(features) != expected:
+        raise ShapeMismatch(
+            f"model {model.name} built features of shape {np.shape(features)}, "
+            f"expected {expected}"
+        )
+
+
+LOTKA_VOLTERRA_STATES = ("prey", "predator")
+LOTKA_VOLTERRA_PARAMETERS = ("alpha", "beta", "gamma", "delta")
+LOTKA_VOLTERRA_FEATURES = ("x", "x*y", "y")
+LOTKA_VOLTERRA_COEFFICIENTS = _flow_table(
+    LOTKA_VOLTERRA_FEATURES,
+    LOTKA_VOLTERRA_STATES,
+    LOTKA_VOLTERRA_PARAMETERS,
+    [
+        ("x", "alpha", None, "prey"),
+        ("x*y", "beta", "prey", None),
+        ("y", "gamma", "predator", None),
+        ("x*y", "delta", None, "predator"),
+    ],
+)
+
+SIR_STATES = ("S", "I", "R")
+SIR_PARAMETERS = ("beta", "gamma")
+SIR_FEATURES = ("S*I/N", "I")
+SIR_COEFFICIENTS = _flow_table(
+    SIR_FEATURES,
+    SIR_STATES,
+    SIR_PARAMETERS,
+    [("S*I/N", "beta", "S", "I"), ("I", "gamma", "I", "R")],
+)
+
+S3I3R_STATES = ("S", "I1", "I2", "I3", "R1", "R2", "R3")
+S3I3R_PARAMETERS = ("beta", "gamma1", "gamma2", "gamma3", "tau", "theta", "phi1", "phi2")
+S3I3R_FEATURES = ("S*I1/N", "S/V", "I1/V", "R1/V", "I1", "I2", "I3", "1")
+# vaccination (tau) takes each of S, I1 and R1 in proportion to its share of
+# V = S + I1 + R1 and adds their sum, tau * 1, to R2
+S3I3R_COEFFICIENTS = _flow_table(
+    S3I3R_FEATURES,
+    S3I3R_STATES,
+    S3I3R_PARAMETERS,
+    [
+        ("S*I1/N", "beta", "S", "I1"),
+        ("I1", "gamma1", "I1", "R1"),
+        ("I2", "gamma2", "I2", "R1"),
+        ("I3", "gamma3", "I3", "R1"),
+        ("S/V", "tau", "S", None),
+        ("I1/V", "tau", "I1", None),
+        ("R1/V", "tau", "R1", None),
+        ("1", "tau", None, "R2"),
+        ("I3", "theta", "I3", "R3"),
+        ("I1", "phi1", "I1", "I2"),
+        ("I2", "phi2", "I2", "I3"),
+    ],
+)
+
+
+def lotka_volterra_features(states) -> np.ndarray:
+    """(..., 3) features (x, x*y, y) for prey x and predator y."""
+    states = _as_states(states, 2)
+    features = np.empty(states.shape[:-1] + (3,))
+    features[..., 0::2] = states
+    features[..., 1] = states[..., 0] * states[..., 1]
+    return features
+
+
 def lotka_volterra_matrix(states) -> np.ndarray:
     """(..., 2, 4) system matrices for prey x and predator y."""
-    states = _as_states(states, 2)
-    x, y = states[..., 0], states[..., 1]
-    a = np.zeros(states.shape[:-1] + (2, 4))
-    a[..., 0, 0] = x
-    a[..., 0, 1] = -x * y
-    a[..., 1, 2] = -y
-    a[..., 1, 3] = x * y
-    return a
+    return matrices_from_features(lotka_volterra_features(states), LOTKA_VOLTERRA_COEFFICIENTS)
 
 
 def check_population(population: float) -> None:
     """NonPositivePopulation unless 0 < population < inf (NaN fails too).
 
-    A float comparison, no numpy: the matrix builders run once per RK4 stage.
+    A float comparison, no numpy: the feature functions run once per RK4 stage.
     """
     if not 0.0 < population < math.inf:
         raise NonPositivePopulation(f"population {population} must be finite and positive")
 
 
-def sir_matrix(states, population: float) -> np.ndarray:
-    """(..., 3, 2) system matrices; columns (beta, gamma) each sum to zero."""
+def sir_features(states, population: float) -> np.ndarray:
+    """(..., 2) features (S*I/N, I)."""
     check_population(population)
     states = _as_states(states, 3)
-    s, i = states[..., 0], states[..., 1]
-    si = s * i / population
-    a = np.zeros(states.shape[:-1] + (3, 2))
-    a[..., 0, 0] = -si
-    a[..., 1, 0] = si
-    a[..., 1, 1] = -i
-    a[..., 2, 1] = i
-    return a
+    features = np.empty(states.shape[:-1] + (2,))
+    features[..., 0] = states[..., 0] * states[..., 1] / population
+    features[..., 1] = states[..., 1]
+    return features
+
+
+def sir_matrix(states, population: float) -> np.ndarray:
+    """(..., 3, 2) system matrices; columns (beta, gamma) each sum to zero."""
+    return matrices_from_features(sir_features(states, population), SIR_COEFFICIENTS)
+
+
+_POOL_STATES = np.array([0, 1, 4])  # S, I1 and R1, the terms of V
+
+
+def s3i3r_features(states, population: float) -> np.ndarray:
+    """(..., 8) features (S*I1/N, S/V, I1/V, R1/V, I1, I2, I3, 1), V = S + I1 + R1.
+
+    Raises DegenerateDenominator when V is zero for any state.
+    """
+    check_population(population)
+    states = _as_states(states, 7)
+    s, i1, r1 = states[..., 0], states[..., 1], states[..., 4]
+    pool = s + i1 + r1
+    if np.count_nonzero(pool) < pool.size:  # pool.all(), without its Python wrapper
+        raise DegenerateDenominator("vaccinatable pool S + I1 + R1 is zero")
+    features = np.empty(states.shape[:-1] + (8,))
+    features[..., 0] = s * i1 / population
+    np.divide(states[..., _POOL_STATES], pool[..., None], out=features[..., 1:4])
+    features[..., 4:7] = states[..., 1:4]
+    features[..., 7] = 1.0
+    return features
 
 
 def s3i3r_matrix(states, population: float) -> np.ndarray:
@@ -122,33 +308,7 @@ def s3i3r_matrix(states, population: float) -> np.ndarray:
     proportion to their share of the vaccinatable pool V = S + I1 + R1, and
     into R2 at unit rate, so the column sums to zero like all others.
     """
-    check_population(population)
-    states = _as_states(states, 7)
-    s, i1, i2, i3, r1 = (states[..., k] for k in range(5))
-    pool = s + i1 + r1
-    if not pool.all():
-        raise DegenerateDenominator("vaccinatable pool S + I1 + R1 is zero")
-    si = s * i1 / population
-    a = np.zeros(states.shape[:-1] + (7, 8))
-    a[..., 0, 0] = -si
-    a[..., 0, 4] = -s / pool
-    a[..., 1, 0] = si
-    a[..., 1, 1] = -i1
-    a[..., 1, 4] = -i1 / pool
-    a[..., 1, 6] = -i1
-    a[..., 2, 2] = -i2
-    a[..., 2, 6] = i1
-    a[..., 2, 7] = -i2
-    a[..., 3, 3] = -i3
-    a[..., 3, 5] = -i3
-    a[..., 3, 7] = i2
-    a[..., 4, 1] = i1
-    a[..., 4, 2] = i2
-    a[..., 4, 3] = i3
-    a[..., 4, 4] = -r1 / pool
-    a[..., 5, 4] = 1.0
-    a[..., 6, 5] = i3
-    return a
+    return matrices_from_features(s3i3r_features(states, population), S3I3R_COEFFICIENTS)
 
 
 def build_matrices(model: ParameterLinearModel, states, t) -> np.ndarray:
@@ -197,17 +357,22 @@ def check_parameters(model: ParameterLinearModel, omega) -> np.ndarray:
 
 
 def eval_rhs(model: ParameterLinearModel, state, omega, t: float = 0.0) -> np.ndarray:
-    """Right-hand side A(x; t) @ omega."""
-    return build_matrices(model, state, t) @ check_parameters(model, omega)
+    """Right-hand side A(x; t) @ omega, as features(x; t) @ (coefficients . omega)."""
+    features, coefficients = model.library()
+    values = features(state, t)
+    check_features(model, values, state, len(coefficients))
+    return rates(values, parameter_table(coefficients, check_parameters(model, omega)))
 
 
 def lotka_volterra() -> ParameterLinearModel:
     return ParameterLinearModel(
         name="lotka_volterra",
-        state_names=("prey", "predator"),
-        parameter_names=("alpha", "beta", "gamma", "delta"),
+        state_names=LOTKA_VOLTERRA_STATES,
+        parameter_names=LOTKA_VOLTERRA_PARAMETERS,
         build_matrix=lambda state, t: lotka_volterra_matrix(state),
         batched=True,
+        features=lambda states, t: lotka_volterra_features(states),
+        coefficients=LOTKA_VOLTERRA_COEFFICIENTS,
     )
 
 
@@ -215,11 +380,13 @@ def sir(population: float) -> ParameterLinearModel:
     check_population(population)
     return ParameterLinearModel(
         name="sir",
-        state_names=("S", "I", "R"),
-        parameter_names=("beta", "gamma"),
+        state_names=SIR_STATES,
+        parameter_names=SIR_PARAMETERS,
         build_matrix=lambda state, t: sir_matrix(state, population),
         batched=True,
         population=population,
+        features=lambda states, t: sir_features(states, population),
+        coefficients=SIR_COEFFICIENTS,
     )
 
 
@@ -227,20 +394,13 @@ def s3i3r(population: float) -> ParameterLinearModel:
     check_population(population)
     return ParameterLinearModel(
         name="s3i3r",
-        state_names=("S", "I1", "I2", "I3", "R1", "R2", "R3"),
-        parameter_names=(
-            "beta",
-            "gamma1",
-            "gamma2",
-            "gamma3",
-            "tau",
-            "theta",
-            "phi1",
-            "phi2",
-        ),
+        state_names=S3I3R_STATES,
+        parameter_names=S3I3R_PARAMETERS,
         build_matrix=lambda state, t: s3i3r_matrix(state, population),
         batched=True,
         population=population,
+        features=lambda states, t: s3i3r_features(states, population),
+        coefficients=S3I3R_COEFFICIENTS,
     )
 
 

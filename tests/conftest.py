@@ -56,6 +56,57 @@ def synthetic_daily_counts(n_days, population=5.7e6, i0=3e4):
     return np.diff(np.concatenate([[0], cumulative]))
 
 
+def _item_assigned_matrices(name, states, population=None):
+    """A(x) built one entry at a time, as the built-ins did before their tables."""
+    states = np.asarray(states, dtype=float)
+    if name == "lotka_volterra":
+        x, y = states[..., 0], states[..., 1]
+        a = np.zeros(states.shape[:-1] + (2, 4))
+        a[..., 0, 0] = x
+        a[..., 0, 1] = -x * y
+        a[..., 1, 2] = -y
+        a[..., 1, 3] = x * y
+        return a
+    if name == "sir":
+        s, i = states[..., 0], states[..., 1]
+        si = s * i / population
+        a = np.zeros(states.shape[:-1] + (3, 2))
+        a[..., 0, 0] = -si
+        a[..., 1, 0] = si
+        a[..., 1, 1] = -i
+        a[..., 2, 1] = i
+        return a
+    s, i1, i2, i3, r1 = (states[..., k] for k in range(5))
+    pool = s + i1 + r1
+    si = s * i1 / population
+    a = np.zeros(states.shape[:-1] + (7, 8))
+    a[..., 0, 0] = -si
+    a[..., 0, 4] = -s / pool
+    a[..., 1, 0] = si
+    a[..., 1, 1] = -i1
+    a[..., 1, 4] = -i1 / pool
+    a[..., 1, 6] = -i1
+    a[..., 2, 2] = -i2
+    a[..., 2, 6] = i1
+    a[..., 2, 7] = -i2
+    a[..., 3, 3] = -i3
+    a[..., 3, 5] = -i3
+    a[..., 3, 7] = i2
+    a[..., 4, 1] = i1
+    a[..., 4, 2] = i2
+    a[..., 4, 3] = i3
+    a[..., 4, 4] = -r1 / pool
+    a[..., 5, 4] = 1.0
+    a[..., 6, 5] = i3
+    return a
+
+
+@pytest.fixture(scope="session")
+def item_assigned_matrices():
+    """The entry-by-entry reference builder: (name, states, population) -> A."""
+    return _item_assigned_matrices
+
+
 @pytest.fixture()
 def who_csv(tmp_path):
     """100-day single-column WHO-style CSV of the synthetic epidemic."""

@@ -597,3 +597,35 @@ def test_sweep_blocks_do_not_change_results(monkeypatch):
     assert blocks.failure_counts == whole.failure_counts == {"NonFiniteState": 4}
     np.testing.assert_array_equal(blocks.max_errors, whole.max_errors)
     np.testing.assert_array_equal(blocks.mean_errors, whole.mean_errors)
+
+
+@pytest.mark.parametrize("name", ["lotka_volterra", "sir", "s3i3r"])
+def test_formulate_is_byte_identical_to_weighting_matrices(name, item_assigned_matrices):
+    # Simpson weights applied to the features before the table give the same
+    # bytes as weights applied to the matrices built entry by entry
+    if name == "lotka_volterra":
+        model, x0, population = lotka_volterra(), [1.0, 1.0], None
+    elif name == "sir":
+        model, x0, population = sir(5.7e6), [5.6e6, 1e5, 0.0], 5.7e6
+    else:
+        population = 5.6e6 + 1e5 + 1010.0
+        model, x0 = s3i3r(population), [5.6e6, 1e5, 1000.0, 10.0, 0.0, 0.0, 0.0]
+    omega = np.random.default_rng(17).uniform(0.05, 0.4, model.n_params)
+    config = SimulationConfig(0.0, 40.0, 0.5, np.array(x0), ConstantSchedule(omega))
+    series = simulate(model, config)
+    times, states = series.times, series.states
+    built = item_assigned_matrices(name, states, population)
+    h1, h2 = times[1:-1] - times[:-2], times[2:] - times[1:-1]
+    span = times[2:] - times[:-2]
+    expected = (
+        (2.0 - h2 / h1)[:, None, None] * built[:-2]
+        + (span * span / (h1 * h2))[:, None, None] * built[1:-1]
+        + (2.0 - h1 / h2)[:, None, None] * built[2:]
+    ) / 6.0
+    # the table product adds +0.0 terms, so an exact zero such as -R1/V at
+    # R1 = 0 comes out as +0.0 where the entry-by-entry builder gave -0.0;
+    # adding 0.0 maps both to +0.0 and leaves every other value's bytes alone
+    matrices, _ = estimation._formulate(model, times, states, "interior")
+    assert (matrices + 0.0).tobytes() == (expected + 0.0).tobytes()
+    matrices, _ = estimation._formulate(model, times, states, "full")
+    assert (matrices + 0.0).tobytes() == (built + 0.0).tobytes()

@@ -17,6 +17,7 @@ from artifact import (
     erk4_step,
     eval_rhs,
     lotka_volterra,
+    s3i3r,
     simulate,
     sir,
 )
@@ -281,3 +282,80 @@ def test_wrong_parameter_width_raises_shape_mismatch():
         config = SimulationConfig(0.0, 1.0, 0.1, x0, schedule)
         with pytest.raises(ShapeMismatch, match=message):
             simulate(sir(1.0), config)
+
+
+def clock_model():
+    # undeclared and time-dependent: dx/dt = a x + b t, one state at a time
+    return ParameterLinearModel(
+        "clock", ("x",), ("a", "b"), lambda state, t: np.array([[state[0], t]])
+    )
+
+
+def test_time_dependent_undeclared_builder_matches_hand_written_rk4():
+    a, b, h = -0.8, 0.3, 0.05
+    config = SimulationConfig(0.0, 2.0, h, np.array([1.5]), ConstantSchedule([a, b]))
+    trajectory = simulate(clock_model(), config)
+
+    def rate(x, t):
+        return a * x + b * t
+
+    x, expected = 1.5, [1.5]
+    for t in trajectory.times[:-1]:
+        k1 = rate(x, t)
+        k2 = rate(x + 0.5 * h * k1, t + 0.5 * h)
+        k3 = rate(x + 0.5 * h * k2, t + 0.5 * h)
+        k4 = rate(x + h * k3, t + h)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        expected.append(x)
+    np.testing.assert_allclose(trajectory.states[:, 0], expected, rtol=1e-14, atol=0.0)
+
+
+def test_time_dependent_undeclared_builder_draws_equal_simulate_bit_for_bit():
+    model = clock_model()
+    config = SimulationConfig(0.0, 2.0, 0.05, np.array([1.5]), ConstantSchedule([0.0, 0.0]))
+    omegas = np.random.default_rng(15).uniform(-1.0, 1.0, (4, 2))
+    times, states, failures = simulate_draws(model, config, omegas)
+    assert failures == {}
+    for omega, trajectory in zip(omegas, states):
+        one = simulate(
+            model, SimulationConfig(0.0, 2.0, 0.05, np.array([1.5]), ConstantSchedule(omega))
+        )
+        np.testing.assert_array_equal(trajectory, one.states)
+
+
+@pytest.mark.parametrize("name", ["lotka_volterra", "s3i3r"])
+def test_feature_models_draws_equal_simulate_bit_for_bit(name):
+    if name == "lotka_volterra":
+        model, x0 = lotka_volterra(), np.array([1.0, 1.0])
+    else:
+        model = s3i3r(1.0)
+        x0 = np.array([0.9, 0.05, 0.02, 0.01, 0.01, 0.005, 0.005])
+    config = SimulationConfig(0.0, 10.0, 0.1, x0, ConstantSchedule(np.zeros(model.n_params)))
+    omegas = np.random.default_rng(16).uniform(0.0, 0.5, (6, model.n_params))
+    times, states, failures = simulate_draws(model, config, omegas)
+    assert failures == {}
+    for omega, trajectory in zip(omegas, states):
+        one = simulate(
+            model,
+            SimulationConfig(0.0, 10.0, 0.1, x0, ConstantSchedule(omega)),
+        )
+        np.testing.assert_array_equal(trajectory, one.states)
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+def test_erk4_step_rejects_a_step_that_is_not_finite_and_positive(h):
+    # the step is at fault, not the state; no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            erk4_step(lotka_volterra(), np.array([1.0, 1.0]), 0.0, np.full(4, 0.5), h)
+
+
+def test_schedule_width_is_checked_at_every_step():
+    class Widening:
+        def omega_at(self, t):
+            return np.array([0.3, 0.1]) if t < 0.5 else np.array([0.3, 0.1, 0.2])
+
+    config = SimulationConfig(0.0, 1.0, 0.1, np.array([0.99, 0.01, 0.0]), Widening())
+    with pytest.raises(ShapeMismatch, match=r"expected 2 parameters, got shape \(3,\)"):
+        simulate(sir(1.0), config)

@@ -4,22 +4,33 @@ import numpy as np
 import pytest
 
 from artifact import (
+    ConstantSchedule,
     DegenerateDenominator,
     NonPositivePopulation,
     ShapeMismatch,
+    SimulationConfig,
+    erk4_step,
     eval_rhs,
     get_model,
     lotka_volterra,
     register_model,
     s3i3r,
+    simulate,
     sir,
 )
 from artifact import ParameterLinearModel
+from artifact.integrator import simulate_draws
 from artifact.models import (
+    LOTKA_VOLTERRA_COEFFICIENTS,
+    S3I3R_COEFFICIENTS,
+    SIR_COEFFICIENTS,
     build_matrices,
     check_population,
+    lotka_volterra_features,
     lotka_volterra_matrix,
+    s3i3r_features,
     s3i3r_matrix,
+    sir_features,
     sir_matrix,
 )
 
@@ -298,3 +309,134 @@ def test_population_must_be_finite_and_positive(population):
             call()
     check_population(5.7e6)
     check_population(1)
+
+
+# name: (features, matrix builder, table, number of states)
+TABLES = {
+    "lotka_volterra": (
+        lotka_volterra_features, lotka_volterra_matrix, LOTKA_VOLTERRA_COEFFICIENTS, 2
+    ),
+    "sir": (
+        lambda states: sir_features(states, 7.0),
+        lambda states: sir_matrix(states, 7.0),
+        SIR_COEFFICIENTS,
+        3,
+    ),
+    "s3i3r": (
+        lambda states: s3i3r_features(states, 7.0),
+        lambda states: s3i3r_matrix(states, 7.0),
+        S3I3R_COEFFICIENTS,
+        7,
+    ),
+}
+
+
+def _random_states(n_states, seed):
+    """Random batches, with every compartment but the first zero in some rows."""
+    states = np.random.default_rng(seed).uniform(0.0, 5.0, (2000, n_states))
+    states[::7, 1:] = 0.0
+    states[3::11, -1] = 0.0
+    return states
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_matrix_is_features_times_table(name, item_assigned_matrices):
+    features, build, table, n_states = TABLES[name]
+    population = None if name == "lotka_volterra" else 7.0
+    states = _random_states(n_states, 12)
+    product = np.einsum("...f,fnk->...nk", features(states), table)
+    assert np.array_equal(build(states), product)
+    # each entry is one signed feature, so the product is exact
+    assert np.array_equal(product, item_assigned_matrices(name, states, population))
+    for state in states[:20]:
+        assert np.array_equal(build(state), item_assigned_matrices(name, state, population))
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_table_entries_are_signs(name):
+    table = TABLES[name][2]
+    assert set(np.unique(table)) <= {-1.0, 0.0, 1.0}
+    assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["sir", "s3i3r"])
+def test_epidemic_tables_sum_to_zero_over_states(name):
+    # every flow leaves one compartment and enters another, so the total is
+    # conserved; the one exception is vaccination, which takes S/V, I1/V and
+    # R1/V out and puts the constant feature 1 = (S + I1 + R1)/V into R2
+    features, _, table, n_states = TABLES[name]
+    sums = table.sum(axis=1)
+    balanced = np.ones(table.shape[2], dtype=bool)
+    if name == "s3i3r":
+        tau = s3i3r(1.0).parameter_index("tau")
+        balanced[tau] = False
+        np.testing.assert_array_equal(sums[:, tau], [0, -1, -1, -1, 0, 0, 0, 1])
+        values = features(_random_states(n_states, 14) + 0.1)
+        np.testing.assert_allclose(values @ sums[:, tau], 0.0, atol=1e-15)
+    np.testing.assert_array_equal(sums[:, balanced], 0.0)
+
+
+def test_degenerate_pool_is_raised_by_the_features():
+    state = np.array([0.0, 0.0, 0.3, 0.2, 0.0, 0.4, 0.1])
+    model = s3i3r(1.0)
+    for call in (
+        lambda: s3i3r_features(state, 1.0),
+        lambda: s3i3r_features(np.stack([np.full(7, 0.1), state]), 1.0),
+        lambda: s3i3r_matrix(state, 1.0),
+        lambda: eval_rhs(model, state, np.full(8, 0.1)),
+    ):
+        with pytest.raises(DegenerateDenominator):
+            call()
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [np.zeros((2, 3)), np.zeros((2, 3, 3)), np.zeros((2, 2, 2)), np.zeros((2, 2, 3, 1))],
+)
+def test_wrong_table_shape_is_rejected_at_construction(coefficients):
+    with pytest.raises(ShapeMismatch, match="coefficient table of shape"):
+        ParameterLinearModel(
+            "bad", ("S", "I", "R"), ("beta", "gamma"), lambda states, t: None,
+            features=lambda states, t: sir_features(states, 1.0),
+            coefficients=coefficients,
+        )
+
+
+def test_features_and_table_come_together():
+    for declared in ({"features": lambda states, t: states}, {"coefficients": np.eye(1)[None]}):
+        with pytest.raises(ShapeMismatch, match="together"):
+            ParameterLinearModel("half", ("x",), ("a",), lambda state, t: None, **declared)
+
+
+def test_built_in_right_hand_sides_build_no_matrix():
+    # the features carry the right-hand side, so RK4 and eval_rhs never call
+    # a replaced builder
+    def refuse(states, t):
+        raise AssertionError("build_matrix called")
+
+    rng = np.random.default_rng(13)
+    for name in ("lotka_volterra", "sir", "s3i3r"):
+        model = get_model(name, None if name == "lotka_volterra" else 7.0)
+        traced = dataclasses.replace(model, build_matrix=refuse)
+        states = rng.uniform(0.1, 4.0, (5, model.n_states))
+        omega = rng.uniform(0.0, 1.0, model.n_params)
+        expected = np.einsum("dnk,k->dn", model.build_matrix(states, 0.0), omega)
+        np.testing.assert_allclose(eval_rhs(traced, states, omega), expected, rtol=1e-14)
+        config = SimulationConfig(0.0, 1.0, 0.1, states[0], ConstantSchedule(omega))
+        np.testing.assert_array_equal(
+            simulate(traced, config).states, simulate(model, config).states
+        )
+        simulate_draws(traced, config, np.stack([omega, omega / 2]))
+        erk4_step(traced, states[0], 0.0, omega, 0.1)
+
+
+def test_undeclared_model_library_is_the_flattened_matrix():
+    def build(state, t):
+        return np.array([[state[0], t]])
+
+    model = ParameterLinearModel("scalar", ("x",), ("a", "b"), build)
+    features, coefficients = model.library()
+    states = np.array([[1.0], [2.0]])
+    np.testing.assert_array_equal(features(states, 0.5), [[1.0, 0.5], [2.0, 0.5]])
+    np.testing.assert_array_equal(coefficients.reshape(2, 2), np.eye(2))
+    np.testing.assert_array_equal(eval_rhs(model, [2.0], [3.0, 4.0], t=0.5), [8.0])
