@@ -325,17 +325,17 @@ def cmd_estimate(args) -> list:
         _write_csv(
             os.path.join(out, "estimates.csv"),
             ["t", *header],
-            [
-                [t, *est.values, est.residual_norm, est.condition_estimate]
-                for t, est in results
-            ],
+            np.column_stack(
+                [results.times, results.values, results.residual_norms, results.conditions]
+            ),
         )
         summary["window"] = width
         summary["estimates"] = len(results)
+        summary["skipped_days"] = series.times[list(results.skipped)].tolist()
+        summary["widened"] = results.widened
         if truth is not None and results:
-            values = np.array([est.values for _, est in results])
             errors = relative_error_metrics(
-                np.broadcast_to(truth, values.shape), values
+                np.broadcast_to(truth, results.values.shape), results.values
             ).absolute_mean
             summary["mean_relative_errors"] = dict(zip(model.parameter_names, errors))
         notes = [f"mode=varying estimates={len(results)}"]
@@ -441,15 +441,17 @@ def cmd_covid(args) -> list:
     _write_csv(
         os.path.join(out, "beta.csv"),
         ["t", "beta", "residual_norm", "condition"],
-        [
-            [t, est.values[beta_index], est.residual_norm, est.condition_estimate]
-            for t, est in results
-        ],
+        np.column_stack(
+            [
+                results.times,
+                results.values[:, beta_index],
+                results.residual_norms,
+                results.conditions,
+            ]
+        ),
     )
-    first_day = results[0][0]
-    schedule = PiecewiseSchedule(
-        [t for t, _ in results], [est.values for _, est in results]
-    )
+    first_day = float(results.times[0])
+    schedule = PiecewiseSchedule(results.times, results.values)
     start_index = int(round(first_day))
     resim = simulate(
         model,
@@ -478,7 +480,12 @@ def cmd_covid(args) -> list:
             for t, d, r, e in zip(resim.times, data_infected, resim_infected, deviation)
         ],
     )
-    notes = [f"estimates={len(results)}", f"resim_rows={len(resim)}"]
+    notes = [
+        f"estimates={len(results)}",
+        f"skipped_days={series.times[list(results.skipped)].tolist()!r}",
+        f"widened={results.widened}",
+        f"resim_rows={len(resim)}",
+    ]
     if np.any(np.isfinite(deviation)):
         notes.append(f"resim_max_rel={float(np.nanmax(deviation))!r}")
         notes.append(f"resim_mean_rel={float(np.nanmean(deviation))!r}")

@@ -227,6 +227,51 @@ def estimate_constant(
     )
 
 
+@dataclass(frozen=True)
+class WindowedEstimates:
+    """Per-day estimates of estimate_time_varying, held as columns in day order.
+
+    times (d,), values (d, n_params), residual_norms (d,) and conditions (d,)
+    hold one row per estimated day; every row was solved with ridge_lambda.
+    skipped lists the indices of the days skipped as rank deficient, and
+    widened tells whether a width-1 fit was widened to 2. The result is also
+    a sequence: r[i] (negative i too) builds (t_i, ParameterEstimate) on
+    demand, iteration yields those pairs in day order, and a slice is a
+    WindowedEstimates of the sliced rows with the same skipped and widened.
+    """
+
+    times: np.ndarray = field(compare=False)
+    values: np.ndarray = field(compare=False)
+    residual_norms: np.ndarray = field(compare=False)
+    conditions: np.ndarray = field(compare=False)
+    ridge_lambda: float = 0.0
+    skipped: tuple = ()
+    widened: bool = False
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return replace(
+                self,
+                times=self.times[index],
+                values=self.values[index],
+                residual_norms=self.residual_norms[index],
+                conditions=self.conditions[index],
+            )
+        estimate = ParameterEstimate(
+            self.values[index],
+            float(self.residual_norms[index]),
+            float(self.conditions[index]),
+            self.ridge_lambda,
+        )
+        return float(self.times[index]), estimate
+
+    def __iter__(self):
+        return (self[row] for row in range(len(self)))
+
+
 def estimate_time_varying(
     model: ParameterLinearModel,
     series: TimeSeries,
@@ -234,7 +279,7 @@ def estimate_time_varying(
     partition: ParameterPartition | None = None,
     ridge_lambda: float = 0.0,
     normalize: bool = False,
-):
+) -> WindowedEstimates:
     """Per-day estimates over the preceding `window_width` days.
 
     The estimate for day i covers indices {i - d + 1 .. i}, trimmed to
@@ -244,10 +289,19 @@ def estimate_time_varying(
     retried once at width 2 (per-point systems of the seven-compartment
     model are degenerate by construction). Any other failure is raised at
     the first day it hits. The full-width windows are solved together by
-    regression.solve_batch, in calls of at most WINDOW_BLOCK_VALUES values.
+    regression.solve_batch, in calls of at most WINDOW_BLOCK_VALUES values,
+    and only the failed days are walked one by one. `window_width` must be
+    a Python or numpy integer (not a bool).
 
-    Returns a list of (t_i, ParameterEstimate) in day order.
+    Returns a WindowedEstimates: the estimated days' times, values,
+    residual norms and conditions as columns in day order, the skipped day
+    indices and whether the width was widened. Indexing it gives
+    (t_i, ParameterEstimate).
     """
+    if isinstance(window_width, (bool, np.bool_)) or not isinstance(
+        window_width, (int, np.integer)
+    ):
+        raise ValueError("window width must be an integer")
     d = int(window_width)
     if d < 1:
         raise ValueError("window width must be at least 1")
@@ -259,34 +313,35 @@ def estimate_time_varying(
             f"width {d} gives {model.n_states * d} rows for {n_unknown} unknowns"
         )
     n = len(series)
-    if n < 3:
-        return []
+    if n < 3 or d > n:
+        nothing = np.empty(0)
+        return WindowedEstimates(
+            nothing, np.empty((0, model.n_params)), nothing, nothing, ridge_lambda
+        )
     matrices, rhs = _formulate(model, series.times, series.states, "interior")
-    if d > n:
-        return []
     blocks, block_rhs = partition.reduce(matrices, rhs)
     count, states, k = blocks.shape
 
-    def solve(matrices, rhs):
-        solution = regression.solve_batch(matrices, rhs, ridge_lambda, normalize)
-        return replace(solution, values=partition.combine(solution.values))
-
     def solutions(width: int):
-        """(day, BatchSolution, index) of each day with a non-empty window, in day order.
+        """(first day, BatchSolution) of consecutive days with non-empty windows, in day order.
 
         Block j holds the interior rows of sample j + 1, so the window of day
         i is blocks max(i - width, 0) .. min(i, count) - 1: full width for
         days width .. count, trimmed or empty for days width - 1 and n - 1.
         """
+        parts = []
 
         def trimmed(day: int):
             first, stop = max(day - width, 0), min(day, count)
             if first < stop:
                 rows = (stop - first) * states
                 batch = blocks[first:stop].reshape(1, rows, k)
-                yield day, solve(batch, block_rhs[first:stop].reshape(1, rows)), 0
+                target = block_rhs[first:stop].reshape(1, rows)
+                parts.append(
+                    (day, regression.solve_batch(batch, target, ridge_lambda, normalize))
+                )
 
-        yield from trimmed(width - 1)
+        trimmed(width - 1)
         if width <= count:
             rows = width * states
             # the window axis of a sliding view comes last; move it before states
@@ -296,30 +351,47 @@ def estimate_time_varying(
             for start in range(0, len(windows), step):
                 size = min(step, len(windows) - start)
                 chunk = slice(start, start + size)
-                solution = solve(
+                solution = regression.solve_batch(
                     windows[chunk].reshape(size, rows, k),
                     targets[chunk].reshape(size, rows),
+                    ridge_lambda,
+                    normalize,
                 )
-                for index in range(size):
-                    yield start + width + index, solution, index
+                parts.append((start + width, solution))
         if n > width:
-            yield from trimmed(n - 1)
+            trimmed(n - 1)
+        return parts
 
     def fit(width: int):
-        results = []
-        for day, solution, index in solutions(width):
-            error = solution.errors[index]
-            if isinstance(error, RankDeficient):
+        parts = solutions(width)
+        skipped = []
+        # a failed system is the one whose diagnostics are NaN (BatchSolution)
+        for first, solution in parts:
+            for index in np.flatnonzero(np.isnan(solution.residual_norms)):
+                error = solution.errors[index]
+                if not isinstance(error, RankDeficient):
+                    raise error
                 if width == 1:
                     return None
+                skipped.append(first + int(index))
                 warnings.warn(
-                    f"skipping day index {day}: rank-deficient window", stacklevel=3
+                    f"skipping day index {skipped[-1]}: rank-deficient window",
+                    stacklevel=3,
                 )
-            elif error is not None:
-                raise error
-            else:
-                results.append((float(series.times[day]), solution.estimate(index)))
-        return results
+        days = np.concatenate([first + np.arange(len(s.errors)) for first, s in parts])
+        values = np.concatenate([s.values for _, s in parts])
+        residual_norms = np.concatenate([s.residual_norms for _, s in parts])
+        conditions = np.concatenate([s.conditions for _, s in parts])
+        kept = ~np.isnan(residual_norms)
+        return WindowedEstimates(
+            series.times[days[kept]],
+            partition.combine(values[kept]),
+            residual_norms[kept],
+            conditions[kept],
+            ridge_lambda,
+            tuple(skipped),
+            width != d,
+        )
 
     results = fit(d)
     if results is None:

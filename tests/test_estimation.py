@@ -1,11 +1,14 @@
 """System assembly, constant and windowed fits, noise and sweeps."""
 
+import csv
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from artifact import estimation
+from artifact import cli, estimation, regression
 from artifact import (
     ConstantSchedule,
     EstimationWindow,
@@ -21,6 +24,7 @@ from artifact import (
     TimeSeries,
     TooFewPoints,
     UnderDetermined,
+    WindowedEstimates,
     add_noise,
     assemble_from_series,
     estimate_constant,
@@ -285,6 +289,188 @@ def test_time_varying_raises_the_first_non_finite_day(sample, expected_warnings)
         with pytest.raises(NonFiniteSystem, match="the system has a non-finite entry"):
             estimate_time_varying(poisoned, series, 1, partition=partition)
     assert [str(w.message) for w in caught] == expected_warnings
+
+
+def _stacked_tuples(results):
+    """The lazy (t, ParameterEstimate) pairs of a windowed fit, stacked as columns."""
+    pairs = list(results)
+    assert all(estimate.ridge_lambda == results.ridge_lambda for _, estimate in pairs)
+    return (
+        np.array([t for t, _ in pairs]),
+        np.array([estimate.values for _, estimate in pairs]).reshape(len(pairs), -1),
+        np.array([estimate.residual_norm for _, estimate in pairs]),
+        np.array([estimate.condition_estimate for _, estimate in pairs]),
+    )
+
+
+def test_windowed_columns_equal_the_stacked_lazy_tuples(sir_trajectory):
+    model, series, partition = _daily_s3i3r()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        widened = estimate_time_varying(model, series, 1, partition=partition)
+    cases = [
+        estimate_time_varying(sir(1.0), sir_trajectory, 5),
+        estimate_time_varying(sir(1.0), sir_trajectory, 1, ridge_lambda=1e-3),
+        estimate_time_varying(sir(1.0), sir_trajectory, 14, normalize=True),
+        widened,
+    ]
+    for results in cases:
+        assert isinstance(results, WindowedEstimates)
+        columns = (
+            results.times,
+            results.values,
+            results.residual_norms,
+            results.conditions,
+        )
+        for column, stacked in zip(columns, _stacked_tuples(results)):
+            assert column.dtype == stacked.dtype and column.shape == stacked.shape
+            assert column.tobytes() == stacked.tobytes()
+
+
+def test_windowed_estimates_index_slice_and_empty(sir_trajectory):
+    results = estimate_time_varying(sir(1.0), sir_trajectory, 5)
+    t, estimate = results[-1]
+    assert t == results.times[len(results) - 1] == results[len(results) - 1][0]
+    np.testing.assert_array_equal(estimate.values, results.values[-1])
+    with pytest.raises(IndexError):
+        results[len(results)]
+    part = results[1:3]
+    assert isinstance(part, WindowedEstimates) and len(part) == 2
+    assert [t for t, _ in part] == [results[1][0], results[2][0]]
+    np.testing.assert_array_equal(part.values, results.values[1:3])
+    assert (part.skipped, part.widened) == (results.skipped, results.widened)
+    short = TimeSeries(sir_trajectory.times[:2], sir_trajectory.states[:2])
+    for empty in (
+        estimate_time_varying(sir(1.0), short, 1),
+        estimate_time_varying(sir(1.0), sir_trajectory, len(sir_trajectory) + 1),
+        results[3:3],
+    ):
+        assert not empty and len(empty) == 0 and list(empty) == []
+        assert empty.values.shape == (0, 2)
+
+
+def test_windowed_fit_builds_no_estimate_objects(sir_trajectory, monkeypatch):
+    built = []
+    real = estimation.ParameterEstimate
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    def unused(self, index):
+        raise AssertionError("the windowed fit reads the solution's columns")
+
+    monkeypatch.setattr(estimation, "ParameterEstimate", counted)
+    monkeypatch.setattr(regression.BatchSolution, "estimate", unused)
+    results = estimate_time_varying(sir(1.0), sir_trajectory, 5)
+    assert len(results) == len(sir_trajectory) - 4 and built == []
+    results[7]
+    assert len(built) == 1
+
+
+def test_windowed_fit_reports_skips_and_widening(sir_trajectory):
+    model, series, partition = _daily_s3i3r()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = estimate_time_varying(model, series, 1, partition=partition)
+    assert results.skipped == (1, 56)
+    assert results.widened is True
+    for width in (1, 14):
+        results = estimate_time_varying(sir(1.0), sir_trajectory, width)
+        assert results.skipped == () and results.widened is False
+
+
+@pytest.mark.parametrize("width", [2.7, 3.0, True, np.True_, "3", None])
+def test_window_width_must_be_an_integer(sir_trajectory, width):
+    with pytest.raises(ValueError, match="window width must be an integer"):
+        estimate_time_varying(sir(1.0), sir_trajectory, width)
+
+
+def test_window_width_accepts_python_and_numpy_integers(sir_trajectory):
+    expected = estimate_time_varying(sir(1.0), sir_trajectory, 3)
+    for width in (np.int64(3), np.int32(3), np.uint8(3)):
+        results = estimate_time_varying(sir(1.0), sir_trajectory, width)
+        assert results.times.tobytes() == expected.times.tobytes()
+        assert results.values.tobytes() == expected.values.tobytes()
+
+
+def _csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))
+
+
+def _cells(t, *values):
+    return [cli._cell(value) for value in (t, *values)]
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_varying_estimates_csv_equals_rows_of_per_day_estimates(tmp_path):
+    conf = str(CONFIGS / "sir_varying.conf")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", conf, "--out", str(out)]) == 0
+    data = str(out / "trajectory.csv")
+    assert cli.main(["estimate", "--config", conf, "--data", data, "--out", str(out)]) == 0
+    series = cli._read_series_csv(data, sir(1.0))
+    results = estimate_time_varying(sir(1.0), series, 1)
+    expected = [
+        _cells(t, *estimate.values, estimate.residual_norm, estimate.condition_estimate)
+        for t, estimate in results
+    ]
+    assert _csv_rows(out / "estimates.csv")[1:] == expected
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["skipped_days"], summary["widened"]) == ([], False)
+
+
+def test_varying_summary_names_the_skipped_days_and_the_widening(tmp_path):
+    # criterion 06's daily S3I3R shape through the CLI: width 1 widens to 2,
+    # whose trimmed end windows (days 1 and 56) are rank deficient
+    conf = tmp_path / "s3i3r.conf"
+    conf.write_text(
+        "model.name=s3i3r\n"
+        "model.population=1.0\n"
+        "sim.t_end=56\n"
+        "sim.step=1\n"
+        "sim.x0=0.9999,0.0001,0,0,0,0,0\n"
+        "schedule.type=sinusoidal\n"
+        "schedule.base=0.4,0.3333333333333333,0.05,0.05,0,0.1,0.05,0.05\n"
+        "schedule.mean=0.4\n"
+        "schedule.amplitude=0.05\n"
+        "schedule.period=56\n"
+        "estimate.mode=varying\n"
+        "estimate.window=1\n"
+        "known.tau=0\n"
+    )
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(conf), "--out", str(out)]) == 0
+    data = str(out / "trajectory.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli.main(["estimate", "--config", str(conf), "--data", data, "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["skipped_days"] == [1.0, 56.0]
+    assert summary["widened"] is True
+    assert summary["estimates"] == 54
+
+
+def test_covid_beta_csv_equals_rows_of_per_day_estimates(tmp_path):
+    out = tmp_path / "out"
+    args = ["covid", "--config", str(CONFIGS / "covid.conf")]
+    args += ["--data", str(CONFIGS / "covid_daily.csv"), "--out", str(out)]
+    assert cli.main(args) == 0
+    model = sir(5700000.0)
+    series = cli._read_series_csv(out / "states.csv", model)
+    partition = ParameterPartition.from_known(2, {1: 0.072})
+    results = estimate_time_varying(model, series, 14, partition=partition)
+    expected = [
+        _cells(t, estimate.values[0], estimate.residual_norm, estimate.condition_estimate)
+        for t, estimate in results
+    ]
+    assert _csv_rows(out / "beta.csv")[1:] == expected
+    log = (out / "run.log").read_text().splitlines()
+    assert "skipped_days=[]" in log and "widened=False" in log
 
 
 def test_add_noise_zero_epsilon_identity(lv_trajectory):
@@ -629,3 +815,19 @@ def test_formulate_is_byte_identical_to_weighting_matrices(name, item_assigned_m
     assert (matrices + 0.0).tobytes() == (expected + 0.0).tobytes()
     matrices, _ = estimation._formulate(model, times, states, "full")
     assert (matrices + 0.0).tobytes() == (built + 0.0).tobytes()
+
+
+def test_readme_windowed_snippet_runs():
+    # the quick start defines the model and the 80-day series that the
+    # windowed snippet fits; days 13..79 have a full 14-day window
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [block.split("```")[0] for block in readme.split("```python\n")[1:]]
+    quick_start, windowed = blocks[0], blocks[1]
+    assert "estimate_time_varying(" in windowed
+    namespace = {}
+    exec(quick_start, namespace)
+    exec(windowed, namespace)
+    results = namespace["results"]
+    assert isinstance(results, WindowedEstimates) and len(results) == 67
+    assert results.times[0] == 13.0
+    assert np.all(results.values[:, 1] == 1 / 3)
