@@ -219,7 +219,13 @@ def _read_table(path, expected: list, what: str) -> np.ndarray:
             rows.append([float(value) for value in row])
         except ValueError:
             raise ParseError(f"{path}:{line_number}: non-numeric value") from None
-    return np.array(rows).reshape(-1, len(expected))
+    table = np.array(rows).reshape(-1, len(expected))
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        line_numbers = [n for n, row in enumerate(lines[1:], start=2) if row]
+        bad = line_numbers[int(np.argmin(finite))]
+        raise ParseError(f"{path}:{bad}: non-finite value")
+    return table
 
 
 def _read_series_csv(path, model) -> TimeSeries:

@@ -132,9 +132,9 @@ class SweepSpec:
 
 
 def _window_indices(indices) -> np.ndarray:
-    if isinstance(indices, EstimationWindow):
-        return indices.indices
-    return np.asarray(indices, dtype=int)
+    if not isinstance(indices, EstimationWindow):
+        indices = EstimationWindow(indices)
+    return indices.indices
 
 
 def _formulate(model: ParameterLinearModel, times, states, derivative: str):

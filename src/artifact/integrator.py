@@ -42,6 +42,8 @@ class ConstantSchedule:
 
     def __init__(self, omega):
         self.omega = np.asarray(omega, dtype=float)
+        if not np.isfinite(self.omega).all():
+            raise ValueError("omega must be finite")
 
     def omega_at(self, t: float) -> np.ndarray:
         return self.omega
@@ -64,6 +66,8 @@ class PiecewiseSchedule:
             raise ShapeMismatch("schedule table is empty")
         if not np.all(np.diff(self.times) > 0):
             raise ValueError("schedule times must be strictly increasing")
+        if not np.isfinite(self.values).all():
+            raise ValueError("schedule values must be finite")
 
     def omega_at(self, t: float) -> np.ndarray:
         idx = int(np.searchsorted(self.times, t, side="right")) - 1
@@ -83,6 +87,11 @@ class SinusoidalBetaSchedule:
         self.amplitude = float(amplitude)
         self.period = float(period)
         self.index = int(index)
+        fields = {"base_omega": self.base, "mean": self.mean, "amplitude": self.amplitude,
+                  "period": self.period}
+        for name, value in fields.items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         if self.period <= 0:
             raise ValueError("period must be positive")
         if not 0 <= self.index < self.base.shape[0]:

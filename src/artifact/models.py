@@ -21,18 +21,11 @@ except in the vaccination column, where S/V + I1/V + R1/V = 1 balances the
 constant feature; so the total population is conserved for any parameter
 vector.
 
-Matrix contract: a model declared batched=True has a build_matrix(states,
-t) that maps states of shape (..., n_states) to matrices of shape
-(..., n_states, n_params), one matrix per state along the leading axes; a
-single state is the case with no leading axes. The built-in builders are
-declared batched. An undeclared builder takes one state at a time, and
-build_matrices calls it once per state.
-
-Right-hand-side contract: model.library() gives (features(states, t),
-coefficients), the one form the integrator and the estimators use. A model
-that declares features gets them back with its table; any other model gets
-its flattened matrices, features = A(x; t) reshaped to (..., n_states *
-n_params), with the identity as its table.
+One contract for batches: a model batches by declaring features(states, t),
+mapping (..., n_states) to (..., F), and its table. build_matrices and
+model.library() then take one features call per batch; any other model's
+build_matrix takes one state at a time and is looped per state, and its
+library is its flattened matrices with the identity table.
 """
 
 from __future__ import annotations
@@ -54,18 +47,12 @@ from .errors import (
 class ParameterLinearModel:
     """Named model with a builder for the system matrix A(x; t).
 
-    build_matrix(state, t) takes one state of shape (n_states,) and a float t
-    and returns a matrix of shape (n_states, n_params). With batched=True it
-    also takes states of shape (..., n_states) and t as a float or an array
-    matching the leading axes, and returns matrices of shape
-    (..., n_states, n_params). Undeclared builders are called once per state.
-
-    features and coefficients, given together, declare A as a feature
-    library times a constant table: features(states, t) maps states of shape
-    (..., n_states) to (..., F), with t as for a batched builder, and
-    coefficients has shape (F, n_states, n_params). The table's shape is
-    checked here, once; the integrator and the estimators then use the
-    features instead of build_matrix.
+    build_matrix(state, t) maps one state of shape (n_states,) and a float t
+    to a matrix of shape (n_states, n_params). features and coefficients,
+    given together, batch the model: features(states, t) maps (..., n_states)
+    to (..., F), with t a float or an array matching the leading axes, and
+    coefficients, of shape (F, n_states, n_params) checked here once, turns
+    them into A; the package then never calls build_matrix.
     """
 
     name: str
@@ -73,7 +60,6 @@ class ParameterLinearModel:
     parameter_names: tuple
     build_matrix: Callable[[np.ndarray, float | np.ndarray], np.ndarray]
     population: float | None = None
-    batched: bool = False
     features: Callable[[np.ndarray, float | np.ndarray], np.ndarray] | None = None
     coefficients: np.ndarray | None = field(default=None, compare=False)
 
@@ -314,9 +300,9 @@ def s3i3r_matrix(states, population: float) -> np.ndarray:
 def build_matrices(model: ParameterLinearModel, states, t) -> np.ndarray:
     """A(x; t) for states of shape (..., n_states), shaped (..., n_states, n_params).
 
-    t is a float or an array matching the leading axes of states. A batched
-    model, or a single state, takes one builder call; an undeclared builder
-    is called once per state with a float t.
+    t is a float or an array matching the leading axes of states. A model
+    with features takes one features call per batch, times its table; any
+    other builder is called once per state with a float t.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim == 0 or states.shape[-1] != model.n_states:
@@ -327,7 +313,11 @@ def build_matrices(model: ParameterLinearModel, states, t) -> np.ndarray:
     shape = states.shape[:-1] + (model.n_states, model.n_params)
     if 0 in states.shape[:-1]:
         return np.empty(shape)  # an empty batch has nothing to build
-    if model.batched or states.ndim == 1:
+    if model.features is not None:
+        values = model.features(states, t)
+        check_features(model, values, states, len(model.coefficients))
+        return matrices_from_features(values, model.coefficients)
+    if states.ndim == 1:
         matrices = model.build_matrix(states, t)
     else:
         rows = states.reshape(-1, model.n_states)
@@ -370,7 +360,6 @@ def lotka_volterra() -> ParameterLinearModel:
         state_names=LOTKA_VOLTERRA_STATES,
         parameter_names=LOTKA_VOLTERRA_PARAMETERS,
         build_matrix=lambda state, t: lotka_volterra_matrix(state),
-        batched=True,
         features=lambda states, t: lotka_volterra_features(states),
         coefficients=LOTKA_VOLTERRA_COEFFICIENTS,
     )
@@ -383,7 +372,6 @@ def sir(population: float) -> ParameterLinearModel:
         state_names=SIR_STATES,
         parameter_names=SIR_PARAMETERS,
         build_matrix=lambda state, t: sir_matrix(state, population),
-        batched=True,
         population=population,
         features=lambda states, t: sir_features(states, population),
         coefficients=SIR_COEFFICIENTS,
@@ -397,7 +385,6 @@ def s3i3r(population: float) -> ParameterLinearModel:
         state_names=S3I3R_STATES,
         parameter_names=S3I3R_PARAMETERS,
         build_matrix=lambda state, t: s3i3r_matrix(state, population),
-        batched=True,
         population=population,
         features=lambda states, t: s3i3r_features(states, population),
         coefficients=S3I3R_COEFFICIENTS,

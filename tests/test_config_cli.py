@@ -532,6 +532,25 @@ def test_exit_code_for_non_finite_times(tmp_path, capsys, key, value):
         assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_csv_values_are_parse_errors(tmp_path, capsys, value):
+    conf = write(tmp_path / "run.conf", SIR_CONF)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", conf, "--out", str(out)]) == 0
+    data = out / "trajectory.csv"
+    estimate = ["estimate", "--config", conf, "--out", str(tmp_path / "fit")]
+    truth = write(tmp_path / "truth.csv", f"beta,gamma\n{value},0.3333333333333333\n")
+    assert main(estimate + ["--data", str(data), "--truth", truth]) == 3
+    assert f"{truth}:2: non-finite value" in capsys.readouterr().err
+    # a blank line before the bad row still counts toward the line number
+    lines = data.read_text().splitlines()
+    t, _, *rest = lines[4].split(",")
+    lines[4] = ",".join([t, value, *rest])
+    bad = write(tmp_path / "bad.csv", "\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+    assert main(estimate + ["--data", bad]) == 3
+    assert f"{bad}:6: non-finite value" in capsys.readouterr().err
+
+
 def test_estimate_varying_mode_with_truth(tmp_path):
     conf = write(
         tmp_path / "run.conf",

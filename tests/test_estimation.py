@@ -93,6 +93,12 @@ def test_window_constructors(sir_trajectory):
         EstimationWindow.interior(TimeSeries([0.0, 1.0], [[1.0], [2.0]]))
 
 
+@pytest.mark.parametrize("indices", [[], [[1, 2], [3, 4]]], ids=["empty", "2-D"])
+def test_raw_index_lists_are_checked_as_windows(sir_trajectory, indices):
+    with pytest.raises(ShapeMismatch, match="window needs a non-empty 1-D index set"):
+        estimate_constant(sir(1.0), sir_trajectory, indices=indices)
+
+
 def test_window_nesting(sir_trajectory):
     """Stacking two adjacent windows reproduces the combined system.
 

@@ -154,6 +154,26 @@ def test_config_rejects_non_finite_times(t0, t_end, step):
         SimulationConfig(t0, t_end, step, np.zeros(2), ConstantSchedule(np.zeros(4)))
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: ConstantSchedule([np.nan, 0.3]), "omega"),
+        (lambda: ConstantSchedule([np.inf, 0.3]), "omega"),
+        (lambda: PiecewiseSchedule([0.0, 1.0], [[0.5, 0.3], [np.nan, 0.3]]), "values"),
+        (lambda: SinusoidalBetaSchedule([0.5, 0.3], np.nan, 0.1, 10.0), "mean"),
+        (lambda: SinusoidalBetaSchedule([0.5, 0.3], 0.4, np.inf, 10.0), "amplitude"),
+        (lambda: SinusoidalBetaSchedule([0.5, 0.3], 0.4, 0.1, np.nan), "period"),
+        (lambda: SinusoidalBetaSchedule([0.5, 0.3], 0.4, 0.1, np.inf), "period"),
+        (lambda: SinusoidalBetaSchedule([0.5, np.nan], 0.4, 0.1, 10.0), "base_omega"),
+    ],
+    ids=["omega-nan", "omega-inf", "values-nan", "mean-nan", "amplitude-inf", "period-nan",
+         "period-inf", "base-nan"],
+)
+def test_schedules_reject_non_finite_parameters(build, field):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        build()
+
+
 def test_initial_state_shape_checked():
     config = SimulationConfig(
         0.0, 1.0, 0.1, np.array([1.0, 1.0]), ConstantSchedule([0.5, 0.3])

@@ -219,14 +219,21 @@ def test_state_dependent_builder_at_batch_size_n_states():
 
 
 def test_broadcasting_builder_is_called_once_per_batch():
+    # a broadcasting builder batches by declaring its flattened matrices as
+    # features with the identity table
     calls = []
 
     def build(states, t):
         calls.append(np.shape(states))
         return sir_matrix(states, 7.0)
 
+    def flattened(states, t):
+        matrices = build(states, t)
+        return matrices.reshape(matrices.shape[:-2] + (6,))
+
     model = ParameterLinearModel(
-        "counted", ("S", "I", "R"), ("beta", "gamma"), build, batched=True
+        "counted", ("S", "I", "R"), ("beta", "gamma"), build,
+        features=flattened, coefficients=np.eye(6).reshape(6, 3, 2),
     )
     states = np.random.default_rng(8).uniform(0.1, 4.0, (5, 3))
     for _ in range(2):
@@ -234,31 +241,24 @@ def test_broadcasting_builder_is_called_once_per_batch():
         np.testing.assert_array_equal(matrices, sir_matrix(states, 7.0))
         assert calls == [(5, 3)]
         del calls[:]
-    # the same builder left undeclared is looped, to the same values
-    looped = dataclasses.replace(model, batched=False)
+    # the same builder without features is looped, to the same values
+    looped = ParameterLinearModel("counted", ("S", "I", "R"), ("beta", "gamma"), build)
     np.testing.assert_array_equal(build_matrices(looped, states, 0.0), matrices)
     assert calls == [(3,)] * 5
 
 
-def test_registry_models_are_declared_batched():
-    calls = []
+def test_registry_models_batch_through_their_features():
+    # build_matrices on a built-in is its features times its table, bit for
+    # bit the built-in builder, and never calls build_matrix
+    def refuse(states, t):
+        raise AssertionError("build_matrix called")
+
     for name in ("lotka_volterra", "sir", "s3i3r"):
         model = get_model(name, None if name == "lotka_volterra" else 7.0)
-        assert model.batched
-
-        def traced(states, t, _build=model.build_matrix):
-            calls.append(np.shape(states))
-            return _build(states, t)
-
-        wrapped = dataclasses.replace(model, build_matrix=traced)
-        assert wrapped.batched
+        traced = dataclasses.replace(model, build_matrix=refuse)
         states = np.random.default_rng(9).uniform(0.1, 4.0, (4, model.n_states))
-        # the first call after get_model is the one batched call
-        np.testing.assert_array_equal(
-            build_matrices(wrapped, states, 0.0), model.build_matrix(states, 0.0)
-        )
-        assert calls == [(4, model.n_states)]
-        del calls[:]
+        built, expected = build_matrices(traced, states, 0.0), model.build_matrix(states, 0.0)
+        assert built.shape == expected.shape and built.tobytes() == expected.tobytes()
 
 
 def test_empty_batch_of_an_undeclared_builder():
