@@ -73,15 +73,17 @@ WINDOW_BLOCK_VALUES = 1 << 15
 
 @dataclass(frozen=True)
 class EstimationWindow:
-    """Ordered sample indices over which one estimate is computed."""
+    """Integer sample indices, stacked in their given order, for one estimate."""
 
     indices: np.ndarray
 
     def __post_init__(self):
-        indices = np.asarray(self.indices, dtype=int)
+        indices = np.asarray(self.indices)
         if indices.ndim != 1 or indices.size == 0:
             raise ShapeMismatch("window needs a non-empty 1-D index set")
-        object.__setattr__(self, "indices", indices)
+        if indices.dtype.kind not in "iu":  # a float is truncated, a bool is 0 or 1
+            raise ShapeMismatch(f"window indices must be integers, got {indices.dtype}")
+        object.__setattr__(self, "indices", indices.astype(int, copy=False))
 
     @classmethod
     def interior(cls, series: TimeSeries) -> "EstimationWindow":
@@ -102,8 +104,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -7,22 +7,22 @@ fails with NonFiniteState when it produces NaN or Inf, or with whatever
 error the model's features or builder raise.
 
 Every stage evaluates the one right-hand-side form of models.py:
-features(x, t) @ M with M = coefficients . omega. M is computed once per
-run for constant parameters (per draw for a batch of draws) and once per
-step under any other schedule, so no system matrix is built inside the
-loop. A model without declared features runs through the same code with its
-flattened matrices and the identity table.
+features(x, t) @ M with M = coefficients . omega, one table M per step.
+Constant parameters give one table for every step (one per draw for a
+batch); any other schedule is read with omega_at once per step time before
+those steps run, STEP_BLOCK steps to one parameter_table call.
 
 simulate and simulate_draws share one RK4 loop: simulate is its one-draw
 case, stepped as one state; a batch of draws takes one features call per
-stage, and a failing draw stops alone. The features' shape and the
-parameter width are checked once, on the initial state, before the first
-step.
+stage, and a failing draw stops alone. The features' shape is checked once,
+on the initial state, before the first step; each omega's width before the
+steps that read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -35,6 +35,10 @@ from .models import (
     parameter_table,
     rates,
 )
+
+# _integrate builds a schedule's step tables this many steps at a time, so a
+# long run holds no more tables than that (S3I3R: 448 bytes a step)
+STEP_BLOCK = 1 << 10
 
 
 class ConstantSchedule:
@@ -163,11 +167,18 @@ def time_grid(config: SimulationConfig) -> np.ndarray:
     return config.t0 + config.step * np.arange(n_steps + 1)
 
 
-def _integrate(model, config, omega, draws):
+def _schedule_tables(model, coefficients, schedule, times):
+    """Each step's table (F, n): omega_at read once per time, a block before its steps."""
+    for block in np.split(times, range(STEP_BLOCK, len(times), STEP_BLOCK)):
+        omegas = [check_parameters(model, schedule.omega_at(t)) for t in block]
+        yield from parameter_table(coefficients, np.array(omegas))
+
+
+def _integrate(model, config, omegas=None):
     """The one RK4 loop: (times, states, failures) as simulate_draws documents.
 
-    omega is a constant (n_params,) vector, a constant (draws, n_params)
-    array, or a schedule's omega_at(t) for one draw, read at every step.
+    omegas, of shape (draws, n_params), holds each draw's constant
+    parameters; without it one draw follows config.schedule.
     """
     x = config.initial_state
     if x.shape != (model.n_states,):
@@ -175,6 +186,7 @@ def _integrate(model, config, omega, draws):
             f"initial state has shape {x.shape}, model wants ({model.n_states},)"
         )
     times, h = time_grid(config), config.step
+    draws = 1 if omegas is None else len(omegas)
     states = np.empty((draws, len(times), model.n_states))
     states[:, 0] = x
     if draws > 1:
@@ -183,26 +195,20 @@ def _integrate(model, config, omega, draws):
     # a wrong features or parameter shape would broadcast in the stages: it
     # fails every draw (simulate_draws checks its own parameters)
     check_features(model, features(x, times[0]), x, len(coefficients))
-    if callable(omega):  # a schedule: one table per step, from a checked omega
-
-        def table_at(t):
-            return parameter_table(coefficients, check_parameters(model, omega(t)))
-
-    else:
-        table = parameter_table(
-            coefficients, check_parameters(model, omega) if draws == 1 else omega
-        )
-
-        def table_at(t):
-            return table
-
+    if omegas is None and isinstance(config.schedule, ConstantSchedule):
+        omegas = check_parameters(model, config.schedule.omega)[None]
+    if omegas is None:
+        tables = _schedule_tables(model, coefficients, config.schedule, times[:-1])
+    else:  # one table that every step reads
+        table = parameter_table(coefficients, omegas[0] if draws == 1 else omegas)
+        tables = repeat(table, len(times) - 1)
     failures = {}
     active, rows = np.arange(draws), slice(None)  # the draws still stepping
     # a dying draw may overflow; its rows are checked after each step
     with np.errstate(all="ignore"):
-        for i in range(len(times) - 1):
+        for i, table in enumerate(tables):
             t = times[i]
-            step_table = table_at(t)[rows]
+            step_table = table[rows]
             try:
                 x = _rk4(features, x, t, step_table, h)
             except EstimationError:
@@ -231,9 +237,7 @@ def _integrate(model, config, omega, draws):
 
 def simulate(model: ParameterLinearModel, config: SimulationConfig) -> TimeSeries:
     """Integrate from t0 to t_end inclusive (within half-step tolerance)."""
-    schedule = config.schedule
-    omega = schedule.omega if isinstance(schedule, ConstantSchedule) else schedule.omega_at
-    times, states, failures = _integrate(model, config, omega, 1)
+    times, states, failures = _integrate(model, config)
     if failures:
         raise failures[0]
     return TimeSeries(times, states[0])
@@ -258,5 +262,4 @@ def simulate_draws(model: ParameterLinearModel, config: SimulationConfig, omegas
         raise ShapeMismatch(
             f"expected omegas of shape (draws, {model.n_params}), got {omegas.shape}"
         )
-    omega = omegas[0] if len(omegas) == 1 else omegas
-    return _integrate(model, config, omega, len(omegas))
+    return _integrate(model, config, omegas)

@@ -21,17 +21,17 @@ except in the vaccination column, where S/V + I1/V + R1/V = 1 balances the
 constant feature; so the total population is conserved for any parameter
 vector.
 
-One contract for batches: a model batches by declaring features(states, t),
-mapping (..., n_states) to (..., F), and its table. build_matrices and
-model.library() then take one features call per batch; any other model's
-build_matrix takes one state at a time and is looped per state, and its
-library is its flattened matrices with the identity table.
+One contract for batches: every model is features(states, t), mapping
+(..., n_states) to (..., F), times a table, fixed when the model is built.
+Any model that declares no features has its build_matrix looped once per
+state, the matrices flattened as the features of the identity table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -68,7 +68,11 @@ class ParameterLinearModel:
             raise ShapeMismatch(
                 f"model {self.name} must declare features and coefficients together"
             )
+        # the library is not a field, so dataclasses.replace builds it anew
         if self.coefficients is None:
+            size = self.n_states * self.n_params
+            identity = np.eye(size).reshape(size, self.n_states, self.n_params)
+            object.__setattr__(self, "_library", (partial(_looped_features, self), identity))
             return
         table = np.array(self.coefficients, dtype=float)
         if table.ndim != 3 or table.shape[1:] != (self.n_states, self.n_params):
@@ -78,6 +82,7 @@ class ParameterLinearModel:
             )
         table.setflags(write=False)
         object.__setattr__(self, "coefficients", table)
+        object.__setattr__(self, "_library", (self.features, table))
 
     @property
     def n_states(self) -> int:
@@ -98,18 +103,10 @@ class ParameterLinearModel:
     def library(self):
         """(features(states, t), coefficients): the one right-hand-side form.
 
-        A model without declared features gives its flattened matrices,
-        (..., n_states * n_params) from build_matrices, and the identity table.
+        Without declared features: the builder looped once per state, its
+        matrices flattened to (..., n_states * n_params), and the identity table.
         """
-        if self.features is not None:
-            return self.features, self.coefficients
-        size = self.n_states * self.n_params
-
-        def flattened(states, t):
-            matrices = build_matrices(self, states, t)
-            return matrices.reshape(matrices.shape[:-2] + (size,))
-
-        return flattened, np.eye(size).reshape(size, self.n_states, self.n_params)
+        return self._library
 
 
 def _as_states(states, expected: int) -> np.ndarray:
@@ -297,43 +294,46 @@ def s3i3r_matrix(states, population: float) -> np.ndarray:
     return matrices_from_features(s3i3r_features(states, population), S3I3R_COEFFICIENTS)
 
 
-def build_matrices(model: ParameterLinearModel, states, t) -> np.ndarray:
-    """A(x; t) for states of shape (..., n_states), shaped (..., n_states, n_params).
-
-    t is a float or an array matching the leading axes of states. A model
-    with features takes one features call per batch, times its table; any
-    other builder is called once per state with a float t.
-    """
+def _model_states(model: ParameterLinearModel, states) -> np.ndarray:
     states = np.asarray(states, dtype=float)
     if states.ndim == 0 or states.shape[-1] != model.n_states:
         raise ShapeMismatch(
             f"model {model.name} wants states of shape (..., {model.n_states}), "
             f"got {states.shape}"
         )
-    shape = states.shape[:-1] + (model.n_states, model.n_params)
-    if 0 in states.shape[:-1]:
-        return np.empty(shape)  # an empty batch has nothing to build
-    if model.features is not None:
-        values = model.features(states, t)
-        check_features(model, values, states, len(model.coefficients))
-        return matrices_from_features(values, model.coefficients)
-    if states.ndim == 1:
-        matrices = model.build_matrix(states, t)
-    else:
-        rows = states.reshape(-1, model.n_states)
-        times = np.broadcast_to(np.asarray(t, dtype=float), states.shape[:-1]).reshape(-1)
-        matrices = np.array(
-            [model.build_matrix(x, float(tt)) for x, tt in zip(rows, times)],
-            dtype=float,
-        )
-    if np.shape(matrices) == shape:
-        return matrices
-    if np.shape(matrices) != (int(np.prod(shape[:-2])),) + shape[-2:]:
-        raise ShapeMismatch(
-            f"model {model.name} built matrices of shape {np.shape(matrices)}, "
-            f"expected {shape}"
-        )
-    return matrices.reshape(shape)
+    return states
+
+
+def _looped_features(model: ParameterLinearModel, states, t) -> np.ndarray:
+    """build_matrix called once per state with a float t, flattened to (..., n * k)."""
+    states = _model_states(model, states)
+    rows = states.reshape(-1, model.n_states)
+    times = np.broadcast_to(np.asarray(t, dtype=float), states.shape[:-1]).reshape(-1)
+    matrices = np.empty((len(rows), model.n_states, model.n_params))
+    for row, (x, tt) in enumerate(zip(rows, times)):
+        matrix = model.build_matrix(x, float(tt))
+        if np.shape(matrix) != matrices.shape[1:]:
+            raise ShapeMismatch(
+                f"model {model.name} built matrices of shape {np.shape(matrix)}, "
+                f"expected {matrices.shape[1:]}"
+            )
+        matrices[row] = matrix
+    return matrices.reshape(states.shape[:-1] + (model.n_states * model.n_params,))
+
+
+def build_matrices(model: ParameterLinearModel, states, t) -> np.ndarray:
+    """A(x; t) for states of shape (..., n_states), shaped (..., n_states, n_params).
+
+    t is a float or an array matching the leading axes of states. One call
+    of the model's library features per batch, times its table.
+    """
+    states = _model_states(model, states)
+    if 0 in states.shape[:-1]:  # an empty batch has nothing to build
+        return np.empty(states.shape[:-1] + (model.n_states, model.n_params))
+    features, coefficients = model.library()
+    values = features(states, t)
+    check_features(model, values, states, len(coefficients))
+    return matrices_from_features(values, coefficients)
 
 
 def check_parameters(model: ParameterLinearModel, omega) -> np.ndarray:

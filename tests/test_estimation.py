@@ -93,6 +93,25 @@ def test_window_constructors(sir_trajectory):
         EstimationWindow.interior(TimeSeries([0.0, 1.0], [[1.0], [2.0]]))
 
 
+@pytest.mark.parametrize(
+    "indices", [[1.5, 2.7, 3.9], [True, True], np.array([2.0, 3.0])],
+    ids=["fractional", "bool", "whole-floats"],
+)
+def test_window_indices_must_be_integers(sir_trajectory, indices):
+    # a float index was truncated and a bool read as row 0 or 1
+    with pytest.raises(ShapeMismatch, match="window indices must be integers"):
+        EstimationWindow(indices)
+    with pytest.raises(ShapeMismatch, match="window indices must be integers"):
+        estimate_constant(sir(1.0), sir_trajectory, indices=indices)
+
+
+def test_window_keeps_integer_indices_in_their_order():
+    for indices in ([7, 3, 5], np.array([40, 2, 78, 2], dtype=np.uint8), range(3, 6)):
+        window = EstimationWindow(indices)
+        assert window.indices.dtype == int
+        np.testing.assert_array_equal(window.indices, list(indices))
+
+
 @pytest.mark.parametrize("indices", [[], [[1, 2], [3, 4]]], ids=["empty", "2-D"])
 def test_raw_index_lists_are_checked_as_windows(sir_trajectory, indices):
     with pytest.raises(ShapeMismatch, match="window needs a non-empty 1-D index set"):
@@ -501,9 +520,10 @@ def test_add_noise_deterministic():
     assert not np.array_equal(a.states, c.states)
 
 
-def test_noise_spec_rejects_negative_epsilon():
-    with pytest.raises(ValueError):
-        NoiseSpec(-0.1)
+@pytest.mark.parametrize("epsilon", [-0.1, np.nan, np.inf, -np.inf])
+def test_noise_spec_rejects_negative_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+        NoiseSpec(epsilon)
 
 
 def test_metrics_worked_examples():
@@ -828,8 +848,8 @@ def test_readme_windowed_snippet_runs():
     # windowed snippet fits; days 13..79 have a full 14-day window
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = [block.split("```")[0] for block in readme.split("```python\n")[1:]]
-    quick_start, windowed = blocks[0], blocks[1]
-    assert "estimate_time_varying(" in windowed
+    (quick_start,) = [block for block in blocks if "simulate(model, config)" in block]
+    (windowed,) = [block for block in blocks if "estimate_time_varying(" in block]
     namespace = {}
     exec(quick_start, namespace)
     exec(windowed, namespace)

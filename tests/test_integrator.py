@@ -21,7 +21,7 @@ from artifact import (
     simulate,
     sir,
 )
-from artifact.integrator import simulate_draws
+from artifact.integrator import STEP_BLOCK, simulate_draws
 
 
 def decay_model():
@@ -377,5 +377,50 @@ def test_schedule_width_is_checked_at_every_step():
             return np.array([0.3, 0.1]) if t < 0.5 else np.array([0.3, 0.1, 0.2])
 
     config = SimulationConfig(0.0, 1.0, 0.1, np.array([0.99, 0.01, 0.0]), Widening())
+    with pytest.raises(ShapeMismatch, match=r"expected 2 parameters, got shape \(3,\)"):
+        simulate(sir(1.0), config)
+
+
+class CountingSchedule:
+    """A schedule that records every time it is read at."""
+
+    def __init__(self, schedule):
+        self.schedule, self.reads = schedule, []
+
+    def omega_at(self, t):
+        self.reads.append(t)
+        return self.schedule.omega_at(t)
+
+
+@pytest.mark.parametrize("name", ["sir", "s3i3r"])
+def test_schedule_is_read_once_per_step_time_across_step_blocks(name):
+    # more steps than one block of tables: the trajectory equals RK4 stepped
+    # by hand with omega_at(t), and each step time is read once, in order
+    model = sir(1.0) if name == "sir" else s3i3r(1.0)
+    x0 = np.zeros(model.n_states)
+    x0[:2] = [0.999, 1e-3]
+    base = np.full(model.n_params, 0.05)
+    sinusoid = SinusoidalBetaSchedule(base, 0.4, 0.1, 3.0, 0)
+    steps = STEP_BLOCK + 37
+    config = SimulationConfig(0.0, steps * 0.01, 0.01, x0, CountingSchedule(sinusoid))
+    series = simulate(model, config)
+    assert len(series.times) == steps + 1
+    assert config.schedule.reads == list(series.times[:-1])
+    expected = [x0]
+    for t in series.times[:-1]:
+        expected.append(erk4_step(model, expected[-1], t, sinusoid.omega_at(t), 0.01))
+    assert series.states.tobytes() == np.array(expected).tobytes()
+
+
+def test_schedule_width_is_checked_after_the_first_step_block():
+    class LateWidening:
+        def omega_at(self, t):
+            late = t > (STEP_BLOCK + 10) * 0.01
+            return np.array([0.3, 0.1, 0.2]) if late else np.array([0.3, 0.1])
+
+    steps = STEP_BLOCK + 40
+    config = SimulationConfig(
+        0.0, steps * 0.01, 0.01, np.array([0.99, 0.01, 0.0]), LateWidening()
+    )
     with pytest.raises(ShapeMismatch, match=r"expected 2 parameters, got shape \(3,\)"):
         simulate(sir(1.0), config)

@@ -440,3 +440,29 @@ def test_undeclared_model_library_is_the_flattened_matrix():
     np.testing.assert_array_equal(features(states, 0.5), [[1.0, 0.5], [2.0, 0.5]])
     np.testing.assert_array_equal(coefficients.reshape(2, 2), np.eye(2))
     np.testing.assert_array_equal(eval_rhs(model, [2.0], [3.0, 4.0], t=0.5), [8.0])
+
+
+def test_replaced_builder_is_the_one_a_builder_only_model_calls():
+    # the library is fixed when the model is built, so dataclasses.replace
+    # builds it again around the new builder
+    calls = []
+
+    def doubled(state, t):
+        calls.append(t)
+        return np.array([[2.0 * state[0]]])
+
+    decay = ParameterLinearModel("decay", ("x",), ("rate",), lambda s, t: np.array([[s[0]]]))
+    model = dataclasses.replace(decay, build_matrix=doubled)
+    matrices = build_matrices(model, np.array([[1.0], [3.0]]), 0.5)
+    np.testing.assert_array_equal(matrices, [[[2.0]], [[6.0]]])
+    assert calls == [0.5, 0.5]
+    np.testing.assert_array_equal(eval_rhs(model, [1.5], [-1.0]), [-3.0])
+    assert len(calls) == 3
+    # one call on the initial state, then four stages a step for two steps
+    start = np.array([1.0])
+    series = simulate(model, SimulationConfig(0.0, 1.0, 0.5, start, ConstantSchedule([-1.0])))
+    assert len(calls) == 3 + 1 + 2 * 4
+    # the original keeps its own builder: doubling the rate matches
+    twice = SimulationConfig(0.0, 1.0, 0.5, start, ConstantSchedule([-2.0]))
+    np.testing.assert_array_equal(series.states, simulate(decay, twice).states)
+    assert len(calls) == 12
