@@ -251,10 +251,8 @@ def cmd_simulate(args) -> list:
     sim_config = _sim_config_from(entries, model, _schedule_from_config(entries, model))
     series = simulate(model, sim_config)
     epsilon = get_float(entries, "noise.epsilon", 0.0)
-    if epsilon > 0:
-        series = add_noise(
-            series, NoiseSpec(epsilon, _resolve_seed(args, entries, "noise.seed"))
-        )
+    # NoiseSpec rejects a negative epsilon; epsilon 0 leaves the states as they are
+    series = add_noise(series, NoiseSpec(epsilon, _resolve_seed(args, entries, "noise.seed")))
     out = _ensure_out(args.out)
     _write_csv(
         os.path.join(out, "trajectory.csv"),

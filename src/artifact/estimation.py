@@ -7,11 +7,12 @@ subsample/noise reproduction table.
 
 Derivative modes
 ----------------
-One private function, _formulate, turns a series into per-sample blocks
-(matrices and right-hand sides), and every estimator builds its rows there:
-assemble_from_series picks its window's blocks out of the window's span,
-estimate_time_varying slices each day's blocks out of one formulation, and
-run_sweep and subsample_noise_table formulate each series once.
+One private function, _formulate, turns series of shape (..., T, n) on one
+time axis into per-sample blocks (matrices and right-hand sides), and every
+estimator builds its rows there: assemble_from_series picks its window's
+blocks out of the window's span, estimate_time_varying slices each day's
+blocks out of one formulation, run_sweep formulates a chunk of draws per
+call and subsample_noise_table all noisy copies of a subsample in one call.
 
 "interior" (default): the integral identity
 x_{i+1} - x_{i-1} = integral of A(x; t) omega over [t_{i-1}, t_{i+1}],
@@ -21,7 +22,7 @@ weights (1, 4, 1)/6 on a uniform grid and the general three-point Simpson
 weights otherwise. Endpoints are dropped. The weights are applied to the
 model's (m, F) features, which are then multiplied by its coefficient table
 once (models.py).
-"full": derivative at every sample of the formulated span (full_diff:
+"full": derivative at every sample of the formulated span (np.gradient:
 central inside, first-order one-sided at the two span ends), paired with A
 at that sample. The published constant-recovery numbers for the epidemic
 models were produced with "full" windows starting at the first sample.
@@ -38,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import regression
-from .differentiation import TimeSeries, full_diff
+from .differentiation import TimeSeries
 from .errors import (
     EstimationError,
     RankDeficient,
@@ -47,12 +48,7 @@ from .errors import (
     UnderDetermined,
 )
 from .integrator import SimulationConfig, simulate_draws, time_grid
-from .models import (
-    ParameterLinearModel,
-    build_matrices,
-    check_features,
-    matrices_from_features,
-)
+from .models import ParameterLinearModel, check_features, matrices_from_features
 from .regression import (
     ParameterEstimate,
     ParameterPartition,
@@ -66,9 +62,9 @@ SWEEP_THRESHOLDS = (1.0, 0.5, 0.1, 0.05, 0.01)
 # (8 MiB of float64), so its memory does not grow with sample_count
 SWEEP_BLOCK_VALUES = 1 << 20
 
-# estimate_time_varying solves its full-width windows in solve_batch calls of
-# at most this many stacked float64 values (256 KiB), so memory stays flat
-WINDOW_BLOCK_VALUES = 1 << 15
+# estimate_time_varying and run_sweep solve in solve_batch calls of at most
+# this many stacked float64 values (256 KiB), so memory stays flat
+SOLVE_BLOCK_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -133,25 +129,20 @@ class SweepSpec:
         object.__setattr__(self, "domain", domain)
 
 
-def _window_indices(indices) -> np.ndarray:
-    if not isinstance(indices, EstimationWindow):
-        indices = EstimationWindow(indices)
-    return indices.indices
-
-
 def _formulate(model: ParameterLinearModel, times, states, derivative: str):
-    """Per-sample regression blocks of one series: matrices (m, d, k), rhs (m, d).
+    """Per-sample regression blocks: matrices (..., m, n, k), rhs (..., m, n).
 
-    "interior" gives the m = n - 2 blocks of samples 1..n-2, each built from
-    its own three samples only; "full" gives one block per sample. Both
-    weight the model's features and multiply by its table once.
+    states (..., T, n) are series on one time axis, times (T,), which the
+    features get broadcast to the leading axes. "interior" gives the m = T - 2
+    blocks of samples 1..T-2, each from its own three samples only; "full"
+    gives one per sample. Both weight the features and apply the table once.
     """
     if states.shape[-1] != model.n_states:
         raise ShapeMismatch(
             f"series has {states.shape[-1]} states, model {model.name} wants {model.n_states}"
         )
     features, coefficients = model.library()
-    values = features(states, times)
+    values = features(states, np.broadcast_to(times, states.shape[:-1]))
     check_features(model, values, states, len(coefficients))
     if derivative == "interior":
         if len(times) < 3:
@@ -161,20 +152,18 @@ def _formulate(model: ParameterLinearModel, times, states, derivative: str):
         span = times[2:] - times[:-2]
         # three-point Simpson rule over [t_{i-1}, t_{i+1}], divided by its span
         weighted = (
-            (2.0 - h2 / h1)[:, None] * values[:-2]
-            + (span * span / (h1 * h2))[:, None] * values[1:-1]
-            + (2.0 - h1 / h2)[:, None] * values[2:]
+            (2.0 - h2 / h1)[:, None] * values[..., :-2, :]
+            + (span * span / (h1 * h2))[:, None] * values[..., 1:-1, :]
+            + (2.0 - h1 / h2)[:, None] * values[..., 2:, :]
         ) / 6.0
         matrices = matrices_from_features(weighted, coefficients)
-        return matrices, (states[2:] - states[:-2]) / span[:, None]
+        return matrices, (states[..., 2:, :] - states[..., :-2, :]) / span[:, None]
     if derivative == "full":
-        rhs = full_diff(TimeSeries(times, states)).states
+        if len(times) < 3:
+            raise TooFewPoints(f"full-length difference needs n >= 3, got {len(times)}")
+        rhs = np.gradient(states, times, axis=-2, edge_order=1)
         return matrices_from_features(values, coefficients), rhs
     raise ValueError(f"unknown derivative mode {derivative!r}")
-
-
-def _stack(model: ParameterLinearModel, matrices, rhs) -> StackedSystem:
-    return StackedSystem(matrices.reshape(-1, model.n_params), rhs.reshape(-1))
 
 
 def assemble_from_series(
@@ -188,25 +177,23 @@ def assemble_from_series(
     Each row is built from its own samples only, so the system of a window
     equals the matching row slice of any larger window's system.
     """
-    idx = _window_indices(indices)
+    if not isinstance(indices, EstimationWindow):
+        indices = EstimationWindow(indices)
+    idx = indices.indices
     first, last = idx.min(), idx.max()
     samples = slice(first, last + 1)
     if derivative == "interior":
         if first < 1 or last > len(series) - 2:
-            raise TooFewPoints(
-                "interior mode needs indices with both neighbors in range"
-            )
+            raise TooFewPoints("interior mode needs indices with both neighbors in range")
         samples = slice(first - 1, last + 2)
     elif derivative == "full":
         if not np.all(np.diff(idx) == 1):
             raise ShapeMismatch("full mode needs contiguous indices")
         if first < 0 or last > len(series) - 1:
             raise TooFewPoints("window indices outside the series")
-    matrices, rhs = _formulate(
-        model, series.times[samples], series.states[samples], derivative
-    )
+    matrices, rhs = _formulate(model, series.times[samples], series.states[samples], derivative)
     pick = idx - first
-    return _stack(model, matrices[pick], rhs[pick])
+    return StackedSystem(matrices[pick].reshape(-1, model.n_params), rhs[pick].reshape(-1))
 
 
 def estimate_constant(
@@ -291,7 +278,7 @@ def estimate_time_varying(
     retried once at width 2 (per-point systems of the seven-compartment
     model are degenerate by construction). Any other failure is raised at
     the first day it hits. The full-width windows are solved together by
-    regression.solve_batch, in calls of at most WINDOW_BLOCK_VALUES values,
+    regression.solve_batch, in calls of at most SOLVE_BLOCK_VALUES values,
     and only the failed days are walked one by one. `window_width` must be
     a Python or numpy integer (not a bool).
 
@@ -349,7 +336,7 @@ def estimate_time_varying(
             # the window axis of a sliding view comes last; move it before states
             windows = np.moveaxis(sliding_window_view(blocks, width, axis=0), -1, 1)
             targets = np.moveaxis(sliding_window_view(block_rhs, width, axis=0), -1, 1)
-            step = max(1, WINDOW_BLOCK_VALUES // (rows * (k + 1)))
+            step = max(1, SOLVE_BLOCK_VALUES // (rows * (k + 1)))
             for start in range(0, len(windows), step):
                 size = min(step, len(windows) - start)
                 chunk = slice(start, start + size)
@@ -508,57 +495,70 @@ def run_sweep(
 
     Draw i is seeded by SeedSequence((seed, i)), so results are order-stable.
     Draws are integrated together (simulate_draws) in blocks of at most
-    SWEEP_BLOCK_VALUES state values, then each draw's rows are formulated and
-    reduced to the unknowns once and solved for each normalize setting.
-    Failed draws are recorded with a reason and excluded from the error
-    arrays, never fatal; an error of the builder at the shared initial state
-    is raised. `workers` is accepted for compatibility and has no effect.
+    SWEEP_BLOCK_VALUES state values. A block's draws that neither failed nor
+    hold a zero are formulated, reduced and solved per normalize setting in
+    one call per chunk of at most SOLVE_BLOCK_VALUES values; a chunk whose
+    formulation raises is refitted a draw at a time. Each draw's errors equal
+    those of fitting it alone, bit for bit. Failures are recorded with a
+    reason, in index order, never fatal; an error of the model's features at
+    the shared initial state is raised. `workers` has no effect.
     """
-    partition = sweep.fixed
-    count = sweep.sample_count
-    draws = np.empty((count, len(partition.unknown_indices)))
+    partition, count = sweep.fixed, sweep.sample_count
+    k = len(partition.unknown_indices)
+    draws = np.empty((count, k))
     for index in range(count):
         rng = np.random.default_rng(np.random.SeedSequence((sweep.seed, index)))
         draws[index] = [rng.uniform(lo, hi) for lo, hi in sweep.domain]
     omegas = partition.combine(draws)
-    block = max(1, SWEEP_BLOCK_VALUES // (len(time_grid(sim_template)) * model.n_states))
+    times = time_grid(sim_template)
+    values = len(times) * model.n_states  # one draw's states
+    block = max(1, SWEEP_BLOCK_VALUES // values)
+    chunk = max(1, SOLVE_BLOCK_VALUES // (values * (k + 1)))
     # "full" rows keep estimate_constant's default window, samples 1..n-2
     window = slice(1, -1) if derivative == "full" else slice(None)
-
     # rows: max and mean error, then the normalized pair
     statistics = np.full((4 if with_normalized else 2, count), np.nan)
-    failures = []
-    failure_counts = Counter()
+    zero = np.flatnonzero(np.any(draws == 0.0, axis=1))
+    errors = {int(index): EstimationError("zero parameter draw") for index in zero}
+
+    def fit(states, indices) -> None:
+        """Record the relative errors, or the failure, of each draw in `indices`."""
+        try:
+            matrices, rhs = partition.reduce(
+                *_formulate(model, times[window], states[:, window], derivative)
+            )
+        except EstimationError as exc:
+            if len(indices) == 1:
+                errors[indices[0]] = exc
+            else:  # a feature error fails only its own draw
+                for row, index in enumerate(indices):
+                    fit(states[row : row + 1], [index])
+            return
+        drawn = draws[indices]
+        systems = matrices.reshape(len(indices), -1, k), rhs.reshape(len(indices), -1)
+        rows = []
+        for normalize in (False, True) if with_normalized else (False,):
+            solution = regression.solve_batch(*systems, normalize=normalize)
+            relative = np.abs((solution.values - drawn) / drawn)
+            rows += [relative.max(axis=1), relative.mean(axis=1)]
+            for index, error in zip(indices, solution.errors):
+                if error is not None:
+                    errors.setdefault(index, error)
+        statistics[:, indices] = rows
+
     for start in range(0, count, block):
-        times, states, failed = simulate_draws(
-            model, sim_template, omegas[start : start + block]
-        )
-        for offset, trajectory in enumerate(states):
-            index = start + offset
-            drawn = draws[index]
-            error = failed.get(offset)
-            if np.any(drawn == 0.0):
-                error = EstimationError("zero parameter draw")
-            if error is None:
-                try:
-                    matrices, rhs = partition.reduce(
-                        *_formulate(model, times[window], trajectory[window], derivative)
-                    )
-                    system = matrices.reshape(1, rhs.size, len(drawn)), rhs.reshape(1, -1)
-                    row = []
-                    for normalize in (False, True) if with_normalized else (False,):
-                        solution = regression.solve_batch(*system, normalize=normalize)
-                        relative = np.abs((solution.estimate(0).values - drawn) / drawn)
-                        row += [relative.max(), relative.mean()]
-                    statistics[:, index] = row
-                except EstimationError as exc:
-                    error = exc
-            if error is not None:
-                failures.append((index, f"{type(error).__name__}: {error}"))
-                failure_counts[type(error).__name__] += 1
-    return SweepResult(
-        count, *statistics[:2], failures, dict(failure_counts), *statistics[2:]
-    )
+        _, states, failed = simulate_draws(model, sim_template, omegas[start : start + block])
+        for offset, error in failed.items():
+            errors.setdefault(start + offset, error)
+        kept = [i for i in range(start, start + len(states)) if i not in errors]
+        for first in range(0, len(kept), chunk):
+            indices = kept[first : first + chunk]
+            fit(states[[index - start for index in indices]], indices)
+    recorded = sorted(errors.items())
+    statistics[:, [index for index, _ in recorded]] = np.nan
+    failures = [(index, f"{type(error).__name__}: {error}") for index, error in recorded]
+    failure_counts = Counter(type(error).__name__ for _, error in recorded)
+    return SweepResult(count, *statistics[:2], failures, dict(failure_counts), *statistics[2:])
 
 
 def subsample_noise_table(
@@ -572,42 +572,42 @@ def subsample_noise_table(
 ) -> np.ndarray:
     """Percent-error table over sample counts and noise levels.
 
-    For each sample count n the trajectory is subsampled by stride
-    (indices arange(n) * (len // n)) and formulated once in "full" mode; for
-    each noise level > 0, `draws` perturbed copies are estimated and
-    |percent error| is averaged. The perturbation enters the design only:
-    each copy rebuilds the regressor matrices from its noisy states and keeps
-    the derivative targets of the unperturbed subsample (this placement
-    reproduces the published error magnitudes).
+    Each sample count n in 3..len(series) subsamples the trajectory by stride
+    (indices arange(n) * (len // n)). Each noise level > 0 draws its `draws`
+    perturbed copies as one block; a subsample's copies are formulated in
+    "full" mode and solved in one call each, and |percent error| is averaged.
+    The perturbation enters the design only: the regressor matrices come from
+    the noisy states, the derivative targets from the unperturbed subsample
+    (this placement reproduces the published error magnitudes).
 
     Returns an array of shape (n_params, len(points), len(noise_levels)).
     """
     true_omega = np.asarray(true_omega, dtype=float)
     total = len(series)
+    for n in points:
+        if not 3 <= n <= total:
+            raise TooFewPoints(f"points entry {n} is outside 3..{total}, the series length")
     scale_unit = np.abs(series.states).max(axis=0)
     rng = np.random.default_rng(seed)
     table = np.empty((model.n_params, len(points), len(noise_levels)))
     subsamples = [np.arange(n) * (total // n) for n in points]
-    clean = [
-        _formulate(model, series.times[idx], series.states[idx], "full")
+    targets = [
+        _formulate(model, series.times[idx], series.states[idx], "full")[1].reshape(-1)
         for idx in subsamples
     ]
-
-    def percent_errors(matrices: np.ndarray, rhs: np.ndarray):
-        estimate = regression.solve_ols(_stack(model, matrices, rhs))
-        return np.abs((estimate.values - true_omega) / true_omega) * 100.0
-
     for col, level in enumerate(noise_levels):
-        if level == 0.0:
-            for row, (matrices, rhs) in enumerate(clean):
-                table[:, row, col] = percent_errors(matrices, rhs)
-            continue
-        accumulator = np.zeros((model.n_params, len(points)))
-        for _ in range(draws):
-            noise = rng.standard_normal(series.states.shape) * (level * scale_unit)
-            noisy = series.states + noise
-            for row, (idx, (_, rhs)) in enumerate(zip(subsamples, clean)):
-                matrices = build_matrices(model, noisy[idx], series.times[idx])
-                accumulator[:, row] += percent_errors(matrices, rhs)
-        table[:, :, col] = accumulator / draws
+        copies = series.states[None]  # level 0 draws nothing: one clean copy
+        if level != 0.0:
+            noise = rng.standard_normal((draws,) + series.states.shape) * (level * scale_unit)
+            copies = series.states + noise
+        for row, (idx, rhs) in enumerate(zip(subsamples, targets)):
+            matrices, _ = _formulate(model, series.times[idx], copies[:, idx], "full")
+            solution = regression.solve_batch(
+                matrices.reshape(len(copies), -1, model.n_params),
+                np.broadcast_to(rhs, (len(copies), len(rhs))),
+            )
+            for error in filter(None, solution.errors):
+                raise error
+            percent = np.abs((solution.values - true_omega) / true_omega) * 100.0
+            table[:, row, col] = percent.sum(axis=0) / len(copies)
     return table

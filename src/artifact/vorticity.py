@@ -375,13 +375,22 @@ def estimate_reynolds(
 
 
 def curl_consistency_rms(stack: SnapshotStack) -> float:
-    """RMS of w - (dv/dx - du/dy) over interior nodes and all snapshots."""
-    v = interior_neighbours(stack.v)
-    u = interior_neighbours(stack.u)
-    dvdx = central_difference(v.east, v.west, stack.dx)
-    dudy = central_difference(u.north, u.south, stack.dy)
-    residual = interior_neighbours(stack.w).center - (dvdx - dudy)
-    return float(np.sqrt(np.mean(residual**2)))
+    """RMS of w - (dv/dx - du/dy) over interior nodes and all snapshots.
+
+    The sum of squares is accumulated one snapshot at a time, the residual
+    written into the same two interior-sized buffers each time, so no
+    temporary the size of the stack is allocated.
+    """
+    residual = np.empty_like(stack.w[0, 1:-1, 1:-1], order="C")
+    dudy = np.empty_like(residual)
+    squares = 0.0
+    for n in range(stack.n_snapshots):
+        v, u = interior_neighbours(stack.v[n]), interior_neighbours(stack.u[n])
+        central_difference(v.east, v.west, stack.dx, out=residual)
+        residual -= central_difference(u.north, u.south, stack.dy, out=dudy)
+        np.subtract(interior_neighbours(stack.w[n]).center, residual, out=residual)
+        squares += np.vdot(residual, residual)
+    return float(np.sqrt(squares / (stack.n_snapshots * residual.size)))
 
 
 def write_snapshot_stack(stack: SnapshotStack, directory) -> str:

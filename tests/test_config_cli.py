@@ -439,6 +439,21 @@ def test_simulate_with_noise_is_seeded(tmp_path):
     assert (out_a / "trajectory.csv").read_bytes() != (out_c / "trajectory.csv").read_bytes()
 
 
+def test_simulate_checks_every_configured_epsilon(tmp_path, capsys):
+    plain = tmp_path / "plain"
+    assert main(["simulate", "--config", write(tmp_path / "a.conf", SIR_CONF),
+                 "--out", str(plain)]) == 0
+    zero = tmp_path / "zero"
+    conf = write(tmp_path / "b.conf", SIR_CONF + "noise.epsilon=0\n")
+    assert main(["simulate", "--config", conf, "--out", str(zero)]) == 0
+    assert (zero / "trajectory.csv").read_bytes() == (plain / "trajectory.csv").read_bytes()
+    capsys.readouterr()
+    conf = write(tmp_path / "c.conf", SIR_CONF + "noise.epsilon=-0.1\n")
+    assert main(["simulate", "--config", conf, "--out", str(tmp_path / "out")]) == 2
+    assert "epsilon must be finite and nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_estimate_varying_mode(tmp_path, who_csv):
     # windowed fit through the generic estimate entry point
     conf = write(

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from artifact import cli, estimation, regression
+from artifact.models import build_matrices
 from artifact import (
     ConstantSchedule,
+    DegenerateDenominator,
+    EstimationError,
     EstimationWindow,
     NoiseSpec,
     NonFiniteSystem,
@@ -30,6 +33,7 @@ from artifact import (
     estimate_constant,
     estimate_time_varying,
     eval_rhs,
+    full_diff,
     lotka_volterra,
     relative_error_metrics,
     run_sweep,
@@ -571,6 +575,57 @@ def test_noise_table_deterministic(lv_trajectory):
     np.testing.assert_array_equal(a, b)
 
 
+def _noise_table_reference(model, series, true_omega, points, noise_levels, draws, seed):
+    """The table by one build_matrices and solve_ols call per noisy copy.
+
+    Each copy's matrices come from its noisy subsample and its rhs from the
+    clean subsample's full_diff; percent errors are summed in draw order.
+    """
+    total = len(series)
+    scale = np.abs(series.states).max(axis=0)
+    rng = np.random.default_rng(seed)
+    subsamples = [np.arange(n) * (total // n) for n in points]
+    targets = [
+        full_diff(TimeSeries(series.times[idx], series.states[idx])).states.reshape(-1)
+        for idx in subsamples
+    ]
+
+    def percent(states, idx, rhs):
+        matrices = build_matrices(model, states[idx], series.times[idx])
+        estimate = solve_ols(StackedSystem(matrices.reshape(-1, model.n_params), rhs))
+        return np.abs((estimate.values - true_omega) / true_omega) * 100.0
+
+    table = np.empty((model.n_params, len(points), len(noise_levels)))
+    for col, level in enumerate(noise_levels):
+        if level == 0.0:
+            for row, (idx, rhs) in enumerate(zip(subsamples, targets)):
+                table[:, row, col] = percent(series.states, idx, rhs)
+            continue
+        sums = np.zeros((model.n_params, len(points)))
+        for _ in range(draws):
+            noisy = series.states + rng.standard_normal(series.states.shape) * (level * scale)
+            for row, (idx, rhs) in enumerate(zip(subsamples, targets)):
+                sums[:, row] += percent(noisy, idx, rhs)
+        table[:, :, col] = sums / draws
+    return table
+
+
+def test_noise_table_places_noise_in_the_matrices_only(lv_trajectory):
+    args = (lotka_volterra(), lv_trajectory, LV_OMEGA, (5, 10, 50), (0.0, 0.05, 0.1), 3, 4)
+    np.testing.assert_array_equal(
+        subsample_noise_table(*args), _noise_table_reference(*args)
+    )
+
+
+@pytest.mark.parametrize("points", [0, 2, 1001])
+def test_noise_table_rejects_points_outside_the_series(lv_trajectory, points):
+    # the series has 1000 samples; a subsample needs 3 for its derivative
+    with pytest.raises(TooFewPoints, match=f"points entry {points} is outside 3..1000"):
+        subsample_noise_table(
+            lotka_volterra(), lv_trajectory, LV_OMEGA, points=(5, points), draws=2
+        )
+
+
 def test_sweep_zero_draw_recorded_not_fatal():
     spec = SweepSpec(
         domain=((0.0, 0.0),),
@@ -605,8 +660,9 @@ def test_sweep_deterministic_and_accurate():
 
 
 def test_estimators_reduce_each_series_once(monkeypatch):
-    # run_sweep reduces each draw once whether or not it also solves the
-    # normalized systems; estimate_time_varying reduces its blocks once
+    # run_sweep reduces each draw once, its three draws as one chunk, whether
+    # or not it also solves the normalized systems; estimate_time_varying
+    # reduces its blocks once
     calls = []
     reduce = ParameterPartition.reduce
 
@@ -633,7 +689,7 @@ def test_estimators_reduce_each_series_once(monkeypatch):
         calls.clear()
         result = run_sweep(lotka_volterra(), spec, config, with_normalized=with_normalized)
         assert not result.failures
-        assert calls == [(99, 2, 4)] * 3
+        assert calls == [(3, 99, 2, 4)]
     calls.clear()
     series = simulate(lotka_volterra(), config)
     results = estimate_time_varying(lotka_volterra(), series, 5, partition=spec.fixed)
@@ -660,7 +716,10 @@ def test_sweep_spec_rejects_non_finite_bounds(interval):
 
 
 def _per_draw_reference(model, spec, config, derivative, with_normalized):
-    """Sweep errors by one simulate and estimate_constant call per draw."""
+    """Sweep errors by one simulate and estimate_constant call per draw.
+
+    A draw whose estimate raises gives a row of NaN.
+    """
     unknown = list(spec.fixed.unknown_indices)
     rows = []
     for index in range(spec.sample_count):
@@ -677,13 +736,16 @@ def _per_draw_reference(model, spec, config, derivative, with_normalized):
             ),
         )
         row = []
-        for normalize in (False, True) if with_normalized else (False,):
-            estimate = estimate_constant(
-                model, series, partition=spec.fixed, derivative=derivative,
-                normalize=normalize,
-            )
-            errors = np.abs((estimate.values[unknown] - drawn) / drawn)
-            row += [errors.max(), errors.mean()]
+        try:
+            for normalize in (False, True) if with_normalized else (False,):
+                estimate = estimate_constant(
+                    model, series, partition=spec.fixed, derivative=derivative,
+                    normalize=normalize,
+                )
+                errors = np.abs((estimate.values[unknown] - drawn) / drawn)
+                row += [errors.max(), errors.mean()]
+        except EstimationError:
+            row = [np.nan] * (4 if with_normalized else 2)
         rows.append(row)
     return np.array(rows)
 
@@ -750,6 +812,43 @@ def test_sweep_mixed_failures_stay_per_draw():
     ]
     np.testing.assert_array_equal(result.max_errors, expected)
     np.testing.assert_array_equal(result.mean_errors, expected)
+
+
+@pytest.mark.parametrize(
+    "derivative, with_normalized", [("interior", True), ("full", False)]
+)
+def test_sweep_feature_error_fails_only_its_own_draw(derivative, with_normalized):
+    # the features raise on a whole series (t an array) holding a state above
+    # 4, never in RK4: the chunk of draws fails and is refitted draw by draw
+    def features(states, t):
+        if np.ndim(t) > 0 and np.any(states > 4.0):
+            raise DegenerateDenominator("a state above 4")
+        return np.array(states, dtype=float)
+
+    growth = ParameterLinearModel(
+        name="growth",
+        state_names=("x",),
+        parameter_names=("r",),
+        build_matrix=lambda state, t: np.array([[state[0]]]),
+        features=features,
+        coefficients=np.ones((1, 1, 1)),
+    )
+    spec = SweepSpec(((0.1, 1.0),), 8, ParameterPartition.all_unknown(1), seed=5)
+    config = SimulationConfig(0.0, 2.0, 0.01, np.array([1.0]), ConstantSchedule([0.0]))
+    result = run_sweep(
+        growth, spec, config, derivative=derivative, with_normalized=with_normalized
+    )
+    assert result.failures == [
+        (index, "DegenerateDenominator: a state above 4") for index in (0, 1, 3, 5, 6)
+    ]
+    assert all(type(index) is int for index, _ in result.failures)
+    assert result.failure_counts == {"DegenerateDenominator": 5}
+    got = [result.max_errors, result.mean_errors]
+    if with_normalized:
+        got += [result.max_errors_normalized, result.mean_errors_normalized]
+    reference = _per_draw_reference(growth, spec, config, derivative, with_normalized)
+    np.testing.assert_array_equal(np.column_stack(got), reference)
+    assert np.isfinite(reference).sum() == 3 * len(got)
 
 
 def test_sweep_runs_a_scalar_only_model():

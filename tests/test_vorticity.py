@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,6 +377,27 @@ def test_curl_rms_zero_for_consistent_field():
         dt=0.1,
     )
     assert curl_consistency_rms(stack) == 0.0
+
+
+def test_curl_rms_streams_snapshots_in_bounded_memory():
+    rng = np.random.default_rng(3)
+    shape = (12, 41, 33)
+    stack = SnapshotStack(
+        u=rng.normal(size=shape), v=rng.normal(size=shape), w=rng.normal(size=shape),
+        dx=0.3, dy=0.7, dt=0.2,
+    )
+    u, v, w = stack.u, stack.v, stack.w
+    dvdx = (v[:, 2:, 1:-1] - v[:, :-2, 1:-1]) / (2 * stack.dx)
+    dudy = (u[:, 1:-1, 2:] - u[:, 1:-1, :-2]) / (2 * stack.dy)
+    whole_stack = np.sqrt(np.mean((w[:, 1:-1, 1:-1] - (dvdx - dudy)) ** 2))
+    tracemalloc.start()
+    try:
+        rms = curl_consistency_rms(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rms == pytest.approx(whole_stack, rel=1e-12)
+    assert peak < w.nbytes
 
 
 def test_snapshot_round_trip(tmp_path):
