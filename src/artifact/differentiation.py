@@ -1,4 +1,8 @@
-"""Finite-difference derivatives for time series and gridded fields."""
+"""Finite-difference derivatives for time series and gridded fields.
+
+time_derivative is the one definition of the targets the estimators regress
+on their model matrices; central_diff and full_diff are TimeSeries views.
+"""
 
 from __future__ import annotations
 
@@ -60,32 +64,33 @@ class GridField:
         object.__setattr__(self, "values", values)
 
 
-def central_diff(series: TimeSeries) -> TimeSeries:
-    """Central-difference derivative on interior samples.
+def time_derivative(times, states, mode: str) -> np.ndarray:
+    """dx/dt of series states (..., T, n) on one time axis, times (T,).
 
-    dx_i/dt ~ (x_{i+1} - x_{i-1}) / (t_{i+1} - t_{i-1}); the two endpoints
-    are dropped, so the output covers indices 1..n-2 of the input. The
-    two-point span in the denominator also handles non-uniform sampling.
+    "interior": (x_{i+1} - x_{i-1}) / (t_{i+1} - t_{i-1}) at samples 1..T-2,
+    non-uniform spans included. "full": np.gradient at every sample, central
+    inside and first-order one-sided at both ends. An unknown mode raises
+    ValueError, then T < 3 raises TooFewPoints.
     """
-    n = len(series)
-    if n < 3:
-        raise TooFewPoints(f"central difference needs n >= 3, got {n}")
-    span = (series.times[2:] - series.times[:-2])[:, None]
-    derivative = (series.states[2:] - series.states[:-2]) / span
+    if mode not in ("interior", "full"):
+        raise ValueError(f"unknown derivative mode {mode!r}")
+    if len(times) < 3:
+        raise TooFewPoints(f"{mode} difference needs n >= 3, got {len(times)}")
+    if mode == "full":
+        return np.gradient(states, times, axis=-2, edge_order=1)
+    span = (times[2:] - times[:-2])[:, None]
+    return (states[..., 2:, :] - states[..., :-2, :]) / span
+
+
+def central_diff(series: TimeSeries) -> TimeSeries:
+    """The "interior" time_derivative, on samples 1..n-2 of the input."""
+    derivative = time_derivative(series.times, series.states, "interior")
     return TimeSeries(series.times[1:-1], derivative)
 
 
 def full_diff(series: TimeSeries) -> TimeSeries:
-    """Full-length derivative: central inside, first-order one-sided ends.
-
-    Opt-in alternative to central_diff for callers that need a derivative at
-    every sample, including both endpoints.
-    """
-    n = len(series)
-    if n < 3:
-        raise TooFewPoints(f"full-length difference needs n >= 3, got {n}")
-    derivative = np.gradient(series.states, series.times, axis=0, edge_order=1)
-    return TimeSeries(series.times, derivative)
+    """The "full" time_derivative, at every sample including both endpoints."""
+    return TimeSeries(series.times, time_derivative(series.times, series.states, "full"))
 
 
 class Neighbours(NamedTuple):

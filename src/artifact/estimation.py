@@ -13,6 +13,8 @@ estimator builds its rows there: assemble_from_series picks its window's
 blocks out of the window's span, estimate_time_varying slices each day's
 blocks out of one formulation, run_sweep formulates a chunk of draws per
 call and subsample_noise_table all noisy copies of a subsample in one call.
+Its right-hand sides are differentiation.time_derivative's targets, which
+subsample_noise_table also reads directly for its clean subsamples.
 
 "interior" (default): the integral identity
 x_{i+1} - x_{i-1} = integral of A(x; t) omega over [t_{i-1}, t_{i+1}],
@@ -22,10 +24,10 @@ weights (1, 4, 1)/6 on a uniform grid and the general three-point Simpson
 weights otherwise. Endpoints are dropped. The weights are applied to the
 model's (m, F) features, which are then multiplied by its coefficient table
 once (models.py).
-"full": derivative at every sample of the formulated span (np.gradient:
-central inside, first-order one-sided at the two span ends), paired with A
-at that sample. The published constant-recovery numbers for the epidemic
-models were produced with "full" windows starting at the first sample.
+"full": derivative at every sample of the formulated span (central inside,
+first-order one-sided at the two span ends), paired with A at that sample.
+The published constant-recovery numbers for the epidemic models were
+produced with "full" windows starting at the first sample.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import regression
-from .differentiation import TimeSeries
+from .differentiation import TimeSeries, time_derivative
 from .errors import (
     EstimationError,
     RankDeficient,
@@ -135,35 +137,28 @@ def _formulate(model: ParameterLinearModel, times, states, derivative: str):
     states (..., T, n) are series on one time axis, times (T,), which the
     features get broadcast to the leading axes. "interior" gives the m = T - 2
     blocks of samples 1..T-2, each from its own three samples only; "full"
-    gives one per sample. Both weight the features and apply the table once.
+    gives one per sample. rhs is time_derivative's; the matrices weight the
+    features and apply the table once.
     """
     if states.shape[-1] != model.n_states:
         raise ShapeMismatch(
             f"series has {states.shape[-1]} states, model {model.name} wants {model.n_states}"
         )
+    rhs = time_derivative(times, states, derivative)
     features, coefficients = model.library()
     values = features(states, np.broadcast_to(times, states.shape[:-1]))
     check_features(model, values, states, len(coefficients))
     if derivative == "interior":
-        if len(times) < 3:
-            raise TooFewPoints("series too short for any interior window")
         h1 = times[1:-1] - times[:-2]
         h2 = times[2:] - times[1:-1]
         span = times[2:] - times[:-2]
         # three-point Simpson rule over [t_{i-1}, t_{i+1}], divided by its span
-        weighted = (
+        values = (
             (2.0 - h2 / h1)[:, None] * values[..., :-2, :]
             + (span * span / (h1 * h2))[:, None] * values[..., 1:-1, :]
             + (2.0 - h1 / h2)[:, None] * values[..., 2:, :]
         ) / 6.0
-        matrices = matrices_from_features(weighted, coefficients)
-        return matrices, (states[..., 2:, :] - states[..., :-2, :]) / span[:, None]
-    if derivative == "full":
-        if len(times) < 3:
-            raise TooFewPoints(f"full-length difference needs n >= 3, got {len(times)}")
-        rhs = np.gradient(states, times, axis=-2, edge_order=1)
-        return matrices_from_features(values, coefficients), rhs
-    raise ValueError(f"unknown derivative mode {derivative!r}")
+    return matrices_from_features(values, coefficients), rhs
 
 
 def assemble_from_series(
@@ -277,10 +272,11 @@ def estimate_time_varying(
     skipped with a warning, except that a rank-deficient width-1 run is
     retried once at width 2 (per-point systems of the seven-compartment
     model are degenerate by construction). Any other failure is raised at
-    the first day it hits. The full-width windows are solved together by
-    regression.solve_batch, in calls of at most SOLVE_BLOCK_VALUES values,
-    and only the failed days are walked one by one. `window_width` must be
-    a Python or numpy integer (not a bool).
+    the first day it hits. The trimmed first day, the full-width days and
+    the trimmed last day are solved by regression.solve_batch, in calls of
+    at most SOLVE_BLOCK_VALUES values, and the failed days are then walked
+    in day order. `window_width` must be a Python or numpy integer (not a
+    bool).
 
     Returns a WindowedEstimates: the estimated days' times, values,
     residual norms and conditions as columns in day order, the skipped day
@@ -311,66 +307,47 @@ def estimate_time_varying(
     blocks, block_rhs = partition.reduce(matrices, rhs)
     count, states, k = blocks.shape
 
-    def solutions(width: int):
-        """(first day, BatchSolution) of consecutive days with non-empty windows, in day order.
-
-        Block j holds the interior rows of sample j + 1, so the window of day
-        i is blocks max(i - width, 0) .. min(i, count) - 1: full width for
-        days width .. count, trimmed or empty for days width - 1 and n - 1.
-        """
-        parts = []
-
-        def trimmed(day: int):
-            first, stop = max(day - width, 0), min(day, count)
-            if first < stop:
-                rows = (stop - first) * states
-                batch = blocks[first:stop].reshape(1, rows, k)
-                target = block_rhs[first:stop].reshape(1, rows)
-                parts.append(
-                    (day, regression.solve_batch(batch, target, ridge_lambda, normalize))
-                )
-
-        trimmed(width - 1)
+    def fit(width: int):
+        # block j holds the interior rows of sample j + 1, so the window of
+        # day i is blocks max(i - width, 0) .. min(i, count) - 1: full width
+        # for days width .. count, trimmed or empty for days width - 1, n - 1
+        head, tail = slice(0, min(width - 1, count)), slice(max(n - 1 - width, 0), count)
+        groups = [(width - 1, blocks[None, head], block_rhs[None, head])]
         if width <= count:
-            rows = width * states
             # the window axis of a sliding view comes last; move it before states
             windows = np.moveaxis(sliding_window_view(blocks, width, axis=0), -1, 1)
             targets = np.moveaxis(sliding_window_view(block_rhs, width, axis=0), -1, 1)
-            step = max(1, SOLVE_BLOCK_VALUES // (rows * (k + 1)))
-            for start in range(0, len(windows), step):
-                size = min(step, len(windows) - start)
-                chunk = slice(start, start + size)
-                solution = regression.solve_batch(
-                    windows[chunk].reshape(size, rows, k),
-                    targets[chunk].reshape(size, rows),
-                    ridge_lambda,
-                    normalize,
-                )
-                parts.append((start + width, solution))
+            groups.append((width, windows, targets))
         if n > width:
-            trimmed(n - 1)
-        return parts
-
-    def fit(width: int):
-        parts = solutions(width)
+            groups.append((n - 1, blocks[None, tail], block_rhs[None, tail]))
+        days, solutions = [], []
+        for first, windows, targets in groups:
+            if windows.shape[1] == 0:  # an empty trimmed window
+                continue
+            rows = windows.shape[1] * states
+            step = max(1, SOLVE_BLOCK_VALUES // (rows * (k + 1)))
+            days.append(first + np.arange(len(windows)))
+            for start in range(0, len(windows), step):
+                chunk = slice(start, start + step)
+                batch = windows[chunk].reshape(-1, rows, k), targets[chunk].reshape(-1, rows)
+                solutions.append(regression.solve_batch(*batch, ridge_lambda, normalize))
+        days = np.concatenate(days)
+        errors = [error for solution in solutions for error in solution.errors]
+        values = np.concatenate([s.values for s in solutions])
+        residual_norms = np.concatenate([s.residual_norms for s in solutions])
+        conditions = np.concatenate([s.conditions for s in solutions])
         skipped = []
         # a failed system is the one whose diagnostics are NaN (BatchSolution)
-        for first, solution in parts:
-            for index in np.flatnonzero(np.isnan(solution.residual_norms)):
-                error = solution.errors[index]
-                if not isinstance(error, RankDeficient):
-                    raise error
-                if width == 1:
-                    return None
-                skipped.append(first + int(index))
-                warnings.warn(
-                    f"skipping day index {skipped[-1]}: rank-deficient window",
-                    stacklevel=3,
-                )
-        days = np.concatenate([first + np.arange(len(s.errors)) for first, s in parts])
-        values = np.concatenate([s.values for _, s in parts])
-        residual_norms = np.concatenate([s.residual_norms for _, s in parts])
-        conditions = np.concatenate([s.conditions for _, s in parts])
+        for index in np.flatnonzero(np.isnan(residual_norms)):
+            if not isinstance(errors[index], RankDeficient):
+                raise errors[index]
+            if width == 1:
+                return None
+            skipped.append(int(days[index]))
+            warnings.warn(
+                f"skipping day index {skipped[-1]}: rank-deficient window",
+                stacklevel=3,
+            )
         kept = ~np.isnan(residual_norms)
         return WindowedEstimates(
             series.times[days[kept]],
@@ -587,12 +564,14 @@ def subsample_noise_table(
     for n in points:
         if not 3 <= n <= total:
             raise TooFewPoints(f"points entry {n} is outside 3..{total}, the series length")
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     scale_unit = np.abs(series.states).max(axis=0)
     rng = np.random.default_rng(seed)
     table = np.empty((model.n_params, len(points), len(noise_levels)))
     subsamples = [np.arange(n) * (total // n) for n in points]
     targets = [
-        _formulate(model, series.times[idx], series.states[idx], "full")[1].reshape(-1)
+        time_derivative(series.times[idx], series.states[idx], "full").reshape(-1)
         for idx in subsamples
     ]
     for col, level in enumerate(noise_levels):

@@ -359,9 +359,18 @@ def solve_single_column(system: StackedSystem, ridge_lambda: float = 0.0) -> flo
     """
     if system.cols != 1:
         raise ShapeMismatch(f"expected a single column, got {system.cols}")
-    a = system.matrix[:, 0]
+    return _solve_column_sums(*_column_sums([(system.matrix, system.rhs)]), ridge_lambda)
+
+
+def _column_sums(blocks) -> tuple:
+    """a'a and a'b summed over (regressor, target) blocks, one ddot pair each."""
+    squares = products = 0.0
     with np.errstate(all="ignore"):
-        return _solve_column_sums(float(a @ a), float(a @ system.rhs), ridge_lambda)
+        for regressor, target in blocks:
+            a = regressor.reshape(-1)
+            squares += float(a @ a)
+            products += float(a @ target.reshape(-1))
+    return squares, products
 
 
 def _solve_column_sums(squares: float, products: float, ridge_lambda: float) -> float:

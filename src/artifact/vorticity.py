@@ -55,7 +55,7 @@ from .errors import (
     RegionTooSmall,
     ShapeMismatch,
 )
-from .regression import StackedSystem, _solve_column_sums
+from .regression import StackedSystem, _column_sums, _solve_column_sums
 
 FILE_PATTERNS = {"u": "u_%04d.bin", "v": "v_%04d.bin", "w": "w_%04d.bin"}
 
@@ -84,6 +84,8 @@ class SnapshotStack:
             raise ShapeMismatch("u, v, w shapes differ")
         if self.n_snapshots < 3:
             raise ShapeMismatch("need at least 3 snapshots for temporal stencils")
+        if self.nx < 3 or self.ny < 3:
+            raise ShapeMismatch(f"grid {self.nx}x{self.ny} has no interior nodes")
         if not all(0.0 < h < np.inf for h in (self.dx, self.dy, self.dt)):
             raise ValueError("dx, dy, dt must be finite and positive")
 
@@ -244,8 +246,8 @@ def _transport_rows(
 def _sensor_rows(stack: SnapshotStack, positions: np.ndarray) -> tuple:
     """Laplacian and target at (..., 2) sensor nodes over interior snapshots.
 
-    Both have shape positions.shape[:-1] + (n_snapshots - 2,): one gather
-    per stencil value covers every sensor of every set in `positions`.
+    Both have shape positions.shape[:-1] + (n_snapshots - 2,): seven gathers
+    cover every sensor of every set in `positions`.
     """
     i, j = positions[..., :1], positions[..., 1:]
     # fancy indexing wraps negative indices, so reject before any gather
@@ -256,14 +258,14 @@ def _sensor_rows(stack: SnapshotStack, positions: np.ndarray) -> tuple:
         bad_i, bad_j = positions.reshape(-1, 2)[outside[0]]
         raise ShapeMismatch(f"sensor ({bad_i}, {bad_j}) is not strictly interior")
     n = np.arange(1, stack.n_snapshots - 1)
-    w = stack.w
+    # one gather of each sensor's whole series gives its w at n, n + 1, n - 1
+    w, series = stack.w, stack.w[np.arange(stack.n_snapshots), i, j]
     return _transport_rows(
         stack,
-        Neighbours(
-            w[n, i, j], w[n, i + 1, j], w[n, i - 1, j], w[n, i, j + 1], w[n, i, j - 1]
-        ),
-        w[n + 1, i, j],
-        w[n - 1, i, j],
+        Neighbours(series[..., 1:-1], w[n, i + 1, j], w[n, i - 1, j],
+                   w[n, i, j + 1], w[n, i, j - 1]),
+        series[..., 2:],
+        series[..., :-2],
         stack.u[n, i, j],
         stack.v[n, i, j],
     )
@@ -279,17 +281,6 @@ def assemble_vorticity_system(stack: SnapshotStack, sensors: SensorSet) -> Stack
     nodes = np.array(sensors.positions, dtype=np.intp).reshape(-1, 2)
     laplacian, target = _sensor_rows(stack, nodes)
     return StackedSystem(laplacian.reshape(-1, 1), target.ravel())
-
-
-def _column_sums(blocks) -> tuple:
-    """a'a and a'b summed over (regressor, target) blocks, one ddot pair each."""
-    squares = products = 0.0
-    with np.errstate(all="ignore"):
-        for laplacian, target in blocks:
-            a = laplacian.ravel()
-            squares += float(a @ a)
-            products += float(a @ target.ravel())
-    return squares, products
 
 
 def _fit_sums(stack: SnapshotStack, sensors: SensorSet | None = None) -> tuple:
@@ -438,11 +429,10 @@ def load_snapshot_stack(manifest_path) -> SnapshotStack:
         diameter = get_float(values, "diameter", None)
     except ConfigError as exc:
         raise ParseError(f"snapshot manifest: {exc}") from None
-    # the temporal stencils need three snapshots
-    sizes = (("nx", nx, 1), ("ny", ny, 1), ("n_snapshots", n_snapshots, 3))
-    for key, size, least in sizes:
-        if size < least:
-            raise ParseError(f"snapshot manifest: {key}={size}, need at least {least}")
+    # the spatial and temporal stencils need three points on each axis
+    for key, size in (("nx", nx), ("ny", ny), ("n_snapshots", n_snapshots)):
+        if size < 3:
+            raise ParseError(f"snapshot manifest: {key}={size}, need at least 3")
     for key, spacing in (("dx", dx), ("dy", dy), ("dt", dt)):
         if spacing <= 0:
             raise ParseError(f"snapshot manifest: {key}={spacing} is not positive")

@@ -413,6 +413,8 @@ def test_exit_code_for_conflicting_reynolds_inputs(tmp_path):
         ("n_snapshots", "2"),
         ("nx", "0"),
         ("ny", "-3"),
+        ("nx", "2"),
+        ("ny", "2"),
     ],
 )
 def test_exit_code_for_bad_manifest_values(tmp_path, capsys, key, value):

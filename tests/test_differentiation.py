@@ -11,6 +11,7 @@ from artifact import (
     spatial_gradient,
     spatial_laplacian,
 )
+from artifact.differentiation import time_derivative
 
 CORE = np.s_[1:-1, 1:-1]
 
@@ -65,6 +66,28 @@ def test_central_diff_halving_factor():
 def test_central_diff_needs_three_points():
     with pytest.raises(TooFewPoints):
         central_diff(TimeSeries([0.0, 1.0], [1.0, 2.0]))
+
+
+@pytest.mark.parametrize("mode", ["interior", "full"])
+def test_time_derivative_of_a_batch_equals_each_series_own(mode):
+    # non-uniform grid: the batched targets are those of each series alone
+    rng = np.random.default_rng(3)
+    t = np.cumsum(rng.uniform(0.1, 1.0, 12))
+    states = rng.standard_normal((4, 12, 3))
+    batched = time_derivative(t, states, mode)
+    assert batched.shape == (4, 12 if mode == "full" else 10, 3)
+    for draw, series in enumerate(states):
+        np.testing.assert_array_equal(batched[draw], time_derivative(t, series, mode))
+    view = full_diff if mode == "full" else central_diff
+    np.testing.assert_array_equal(batched[0], view(TimeSeries(t, states[0])).states)
+
+
+def test_time_derivative_checks_the_mode_before_the_length():
+    with pytest.raises(ValueError, match="unknown derivative mode 'spline'"):
+        time_derivative(np.arange(2.0), np.zeros((2, 1)), "spline")
+    for mode in ("interior", "full"):
+        with pytest.raises(TooFewPoints, match=f"{mode} difference needs n >= 3, got 2"):
+            time_derivative(np.arange(2.0), np.zeros((2, 1)), mode)
 
 
 def test_full_diff_covers_every_sample():

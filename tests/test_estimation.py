@@ -397,6 +397,23 @@ def test_windowed_fit_builds_no_estimate_objects(sir_trajectory, monkeypatch):
     assert len(built) == 1
 
 
+def test_windowed_fit_solves_each_window_group_in_day_order(sir_trajectory, monkeypatch):
+    # 10 samples give 8 interior blocks of 3 rows: at width 3 the first day
+    # (2) and the last (9) keep 2 blocks, days 3..8 are full
+    plan = []
+    solve_batch = regression.solve_batch
+
+    def recorded(matrices, rhs, *args):
+        plan.append(np.shape(matrices))
+        return solve_batch(matrices, rhs, *args)
+
+    monkeypatch.setattr(regression, "solve_batch", recorded)
+    series = TimeSeries(sir_trajectory.times[:10], sir_trajectory.states[:10])
+    results = estimate_time_varying(sir(1.0), series, 3)
+    assert plan == [(1, 6, 2), (6, 9, 2), (1, 6, 2)]
+    np.testing.assert_array_equal(results.times, series.times[2:])
+
+
 def test_windowed_fit_reports_skips_and_widening(sir_trajectory):
     model, series, partition = _daily_s3i3r()
     with warnings.catch_warnings():
@@ -624,6 +641,12 @@ def test_noise_table_rejects_points_outside_the_series(lv_trajectory, points):
         subsample_noise_table(
             lotka_volterra(), lv_trajectory, LV_OMEGA, points=(5, points), draws=2
         )
+
+
+@pytest.mark.parametrize("draws", [0, -1])
+def test_noise_table_rejects_fewer_than_one_draw(lv_trajectory, draws):
+    with pytest.raises(ValueError, match=f"draws must be at least 1, got {draws}"):
+        subsample_noise_table(lotka_volterra(), lv_trajectory, LV_OMEGA, draws=draws)
 
 
 def test_sweep_zero_draw_recorded_not_fatal():

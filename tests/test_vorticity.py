@@ -501,6 +501,10 @@ def test_stack_validation():
         )
     with pytest.raises(ShapeMismatch):
         SnapshotStack(u=good[0], v=good[0], w=good[0], dx=1.0, dy=1.0, dt=1.0)
+    # the central stencils have no interior node on a narrower grid
+    for narrow in (np.zeros((3, 4, 2)), np.zeros((3, 2, 4))):
+        with pytest.raises(ShapeMismatch, match="has no interior nodes"):
+            SnapshotStack(u=narrow, v=narrow, w=narrow, dx=1.0, dy=1.0, dt=1.0)
     for bad in ({"dt": 0.0}, {"dt": np.nan}, {"dx": np.nan}, {"dy": np.inf}):
         spacings = {"dx": 1.0, "dy": 1.0, "dt": 1.0, **bad}
         with pytest.raises(ValueError):
