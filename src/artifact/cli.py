@@ -31,6 +31,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .config import get_float, get_floats, get_int, get_ints, get_str, load_config
+from .config import read_csv
 from .differentiation import TimeSeries
 from .epidemic import FixedRates, build_sir_states, load_who_csv
 from .errors import (
@@ -39,6 +40,7 @@ from .errors import (
     NonPhysical,
     NonPositivePopulation,
     ParseError,
+    RankDeficient,
     ShapeMismatch,
     TooFewPoints,
 )
@@ -70,20 +72,12 @@ from .vorticity import (
     manufactured_diffusion_stack,
 )
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _write_csv(path, header, rows) -> None:
+    """Rows of str and Python numbers; csv writes each float as its repr."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(value) for value in row])
+        writer.writerows(rows)
 
 
 def _jsonable(value):
@@ -194,37 +188,25 @@ def _partition_from_config(entries: dict, model):
     return ParameterPartition.from_known(model.n_params, known)
 
 
-def _series_rows(series: TimeSeries):
-    return [[t, *row] for t, row in zip(series.times, series.states)]
+def _series_rows(series: TimeSeries) -> list:
+    return np.column_stack([series.times, series.states]).tolist()
 
 
 def _read_table(path, expected: list, what: str) -> np.ndarray:
     """Numeric rows, shape (rows, len(expected)), under the header `expected`."""
-    try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            lines = list(csv.reader(handle))
-    except OSError as exc:
-        raise ParseError(f"cannot read {what} file: {exc}") from None
-    if not lines:
-        raise ParseError(f"{path}: empty {what} file")
-    if [h.strip() for h in lines[0]] != expected:
-        raise ParseError(f"{path}: {what} columns {lines[0]} do not match {expected}")
-    rows = []
-    for line_number, row in enumerate(lines[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(expected):
-            raise ParseError(f"{path}:{line_number}: expected {len(expected)} fields")
+    header, rows = read_csv(path, what)
+    if header != expected:
+        raise ParseError(f"{path}: {what} columns {header} do not match {expected}")
+    values = []
+    for line_number, cells in rows:
         try:
-            rows.append([float(value) for value in row])
+            values.append([float(cell) for cell in cells])
         except ValueError:
             raise ParseError(f"{path}:{line_number}: non-numeric value") from None
-    table = np.array(rows).reshape(-1, len(expected))
+    table = np.array(values).reshape(-1, len(expected))
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
-        line_numbers = [n for n, row in enumerate(lines[1:], start=2) if row]
-        bad = line_numbers[int(np.argmin(finite))]
-        raise ParseError(f"{path}:{bad}: non-finite value")
+        raise ParseError(f"{path}:{rows[int(np.argmin(finite))][0]}: non-finite value")
     return table
 
 
@@ -301,11 +283,8 @@ def cmd_estimate(args) -> list:
             derivative=get_str(entries, "estimate.derivative", "interior"),
             normalize=normalize,
         )
-        _write_csv(
-            os.path.join(out, "estimates.csv"),
-            header,
-            [[*estimate.values, estimate.residual_norm, estimate.condition_estimate]],
-        )
+        row = np.hstack([estimate.values, estimate.residual_norm, estimate.condition_estimate])
+        _write_csv(os.path.join(out, "estimates.csv"), header, [row.tolist()])
         summary["parameters"] = dict(zip(model.parameter_names, estimate.values))
         summary["residual_norm"] = estimate.residual_norm
         summary["condition"] = estimate.condition_estimate
@@ -331,7 +310,7 @@ def cmd_estimate(args) -> list:
             ["t", *header],
             np.column_stack(
                 [results.times, results.values, results.residual_norms, results.conditions]
-            ),
+            ).tolist(),
         )
         summary["window"] = width
         summary["estimates"] = len(results)
@@ -383,17 +362,15 @@ def cmd_sweep(args) -> list:
     out = _ensure_out(args.out)
     failed = dict(result.failures)
     header = ["index", "max_rel_error", "mean_rel_error"]
+    errors = [result.max_errors, result.mean_errors]
     if normalized:
         header += ["max_rel_error_normalizing", "mean_rel_error_normalizing"]
+        errors += [result.max_errors_normalized, result.mean_errors_normalized]
     header.append("status")
-    rows = []
-    for i in range(spec.sample_count):
-        row = [i, result.max_errors[i], result.mean_errors[i]]
-        if normalized:
-            row += [result.max_errors_normalized[i], result.mean_errors_normalized[i]]
-        row.append("failed" if i in failed else "ok")
-        rows.append(row)
-    _write_csv(os.path.join(out, "draws.csv"), header, rows)
+    draws = range(spec.sample_count)
+    status = ["failed" if i in failed else "ok" for i in draws]
+    columns = [draws, *(column.tolist() for column in errors), status]
+    _write_csv(os.path.join(out, "draws.csv"), header, zip(*columns))
     name_map = {
         "max": "max",
         "mean": "mean",
@@ -437,6 +414,10 @@ def cmd_covid(args) -> list:
     results = estimate_time_varying(
         model, series, width, partition=partition, ridge_lambda=ridge
     )
+    if results.skipped and not results:
+        raise RankDeficient(
+            f"every window was rank deficient: {len(results.skipped)} days skipped"
+        )
     if not results:
         raise TooFewPoints(
             f"{len(series)} days of data give no full {width}-day window"
@@ -452,7 +433,7 @@ def cmd_covid(args) -> list:
                 results.residual_norms,
                 results.conditions,
             ]
-        ),
+        ).tolist(),
     )
     first_day = float(results.times[0])
     schedule = PiecewiseSchedule(results.times, results.values)
@@ -479,10 +460,7 @@ def cmd_covid(args) -> list:
     _write_csv(
         os.path.join(out, "resim.csv"),
         ["t", "infected_data", "infected_resim", "rel_deviation"],
-        [
-            [t, d, r, e]
-            for t, d, r, e in zip(resim.times, data_infected, resim_infected, deviation)
-        ],
+        np.column_stack([resim.times, data_infected, resim_infected, deviation]).tolist(),
     )
     notes = [
         f"estimates={len(results)}",
@@ -501,8 +479,10 @@ def cmd_reynolds(args) -> list:
     if args.manifest and args.manufactured is not None:
         raise ConfigError("provide either --manifest or --manufactured, not both")
     if args.manifest:
-        stack = load_snapshot_stack(args.manifest)
         target = get_float(entries, "reynolds.target", 100.0)
+        if target <= 0:
+            raise ConfigError(f"reynolds.target={target!r} must be positive")
+        stack = load_snapshot_stack(args.manifest)
         source = "snapshots"
     elif args.manufactured is not None:
         nu = args.manufactured

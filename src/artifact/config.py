@@ -1,4 +1,4 @@
-"""Flat key=value run configuration files.
+"""Input files: flat key=value run configurations, and CSV tables (read_csv).
 
 One assignment per line, # starts a comment, blank lines ignored. Section
 membership is by key prefix (sim.step, noise.epsilon), not by bracketed
@@ -8,9 +8,10 @@ finite: get_float and get_floats reject NaN or an infinity with ConfigError.
 
 from __future__ import annotations
 
+import csv
 import math
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 
 _MISSING = object()
 
@@ -35,6 +36,31 @@ def load_config(path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     return entries
+
+
+def read_csv(path, what: str):
+    """(header, rows) of a CSV table, every cell stripped.
+
+    rows pairs each row that is not blank with its line number. ParseError
+    names the file for one that cannot be read as UTF-8 text or is empty,
+    and the file and line for a row whose cell count differs from the
+    header's.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            lines = [[cell.strip() for cell in line] for line in csv.reader(handle)]
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {what} file is not UTF-8: {exc.reason}") from None
+    if not lines:
+        raise ParseError(f"{path}: empty {what} file")
+    header = lines[0]
+    rows = [(number, cells) for number, cells in enumerate(lines[1:], start=2) if any(cells)]
+    for number, cells in rows:
+        if len(cells) != len(header):
+            raise ParseError(f"{path}:{number}: {len(cells)} cells for {len(header)} columns")
+    return header, rows
 
 
 def _get(entries: dict, key: str, default, parse, kind: str, finite: bool = False):

@@ -15,12 +15,12 @@ Counts stay in integer arithmetic wherever possible so the closure is exact.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 
+from .config import read_csv
 from .differentiation import TimeSeries
 from .errors import (
     DegenerateDenominator,
@@ -189,61 +189,50 @@ def build_s3i3r_states(
 
 
 def load_who_csv(path) -> RawDailySeries:
-    """Parse a daily-counts CSV.
+    """Parse a daily-counts CSV, one row per day.
 
     Header must contain `date` and any of: new_cases, new_deaths,
     new_vaccinated, new_hospitalized, new_icu. Dates are ISO-8601; rows are
-    sorted by date after parsing. Errors carry the 1-based line number.
+    sorted by date after parsing, and a missing day is a ParseError. Errors
+    carry the 1-based line number.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if "date" not in header:
-            raise ParseError(f"{path}: header must contain a date column")
-        unknown = set(header) - set(CSV_COLUMNS) - {"date"}
-        if unknown:
-            raise ParseError(f"{path}: unknown columns {sorted(unknown)}")
-        rows = []
-        for line_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}:{line_number}: {len(row)} cells for {len(header)} columns"
-                )
-            record = {}
-            for name, cell in zip(header, row):
-                cell = cell.strip()
-                if name == "date":
-                    try:
-                        record["date"] = date.fromisoformat(cell)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}:{line_number}: bad date {cell!r}"
-                        ) from None
-                else:
-                    try:
-                        value = int(cell)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}:{line_number}: column {name}: {cell!r} is not an integer"
-                        ) from None
-                    if value < 0:
-                        raise ParseError(
-                            f"{path}:{line_number}: column {name}: negative count {value}"
-                        )
-                    record[name] = value
-            rows.append(record)
+    header, lines = read_csv(path, "case-count")
+    if "date" not in header:
+        raise ParseError(f"{path}: header must contain a date column")
+    unknown = set(header) - set(CSV_COLUMNS) - {"date"}
+    if unknown:
+        raise ParseError(f"{path}: unknown columns {sorted(unknown)}")
+    rows = []
+    for line_number, cells in lines:
+        record = {}
+        for name, cell in zip(header, cells):
+            if name == "date":
+                try:
+                    record["date"] = date.fromisoformat(cell)
+                except ValueError:
+                    raise ParseError(f"{path}:{line_number}: bad date {cell!r}") from None
+            else:
+                try:
+                    value = int(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}:{line_number}: column {name}: {cell!r} is not an integer"
+                    ) from None
+                if value < 0:
+                    raise ParseError(
+                        f"{path}:{line_number}: column {name}: negative count {value}"
+                    )
+                record[name] = value
+        rows.append(record)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     rows.sort(key=lambda r: r["date"])
     dates = tuple(r["date"] for r in rows)
     if any(dates[i] >= dates[i + 1] for i in range(len(dates) - 1)):
         raise NonMonotonicDates(f"{path}: duplicate dates after sorting")
+    for day, following in zip(dates, dates[1:]):
+        if following - day > timedelta(days=1):
+            raise ParseError(f"{path}: missing date {day + timedelta(days=1)}")
     columns = {}
     for name in CSV_COLUMNS:
         if name in header:

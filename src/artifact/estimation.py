@@ -124,6 +124,8 @@ class SweepSpec:
                 raise ValueError(f"interval [{lo}, {hi}] is reversed")
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
+        if not self.fixed.unknown_indices:
+            raise ValueError("a sweep needs at least one unknown parameter")
         if len(domain) != len(self.fixed.unknown_indices):
             raise ShapeMismatch(
                 f"{len(domain)} intervals for {len(self.fixed.unknown_indices)} unknowns"
@@ -293,6 +295,8 @@ def estimate_time_varying(
     if partition is None:
         partition = ParameterPartition.all_unknown(model.n_params)
     n_unknown = len(partition.unknown_indices)
+    if n_unknown == 0:
+        raise ShapeMismatch("system has no parameter columns")
     if model.n_states * d < n_unknown:
         raise UnderDetermined(
             f"width {d} gives {model.n_states * d} rows for {n_unknown} unknowns"

@@ -37,6 +37,7 @@ from artifact.config import (
     get_ints,
     get_str,
     load_config,
+    read_csv,
 )
 
 
@@ -831,3 +832,108 @@ def test_exit_code_for_reversed_estimate_window(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "estimate.stop=20" in err
     assert "estimate.start=30" in err
+
+
+@pytest.mark.parametrize("target", ["0", "-5"])
+def test_exit_code_for_non_positive_reynolds_target(tmp_path, capsys, target):
+    manifest = write_snapshot_stack(
+        manufactured_diffusion_stack(0.01, 9, 9, 5, 0.1), tmp_path / "fields"
+    )
+    conf = write(tmp_path / "re.conf", f"reynolds.target={target}\nreynolds.counts=4\n")
+    args = ["reynolds", "--config", conf, "--manifest", manifest]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "reynolds.target" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fits_without_unknown_parameters_are_typed_errors(tmp_path, capsys):
+    known = "known.beta=0.5\nknown.gamma=0.3333333333333333\n"
+    conf = write(tmp_path / "sir.conf", SIR_CONF)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", conf, "--out", str(out)]) == 0
+    varying = write(
+        tmp_path / "varying.conf", SINUSOIDAL_CONF + known + "estimate.mode=varying\n"
+    )
+    args = ["estimate", "--config", varying, "--data", str(out / "trajectory.csv")]
+    assert main(args + ["--out", str(tmp_path / "fit")]) == 4
+    assert "system has no parameter columns" in capsys.readouterr().err
+    sweep = write(
+        tmp_path / "sweep.conf", SWEEP_CONF.replace("0,0.5,0,0.3", "") + known
+    )
+    assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep")]) == 2
+    err = capsys.readouterr().err
+    assert "at least one unknown parameter" in err
+    assert "reshape" not in err
+
+
+def test_covid_reports_windows_that_are_all_rank_deficient(tmp_path, capsys):
+    # twelve days without a new case: every 3-day window is rank deficient
+    days = [f"2020-03-{day:02d},0" for day in range(1, 13)]
+    data = write(tmp_path / "zero.csv", "date,new_cases\n" + "\n".join(days) + "\n")
+    conf = write(tmp_path / "covid.conf", "model.population=5700000\ncovid.window=3\n")
+    args = ["covid", "--config", conf, "--out", str(tmp_path / "out")]
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        assert main(args + ["--data", data]) == 4
+    err = capsys.readouterr().err
+    assert "every window was rank deficient: 10 days skipped" in err
+    # a series too short for any window is still reported as such
+    short = write(tmp_path / "short.csv", "date,new_cases\n2020-03-01,5\n")
+    assert main(args + ["--data", short]) == 4
+    assert "1 days of data give no full 3-day window" in capsys.readouterr().err
+
+
+def test_read_csv_cells_rows_and_errors(tmp_path):
+    table = write(tmp_path / "t.csv", " a , b\n\n1, 2\n , \n3,4\n")
+    assert read_csv(table, "test") == (["a", "b"], [(3, ["1", "2"]), (5, ["3", "4"])])
+    with pytest.raises(ParseError, match=r"r\.csv:3: 3 cells for 2 columns"):
+        read_csv(write(tmp_path / "r.csv", "a,b\n1,2\n1,2,3\n"), "test")
+    with pytest.raises(ParseError, match="empty test file"):
+        read_csv(write(tmp_path / "e.csv", ""), "test")
+    with pytest.raises(ParseError, match="cannot read test file"):
+        read_csv(tmp_path / "missing.csv", "test")
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"a,b\n1,\xff\n")
+    with pytest.raises(ParseError, match="latin.csv: test file is not UTF-8"):
+        read_csv(latin, "test")
+
+
+def test_exit_code_for_unreadable_case_counts(tmp_path, capsys):
+    conf = write(tmp_path / "covid.conf", "model.population=5700000\n")
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"date,new_cases\n2020-03-01,5\xff\n")
+    for data in (str(tmp_path / "missing.csv"), str(latin)):
+        args = ["covid", "--config", conf, "--data", data]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 3
+        assert "case-count file" in capsys.readouterr().err
+
+
+def test_results_do_not_follow_numpy_print_options(tmp_path):
+    def run(out):
+        sir_conf = write(tmp_path / "sir.conf", SIR_CONF)
+        varying = write(
+            tmp_path / "varying.conf", SINUSOIDAL_CONF + "estimate.mode=varying\n"
+        )
+        sweep = write(tmp_path / "sweep.conf", SWEEP_CONF + "sweep.normalized=1\n")
+        for name, conf in (("constant", sir_conf), ("varying", varying)):
+            assert main(["simulate", "--config", conf, "--out", str(out / name)]) == 0
+            data = str(out / name / "trajectory.csv")
+            args = ["estimate", "--config", conf, "--data", data]
+            assert main(args + ["--out", str(out / name)]) == 0
+        assert main(["sweep", "--config", sweep, "--out", str(out / "sweep")]) == 0
+        return {
+            path.relative_to(out): path.read_bytes()
+            for path in sorted(out.rglob("*"))
+            if path.is_file() and path.name != "run.log"
+        }
+
+    default = run(tmp_path / "default")
+    options = np.get_printoptions()
+    try:
+        np.set_printoptions(legacy="1.13")
+        legacy = run(tmp_path / "legacy")
+    finally:
+        np.set_printoptions(**options)
+    assert len(default) == 8
+    assert legacy == default

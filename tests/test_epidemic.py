@@ -227,3 +227,10 @@ def test_load_non_integer_cell(tmp_path):
     path.write_text("date,new_cases\n2020-03-01,1.5\n")
     with pytest.raises(ParseError, match="not an integer"):
         load_who_csv(path)
+
+
+def test_load_missing_day_names_the_first_gap(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_text("date,new_cases\n2020-03-06,1\n2020-03-01,5\n2020-03-05,3\n")
+    with pytest.raises(ParseError, match="counts.csv: missing date 2020-03-02$"):
+        load_who_csv(path)

@@ -446,7 +446,7 @@ def _csv_rows(path):
 
 
 def _cells(t, *values):
-    return [cli._cell(value) for value in (t, *values)]
+    return [repr(float(value)) for value in (t, *values)]
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
