@@ -8,10 +8,12 @@ sweep      randomized recovery sweep over a parameter box
 covid      case counts to compartments, windowed beta, re-simulation
 reynolds   Reynolds identification from snapshots or a manufactured field
 
-Every subcommand reads a flat key=value config (--config), writes CSV and
-JSON files into --out, and is deterministic for a given config and seed.
-Wall-clock timestamps appear only in the sidecar run.log, never in result
-files, so reruns produce byte-identical bodies.
+Every subcommand reads a flat key=value config (--config), is deterministic
+for a given config and seed, and only computes: it returns its result files
+by name. `main` alone creates --out and writes them and the run.log block,
+once the command has returned, so a failed command writes nothing. Wall-clock
+timestamps appear only in the sidecar run.log, never in result files, so
+reruns produce byte-identical bodies.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error, 4 numerical
 failure; an EstimationError exits with its type's `exit_code`.
@@ -97,11 +99,6 @@ def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(_jsonable(payload), handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _ensure_out(directory) -> str:
-    os.makedirs(directory, exist_ok=True)
-    return directory
 
 
 def _resolve_seed(args, entries: dict, key: str) -> int:
@@ -227,7 +224,22 @@ def _read_truth_csv(path, model) -> np.ndarray:
     return data[0]
 
 
-def cmd_simulate(args) -> list:
+def _windowed_fit(model, series: TimeSeries, width: int, **options):
+    """estimate_time_varying that raises when no day is estimated.
+
+    RankDeficient if every window was skipped as rank deficient, else TooFewPoints.
+    """
+    results = estimate_time_varying(model, series, width, **options)
+    if results.skipped and not results:
+        raise RankDeficient(
+            f"every window was rank deficient: {len(results.skipped)} days skipped"
+        )
+    if not results:
+        raise TooFewPoints(f"{len(series)} days of data give no full {width}-day window")
+    return results
+
+
+def cmd_simulate(args) -> tuple:
     entries = load_config(args.config)
     model = _model_from_config(entries)
     sim_config = _sim_config_from(entries, model, _schedule_from_config(entries, model))
@@ -235,22 +247,17 @@ def cmd_simulate(args) -> list:
     epsilon = get_float(entries, "noise.epsilon", 0.0)
     # NoiseSpec rejects a negative epsilon; epsilon 0 leaves the states as they are
     series = add_noise(series, NoiseSpec(epsilon, _resolve_seed(args, entries, "noise.seed")))
-    out = _ensure_out(args.out)
-    _write_csv(
-        os.path.join(out, "trajectory.csv"),
-        ["t", *model.state_names],
-        _series_rows(series),
-    )
+    outputs = {"trajectory.csv": (["t", *model.state_names], _series_rows(series))}
     notes = [f"rows={len(series)}"]
     if model.population is not None:
         totals = series.states.sum(axis=1)
         drift = float(np.max(np.abs(totals - totals[0])))
         print(f"population conservation: max drift {drift:.3e} over {len(series)} rows")
         notes.append(f"conservation_drift={drift!r}")
-    return notes
+    return outputs, notes
 
 
-def cmd_estimate(args) -> list:
+def cmd_estimate(args) -> tuple:
     entries = load_config(args.config)
     model = _model_from_config(entries)
     series = _read_series_csv(args.data, model)
@@ -259,7 +266,6 @@ def cmd_estimate(args) -> list:
     ridge = get_float(entries, "estimate.ridge", 0.0)
     normalize = bool(get_int(entries, "estimate.normalize", 0))
     partition = _partition_from_config(entries, model)
-    out = _ensure_out(args.out)
     header = [*model.parameter_names, "residual_norm", "condition"]
     summary = {"model": model.name, "mode": mode}
 
@@ -284,7 +290,7 @@ def cmd_estimate(args) -> list:
             normalize=normalize,
         )
         row = np.hstack([estimate.values, estimate.residual_norm, estimate.condition_estimate])
-        _write_csv(os.path.join(out, "estimates.csv"), header, [row.tolist()])
+        outputs = {"estimates.csv": (header, [row.tolist()])}
         summary["parameters"] = dict(zip(model.parameter_names, estimate.values))
         summary["residual_norm"] = estimate.residual_norm
         summary["condition"] = estimate.condition_estimate
@@ -297,26 +303,18 @@ def cmd_estimate(args) -> list:
         notes = ["mode=constant"]
     elif mode == "varying":
         width = get_int(entries, "estimate.window", 14)
-        results = estimate_time_varying(
-            model,
-            series,
-            width,
-            partition=partition,
-            ridge_lambda=ridge,
-            normalize=normalize,
+        results = _windowed_fit(
+            model, series, width, partition=partition, ridge_lambda=ridge, normalize=normalize
         )
-        _write_csv(
-            os.path.join(out, "estimates.csv"),
-            ["t", *header],
-            np.column_stack(
-                [results.times, results.values, results.residual_norms, results.conditions]
-            ).tolist(),
+        rows = np.column_stack(
+            [results.times, results.values, results.residual_norms, results.conditions]
         )
+        outputs = {"estimates.csv": (["t", *header], rows.tolist())}
         summary["window"] = width
         summary["estimates"] = len(results)
         summary["skipped_days"] = series.times[list(results.skipped)].tolist()
         summary["widened"] = results.widened
-        if truth is not None and results:
+        if truth is not None:
             errors = relative_error_metrics(
                 np.broadcast_to(truth, results.values.shape), results.values
             ).absolute_mean
@@ -325,11 +323,11 @@ def cmd_estimate(args) -> list:
     else:
         raise ConfigError(f"unknown estimate.mode {mode!r}")
 
-    _write_json(os.path.join(out, "summary.json"), summary)
-    return notes
+    outputs["summary.json"] = summary
+    return outputs, notes
 
 
-def cmd_sweep(args) -> list:
+def cmd_sweep(args) -> tuple:
     entries = load_config(args.config)
     model = _model_from_config(entries)
     # simulate_draws replaces the schedule with each draw's parameters
@@ -359,7 +357,6 @@ def cmd_sweep(args) -> list:
         derivative=get_str(entries, "sweep.derivative", "interior"),
         with_normalized=normalized,
     )
-    out = _ensure_out(args.out)
     failed = dict(result.failures)
     header = ["index", "max_rel_error", "mean_rel_error"]
     errors = [result.max_errors, result.mean_errors]
@@ -370,7 +367,6 @@ def cmd_sweep(args) -> list:
     draws = range(spec.sample_count)
     status = ["failed" if i in failed else "ok" for i in draws]
     columns = [draws, *(column.tolist() for column in errors), status]
-    _write_csv(os.path.join(out, "draws.csv"), header, zip(*columns))
     name_map = {
         "max": "max",
         "mean": "mean",
@@ -381,19 +377,19 @@ def cmd_sweep(args) -> list:
         name_map[stat]: {repr(thr): frac for thr, frac in table.items()}
         for stat, table in result.threshold_table().items()
     }
-    _write_json(
-        os.path.join(out, "fractions.json"),
-        {
+    outputs = {
+        "draws.csv": (header, zip(*columns)),
+        "fractions.json": {
             "samples": spec.sample_count,
             "failures": [[index, reason] for index, reason in result.failures],
             "failure_reasons": result.failure_counts,
             "fraction_below": fractions,
         },
-    )
-    return [f"samples={spec.sample_count}", f"failures={len(result.failures)}"]
+    }
+    return outputs, [f"samples={spec.sample_count}", f"failures={len(result.failures)}"]
 
 
-def cmd_covid(args) -> list:
+def cmd_covid(args) -> tuple:
     entries = load_config(args.config)
     # the model first, so a bad population is a config error, not a data one
     model = _model_from_config(entries, "sir")
@@ -402,38 +398,17 @@ def cmd_covid(args) -> list:
     ridge = get_float(entries, "covid.ridge", 0.0)
     raw = load_who_csv(args.data)
     series = build_sir_states(raw, model.population, FixedRates(gamma1=gamma))
-    out = _ensure_out(args.out)
-    _write_csv(
-        os.path.join(out, "states.csv"),
-        ["t", *model.state_names],
-        _series_rows(series),
-    )
     partition = ParameterPartition.from_known(
         model.n_params, {model.parameter_index("gamma"): gamma}
     )
-    results = estimate_time_varying(
-        model, series, width, partition=partition, ridge_lambda=ridge
-    )
-    if results.skipped and not results:
-        raise RankDeficient(
-            f"every window was rank deficient: {len(results.skipped)} days skipped"
-        )
-    if not results:
-        raise TooFewPoints(
-            f"{len(series)} days of data give no full {width}-day window"
-        )
-    beta_index = model.parameter_index("beta")
-    _write_csv(
-        os.path.join(out, "beta.csv"),
-        ["t", "beta", "residual_norm", "condition"],
-        np.column_stack(
-            [
-                results.times,
-                results.values[:, beta_index],
-                results.residual_norms,
-                results.conditions,
-            ]
-        ).tolist(),
+    results = _windowed_fit(model, series, width, partition=partition, ridge_lambda=ridge)
+    beta = np.column_stack(
+        [
+            results.times,
+            results.values[:, model.parameter_index("beta")],
+            results.residual_norms,
+            results.conditions,
+        ]
     )
     first_day = float(results.times[0])
     schedule = PiecewiseSchedule(results.times, results.values)
@@ -457,11 +432,15 @@ def cmd_covid(args) -> list:
             np.abs(resim_infected - data_infected) / data_infected,
             np.nan,
         )
-    _write_csv(
-        os.path.join(out, "resim.csv"),
-        ["t", "infected_data", "infected_resim", "rel_deviation"],
-        np.column_stack([resim.times, data_infected, resim_infected, deviation]).tolist(),
-    )
+    resim_rows = np.column_stack([resim.times, data_infected, resim_infected, deviation])
+    outputs = {
+        "states.csv": (["t", *model.state_names], _series_rows(series)),
+        "beta.csv": (["t", "beta", "residual_norm", "condition"], beta.tolist()),
+        "resim.csv": (
+            ["t", "infected_data", "infected_resim", "rel_deviation"],
+            resim_rows.tolist(),
+        ),
+    }
     notes = [
         f"estimates={len(results)}",
         f"skipped_days={series.times[list(results.skipped)].tolist()!r}",
@@ -471,10 +450,10 @@ def cmd_covid(args) -> list:
     if np.any(np.isfinite(deviation)):
         notes.append(f"resim_max_rel={float(np.nanmax(deviation))!r}")
         notes.append(f"resim_mean_rel={float(np.nanmean(deviation))!r}")
-    return notes
+    return outputs, notes
 
 
-def cmd_reynolds(args) -> list:
+def cmd_reynolds(args) -> tuple:
     entries = load_config(args.config) if args.config else {}
     if args.manifest and args.manufactured is not None:
         raise ConfigError("provide either --manifest or --manufactured, not both")
@@ -542,22 +521,19 @@ def cmd_reynolds(args) -> list:
             "re": 1.0 / inverse,
             "relative_error": abs(1.0 / inverse - target) / target,
         }
-    out = _ensure_out(args.out)
-    _write_csv(
-        os.path.join(out, "convergence.csv"),
-        ["method", "sensors", "mean_re", "re_spread", "mean_inverse_re", "rel_error", "status"],
-        rows,
-    )
-    _write_json(
-        os.path.join(out, "summary.json"),
-        {
+    header = [
+        "method", "sensors", "mean_re", "re_spread", "mean_inverse_re", "rel_error", "status"
+    ]
+    outputs = {
+        "convergence.csv": (header, rows),
+        "summary.json": {
             "source": source,
             "target_re": target,
             "full_field": full_field,
             "curl_rms": stack.curl_rms,
         },
-    )
-    return [f"source={source}", f"counts={','.join(str(c) for c in counts)}"]
+    }
+    return outputs, [f"source={source}", f"counts={','.join(str(c) for c in counts)}"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -607,9 +583,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_outputs(directory, outputs: dict) -> None:
+    """Create `directory` and write each file: a .csv from (header, rows), else JSON."""
+    os.makedirs(directory, exist_ok=True)
+    for name, content in outputs.items():
+        path = os.path.join(directory, name)
+        if name.endswith(".csv"):
+            _write_csv(path, *content)
+        else:
+            _write_json(path, content)
+
+
 def _write_run_log(directory, command: str, stamp: str, elapsed: float, notes) -> None:
     """Append one block per command, so commands sharing --out keep their logs."""
-    _ensure_out(directory)
     lines = [
         f"started={stamp}",
         f"command={command}",
@@ -634,14 +620,15 @@ def main(argv=None) -> int:
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     started = time.perf_counter()
     try:
-        notes = args.func(args) or []
+        outputs, notes = args.func(args)
+        _write_outputs(args.out, outputs)
+        _write_run_log(args.out, args.command, stamp, time.perf_counter() - started, notes)
     except EstimationError as exc:
         return _fail(exc.exit_code, exc)
     except OSError as exc:
         return _fail(3, exc)
     except ValueError as exc:
         return _fail(2, exc)
-    _write_run_log(args.out, args.command, stamp, time.perf_counter() - started, notes)
     return 0
 
 

@@ -35,6 +35,8 @@ def load_config(path) -> dict:
                 entries[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8: {exc.reason}") from None
     return entries
 
 

@@ -42,10 +42,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return self.times.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
 
 @dataclass(frozen=True)
 class GridField:

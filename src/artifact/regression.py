@@ -36,7 +36,7 @@ the full parameter vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -408,25 +408,13 @@ def apply_partition(
     return StackedSystem(*partition.reduce(system.matrix, system.rhs))
 
 
-def recombine_partition(
-    partition: ParameterPartition, unknown_estimate: ParameterEstimate
-) -> ParameterEstimate:
-    """Merge known values and an unknown-block estimate into a full vector."""
-    return ParameterEstimate(
-        partition.combine(unknown_estimate.values),
-        unknown_estimate.residual_norm,
-        unknown_estimate.condition_estimate,
-        unknown_estimate.ridge_lambda,
-    )
-
-
 def solve_partitioned(
     system: StackedSystem,
     partition: ParameterPartition,
     ridge_lambda: float = 0.0,
     normalize: bool = False,
 ) -> ParameterEstimate:
-    """apply_partition, solve, recombine in one call."""
+    """apply_partition, solve, and merge the known values back in (combine)."""
     reduced = apply_partition(system, partition)
     unknown = solve_ridge(reduced, ridge_lambda, normalize=normalize)
-    return recombine_partition(partition, unknown)
+    return replace(unknown, values=partition.combine(unknown.values))

@@ -415,8 +415,9 @@ def load_snapshot_stack(manifest_path) -> SnapshotStack:
     """Load a stack from a manifest; computes the curl diagnostic RMS.
 
     The manifest is read by `config.load_config` and its getters, which reject
-    non-finite numbers; their errors, and grid sizes or spacings that no stack
-    can have, become ParseError before any field file is read.
+    non-finite numbers; their errors (a cylinder centre needs both cylinder_x
+    and cylinder_y), and grid sizes or spacings that no stack can have, become
+    ParseError before any field file is read.
     """
     try:
         values = load_config(manifest_path)
@@ -424,7 +425,7 @@ def load_snapshot_stack(manifest_path) -> SnapshotStack:
         n_snapshots = get_int(values, "n_snapshots")
         dx, dy, dt = (get_float(values, key) for key in ("dx", "dy", "dt"))
         center = None
-        if "cylinder_x" in values and "cylinder_y" in values:
+        if "cylinder_x" in values or "cylinder_y" in values:
             center = (get_float(values, "cylinder_x"), get_float(values, "cylinder_y"))
         diameter = get_float(values, "diameter", None)
     except ConfigError as exc:

@@ -1,6 +1,7 @@
 """Flat config parsing and end-to-end CLI runs with exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -21,6 +22,7 @@ from artifact import (
     ParseError,
     RankDeficient,
     TooFewPoints,
+    default_wake_region,
     manufactured_diffusion_stack,
     simulate,
     sir,
@@ -937,3 +939,160 @@ def test_results_do_not_follow_numpy_print_options(tmp_path):
         np.set_printoptions(**options)
     assert len(default) == 8
     assert legacy == default
+
+
+def files_under(directory) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_failed_covid_writes_nothing(tmp_path, who_csv, capsys):
+    conf = write(tmp_path / "covid.conf", "model.population=5700000\ncovid.gamma=0.072\n")
+    short = write(tmp_path / "short.csv", "date,new_cases\n2020-03-01,5\n2020-03-02,7\n")
+    fresh = tmp_path / "fresh"
+    assert main(["covid", "--config", conf, "--data", short, "--out", str(fresh)]) == 4
+    assert "give no full 14-day window" in capsys.readouterr().err
+    assert not fresh.exists()
+    # a failed rerun into the directory of a successful run changes no byte
+    out = tmp_path / "out"
+    assert main(["covid", "--config", conf, "--data", str(who_csv), "--out", str(out)]) == 0
+    before = files_under(out)
+    assert sorted(before) == ["beta.csv", "resim.csv", "run.log", "states.csv"]
+    assert main(["covid", "--config", conf, "--data", short, "--out", str(out)]) == 4
+    assert files_under(out) == before
+
+
+def test_failed_estimate_writes_nothing(tmp_path):
+    conf = write(tmp_path / "run.conf", SIR_CONF)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", conf, "--out", str(out)]) == 0
+    data = str(out / "trajectory.csv")
+    assert main(["estimate", "--config", conf, "--data", data, "--out", str(out)]) == 0
+    before = files_under(out)
+    past = write(tmp_path / "past.conf", SIR_CONF.replace("stop=49", "stop=500"))
+    for target in (out, tmp_path / "fresh"):
+        assert main(["estimate", "--config", past, "--data", data, "--out", str(target)]) == 4
+    assert files_under(out) == before
+    assert not (tmp_path / "fresh").exists()
+
+
+def test_varying_estimate_without_an_estimated_day_fails(tmp_path, capsys):
+    conf = write(tmp_path / "run.conf", SIR_CONF)
+    assert main(["simulate", "--config", conf, "--out", str(tmp_path / "sim")]) == 0
+    data = str(tmp_path / "sim" / "trajectory.csv")
+    wide = write(
+        tmp_path / "wide.conf",
+        SIR_CONF.replace("mode=constant", "mode=varying") + "estimate.window=500\n",
+    )
+    args = ["estimate", "--config", wide, "--out", str(tmp_path / "out")]
+    assert main(args + ["--data", data]) == 4
+    assert "80 days of data give no full 500-day window" in capsys.readouterr().err
+    # no new case on any day: every 3-day window is rank deficient
+    flat = write(
+        tmp_path / "flat.csv",
+        "t,S,I,R\n" + "".join(f"{day},1.0,0.0,0.0\n" for day in range(12)),
+    )
+    narrow = write(
+        tmp_path / "narrow.conf",
+        SIR_CONF.replace("mode=constant", "mode=varying") + "estimate.window=3\n",
+    )
+    args = ["estimate", "--config", narrow, "--out", str(tmp_path / "out")]
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        assert main(args + ["--data", flat]) == 4
+    assert "every window was rank deficient: 10 days skipped" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_utf8_config_and_manifest_are_typed_errors(tmp_path, capsys):
+    conf = tmp_path / "latin.conf"
+    conf.write_bytes(SIR_CONF.encode() + b"# \xff\n")
+    assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "out")]) == 2
+    assert f"{conf}: config file is not UTF-8" in capsys.readouterr().err
+    manifest = write_snapshot_stack(
+        manufactured_diffusion_stack(0.01, 5, 5, 3, 0.1), tmp_path / "fields"
+    )
+    with open(manifest, "ab") as handle:
+        handle.write(b"# \xff\n")
+    assert main(["reynolds", "--manifest", manifest, "--out", str(tmp_path / "out")]) == 3
+    assert f"snapshot manifest: {manifest}: config file is not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_reynolds_manifest_wake_region_defaults_from_cylinder_metadata(tmp_path):
+    stack = dataclasses.replace(
+        manufactured_diffusion_stack(0.01, 33, 33, 11, 0.1),
+        cylinder_center=(0.6, 1.5),
+        diameter=0.3,
+    )
+    manifest = write_snapshot_stack(stack, tmp_path / "fields")
+    counts = "reynolds.counts=4,8\nreynolds.repeats=2\n"
+    region = ",".join(repr(float(bound)) for bound in default_wake_region(stack))
+    outputs = {}
+    for name, body in (("default", counts), ("given", counts + f"reynolds.region={region}\n")):
+        conf = write(tmp_path / f"{name}.conf", body)
+        out = tmp_path / name
+        assert main(["reynolds", "--config", conf, "--manifest", manifest, "--out", str(out)]) == 0
+        outputs[name] = {key: body for key, body in files_under(out).items() if key != "run.log"}
+    assert sorted(outputs["default"]) == ["convergence.csv", "summary.json"]
+    assert outputs["default"] == outputs["given"]
+    # the whole-domain region draws other sensors
+    plain = write(tmp_path / "plain.conf", counts)
+    bare = write_snapshot_stack(dataclasses.replace(stack, cylinder_center=None), tmp_path / "b")
+    out = tmp_path / "bare"
+    assert main(["reynolds", "--config", plain, "--manifest", bare, "--out", str(out)]) == 0
+    assert (out / "convergence.csv").read_bytes() != outputs["default"]["convergence.csv"]
+
+
+TRAJECTORY = "t,S,I,R\n0,0.9999,0.0001,0\n1,0.9998,0.00015,0.00005\n2,0.9997,0.0002,0.0001\n"
+REYNOLDS_SMALL = "reynolds.nx=9\nreynolds.ny=9\nreynolds.snapshots=5\nreynolds.counts=4\n"
+
+
+@pytest.mark.parametrize(
+    "command, body, data, code, named",
+    [
+        ("simulate", SIR_CONF + "sim.points=1\n", None, 2, "sim.points"),
+        ("simulate", SIR_CONF.replace(",0.0001,0.0", ",0.0001"), None, 2, "sim.x0"),
+        ("simulate", SIR_CONF.replace("omega=0.5,", "omega="), None, 2, "schedule.omega"),
+        ("simulate", SINUSOIDAL_CONF + "schedule.parameter=zeta\n", None, 2, "schedule.parameter"),
+        ("sweep", SWEEP_CONF + "known.zeta=1\n", None, 2, "known.zeta"),
+        ("estimate", SIR_CONF.replace("=constant", "=weekly"), TRAJECTORY, 2, "estimate.mode"),
+        ("sweep", SWEEP_CONF.replace("0,0.5,0,0.3", "0,0.5,0"), None, 2, "sweep.domain"),
+        ("reynolds", REYNOLDS_SMALL + "reynolds.repeats=0\n", None, 2, "reynolds.repeats"),
+        ("reynolds", REYNOLDS_SMALL + "reynolds.region=0,1,0\n", None, 2, "reynolds.region"),
+        ("estimate", SIR_CONF, TRAJECTORY.replace("0.9998", "x"), 3, "data.csv:3"),
+        ("estimate", SIR_CONF, TRAJECTORY[:TRAJECTORY.index("\n1,")], 3, "data.csv"),
+        ("simulate", SIR_CONF, None, 3, "out"),
+    ],
+    ids=[
+        "sim-points-1",
+        "sim-x0-length",
+        "schedule-omega-length",
+        "schedule-parameter-unknown",
+        "known-unknown-name",
+        "estimate-mode-unknown",
+        "sweep-domain-odd",
+        "reynolds-repeats-0",
+        "reynolds-region-3-values",
+        "data-non-numeric",
+        "data-one-row",
+        "out-is-a-file",
+    ],
+)
+def test_cli_error_paths_write_no_out(tmp_path, capsys, command, body, data, code, named):
+    out = tmp_path / "out"
+    args = [command, "--config", write(tmp_path / "run.conf", body), "--out", str(out)]
+    if data is not None:
+        args += ["--data", write(tmp_path / "data.csv", data)]
+    if command == "reynolds":
+        args += ["--manufactured", "0.01"]
+    out_is_a_file = named == "out"
+    if out_is_a_file:
+        out.write_text("not a directory\n")
+        named = str(out)
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    if out_is_a_file:
+        assert out.read_text() == "not a directory\n"
+    else:
+        assert not out.exists()

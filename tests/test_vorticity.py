@@ -419,6 +419,20 @@ def test_snapshot_round_trip(tmp_path):
     assert loaded.curl_rms is not None
 
 
+def test_snapshot_round_trip_keeps_cylinder_metadata(tmp_path):
+    stack = dataclasses.replace(
+        manufactured_diffusion_stack(NU, 5, 5, 3, 0.1), cylinder_center=(0.7, 1.3), diameter=0.4
+    )
+    manifest = write_snapshot_stack(stack, tmp_path / "fields")
+    loaded = load_snapshot_stack(manifest)
+    assert (loaded.cylinder_center, loaded.diameter) == ((0.7, 1.3), 0.4)
+    # a centre with one coordinate is malformed, not dropped
+    lines = [l for l in open(manifest).read().splitlines() if not l.startswith("cylinder_y=")]
+    open(manifest, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="cylinder_y"):
+        load_snapshot_stack(manifest)
+
+
 def test_snapshot_files_are_row_major_x_fastest(tmp_path):
     w = np.arange(27, dtype=float).reshape(3, 3, 3)
     stack = SnapshotStack(
