@@ -8,10 +8,11 @@ sweep      randomized recovery sweep over a parameter box
 covid      case counts to compartments, windowed beta, re-simulation
 reynolds   Reynolds identification from snapshots or a manufactured field
 
-Every subcommand reads a flat key=value config (--config), is deterministic
-for a given config and seed, and only computes: it returns its result files
-by name. `main` alone creates --out and writes them and the run.log block,
-once the command has returned, so a failed command writes nothing. Wall-clock
+Every subcommand reads a flat key=value config (--config) whose keys are all
+declared in _KEY_ROWS, is deterministic for a given config and seed, and
+only computes: it returns its result files by name. `main` alone creates
+--out and writes them and the run.log block, once the command has returned,
+so a failed command writes nothing. Wall-clock
 timestamps appear only in the sidecar run.log, never in result files, so
 reruns produce byte-identical bodies.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import json
 import math
 import os
@@ -32,8 +34,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .config import get_float, get_floats, get_int, get_ints, get_str, load_config
-from .config import read_csv
+from .config import _MISSING as REQUIRED
+from .config import get_flag, get_float, get_floats, get_int, get_ints, get_str
+from .config import load_config, read_csv
 from .differentiation import TimeSeries
 from .epidemic import FixedRates, build_sir_states, load_who_csv
 from .errors import (
@@ -74,6 +77,58 @@ from .vorticity import (
     manufactured_diffusion_stack,
 )
 
+
+# Every config key a command reads, as (getter, default, keys): each default
+# is written once, here. known.<name> (a parameter held fixed) shares the
+# known.* row. A None default that depends on the model (schedule.parameter)
+# is resolved where the key is read.
+_KEY_ROWS = (
+    (get_str, REQUIRED, ("model.name",)),
+    (get_float, None, ("model.population",)),
+    (get_str, "constant", ("schedule.type", "estimate.mode")),
+    (get_floats, REQUIRED, ("schedule.omega", "schedule.base", "sim.x0", "sweep.domain")),
+    (get_str, None, ("schedule.parameter",)),
+    (get_float, REQUIRED, ("schedule.mean", "schedule.amplitude", "schedule.period")),
+    (get_float, REQUIRED, ("sim.t_end", "sim.step", "known.*")),
+    (get_float, 0.0, ("sim.t0", "noise.epsilon", "estimate.ridge", "covid.ridge")),
+    (get_int, REQUIRED, ("sim.points", "estimate.start", "estimate.stop", "sweep.samples")),
+    (get_int, 0, ("noise.seed", "sweep.seed", "reynolds.seed")),
+    (get_flag, False, ("estimate.normalize", "sweep.normalized")),
+    (get_str, "interior", ("estimate.derivative", "sweep.derivative")),
+    (get_int, 14, ("estimate.window", "covid.window")),
+    (get_float, 1.0 / 9.0, ("covid.gamma",)),
+    (get_float, 100.0, ("reynolds.target",)),
+    (get_int, 129, ("reynolds.nx", "reynolds.ny")),
+    (get_int, 51, ("reynolds.snapshots",)),
+    (get_float, 0.05, ("reynolds.dt",)),
+    (get_int, 20, ("reynolds.repeats",)),
+    (get_ints, (4, 8, 16, 32, 64), ("reynolds.counts",)),
+    (get_float, 1e-6, ("reynolds.ridge",)),
+    (get_floats, None, ("reynolds.region",)),
+)
+CONFIG_KEYS = {key: (getter, default) for getter, default, keys in _KEY_ROWS for key in keys}
+
+
+def _table_key(key: str) -> str:
+    return "known.*" if key.startswith("known.") else key
+
+
+def _load_config(path) -> dict:
+    """load_config that rejects a key no command reads, naming the nearest one."""
+    entries = load_config(path)
+    for key in entries:
+        if _table_key(key) not in CONFIG_KEYS:
+            nearest = difflib.get_close_matches(key, CONFIG_KEYS, n=1)
+            hint = f" (did you mean {nearest[0]}?)" if nearest else ""
+            raise ConfigError(f"{path}: unknown config key {key}{hint}")
+    return entries
+
+
+def _get(entries: dict, key: str):
+    getter, default = CONFIG_KEYS[_table_key(key)]
+    return getter(entries, key, default)
+
+
 def _write_csv(path, header, rows) -> None:
     """Rows of str and Python numbers; csv writes each float as its repr."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -104,13 +159,13 @@ def _write_json(path, payload) -> None:
 def _resolve_seed(args, entries: dict, key: str) -> int:
     if args.seed is not None:
         return args.seed
-    return get_int(entries, key, 0)
+    return _get(entries, key)
 
 
 def _model_from_config(entries: dict, name: str | None = None):
     """The configured model; `name`, if given, replaces the model.name key."""
-    name = name or get_str(entries, "model.name")
-    population = get_float(entries, "model.population", None)
+    name = name or _get(entries, "model.name")
+    population = _get(entries, "model.population")
     try:
         return get_model(name, population)
     except ShapeMismatch as exc:
@@ -120,7 +175,7 @@ def _model_from_config(entries: dict, name: str | None = None):
 
 
 def _parameter_vector(entries: dict, key: str, model) -> np.ndarray:
-    values = get_floats(entries, key)
+    values = _get(entries, key)
     if len(values) != model.n_params:
         raise ConfigError(
             f"{key} has {len(values)} values, "
@@ -130,37 +185,39 @@ def _parameter_vector(entries: dict, key: str, model) -> np.ndarray:
 
 
 def _schedule_from_config(entries: dict, model):
-    kind = get_str(entries, "schedule.type", "constant")
+    kind = _get(entries, "schedule.type")
     if kind == "constant":
         return ConstantSchedule(_parameter_vector(entries, "schedule.omega", model))
     if kind == "sinusoidal":
         base = _parameter_vector(entries, "schedule.base", model)
-        name = get_str(entries, "schedule.parameter", model.parameter_names[0])
+        name = _get(entries, "schedule.parameter")
+        if name is None:
+            name = model.parameter_names[0]
         try:
             index = model.parameter_index(name)
         except EstimationError:
             raise ConfigError(f"unknown schedule.parameter {name!r}") from None
         return SinusoidalBetaSchedule(
             base,
-            mean=get_float(entries, "schedule.mean"),
-            amplitude=get_float(entries, "schedule.amplitude"),
-            period=get_float(entries, "schedule.period"),
+            mean=_get(entries, "schedule.mean"),
+            amplitude=_get(entries, "schedule.amplitude"),
+            period=_get(entries, "schedule.period"),
             index=index,
         )
     raise ConfigError(f"unknown schedule.type {kind!r}")
 
 
 def _sim_config_from(entries: dict, model, schedule) -> SimulationConfig:
-    t0 = get_float(entries, "sim.t0", 0.0)
-    t_end = get_float(entries, "sim.t_end")
+    t0 = _get(entries, "sim.t0")
+    t_end = _get(entries, "sim.t_end")
     if "sim.points" in entries:
-        points = get_int(entries, "sim.points")
+        points = _get(entries, "sim.points")
         if points < 2:
             raise ConfigError("sim.points must be at least 2")
         step = (t_end - t0) / (points - 1)
     else:
-        step = get_float(entries, "sim.step")
-    x0 = np.asarray(get_floats(entries, "sim.x0"), dtype=float)
+        step = _get(entries, "sim.step")
+    x0 = np.asarray(_get(entries, "sim.x0"), dtype=float)
     if len(x0) != model.n_states:
         raise ConfigError(
             f"sim.x0 has {len(x0)} values, model {model.name} has "
@@ -181,7 +238,7 @@ def _partition_from_config(entries: dict, model):
             index = model.parameter_index(name)
         except EstimationError:
             raise ConfigError(f"unknown parameter {name!r} in {key}") from None
-        known[index] = get_float(entries, key)
+        known[index] = _get(entries, key)
     return ParameterPartition.from_known(model.n_params, known)
 
 
@@ -240,11 +297,11 @@ def _windowed_fit(model, series: TimeSeries, width: int, **options):
 
 
 def cmd_simulate(args) -> tuple:
-    entries = load_config(args.config)
+    entries = _load_config(args.config)
     model = _model_from_config(entries)
     sim_config = _sim_config_from(entries, model, _schedule_from_config(entries, model))
     series = simulate(model, sim_config)
-    epsilon = get_float(entries, "noise.epsilon", 0.0)
+    epsilon = _get(entries, "noise.epsilon")
     # NoiseSpec rejects a negative epsilon; epsilon 0 leaves the states as they are
     series = add_noise(series, NoiseSpec(epsilon, _resolve_seed(args, entries, "noise.seed")))
     outputs = {"trajectory.csv": (["t", *model.state_names], _series_rows(series))}
@@ -258,21 +315,21 @@ def cmd_simulate(args) -> tuple:
 
 
 def cmd_estimate(args) -> tuple:
-    entries = load_config(args.config)
+    entries = _load_config(args.config)
     model = _model_from_config(entries)
     series = _read_series_csv(args.data, model)
     truth = _read_truth_csv(args.truth, model) if args.truth else None
-    mode = get_str(entries, "estimate.mode", "constant")
-    ridge = get_float(entries, "estimate.ridge", 0.0)
-    normalize = bool(get_int(entries, "estimate.normalize", 0))
+    mode = _get(entries, "estimate.mode")
+    ridge = _get(entries, "estimate.ridge")
+    normalize = _get(entries, "estimate.normalize")
     partition = _partition_from_config(entries, model)
     header = [*model.parameter_names, "residual_norm", "condition"]
     summary = {"model": model.name, "mode": mode}
 
     if mode == "constant":
         if "estimate.start" in entries or "estimate.stop" in entries:
-            start = get_int(entries, "estimate.start")
-            stop = get_int(entries, "estimate.stop")
+            start = _get(entries, "estimate.start")
+            stop = _get(entries, "estimate.stop")
             if stop < start:
                 raise ConfigError(
                     f"estimate.stop={stop} is before estimate.start={start}"
@@ -286,7 +343,7 @@ def cmd_estimate(args) -> tuple:
             indices=window,
             partition=partition,
             ridge_lambda=ridge,
-            derivative=get_str(entries, "estimate.derivative", "interior"),
+            derivative=_get(entries, "estimate.derivative"),
             normalize=normalize,
         )
         row = np.hstack([estimate.values, estimate.residual_norm, estimate.condition_estimate])
@@ -302,7 +359,7 @@ def cmd_estimate(args) -> tuple:
             summary["max_relative_error"] = valid.max() if valid.size else None
         notes = ["mode=constant"]
     elif mode == "varying":
-        width = get_int(entries, "estimate.window", 14)
+        width = _get(entries, "estimate.window")
         results = _windowed_fit(
             model, series, width, partition=partition, ridge_lambda=ridge, normalize=normalize
         )
@@ -328,12 +385,12 @@ def cmd_estimate(args) -> tuple:
 
 
 def cmd_sweep(args) -> tuple:
-    entries = load_config(args.config)
+    entries = _load_config(args.config)
     model = _model_from_config(entries)
     # simulate_draws replaces the schedule with each draw's parameters
     schedule = ConstantSchedule(np.zeros(model.n_params))
     sim_config = _sim_config_from(entries, model, schedule)
-    flat = get_floats(entries, "sweep.domain")
+    flat = _get(entries, "sweep.domain")
     if len(flat) % 2 != 0:
         raise ConfigError("sweep.domain needs lo,hi pairs")
     domain = tuple(
@@ -343,18 +400,18 @@ def cmd_sweep(args) -> tuple:
     try:
         spec = SweepSpec(
             domain=domain,
-            sample_count=get_int(entries, "sweep.samples"),
+            sample_count=_get(entries, "sweep.samples"),
             fixed=partition,
             seed=_resolve_seed(args, entries, "sweep.seed"),
         )
     except (ValueError, ShapeMismatch) as exc:
         raise ConfigError(str(exc)) from None
-    normalized = bool(get_int(entries, "sweep.normalized", 0))
+    normalized = _get(entries, "sweep.normalized")
     result = run_sweep(
         model,
         spec,
         sim_config,
-        derivative=get_str(entries, "sweep.derivative", "interior"),
+        derivative=_get(entries, "sweep.derivative"),
         with_normalized=normalized,
     )
     failed = dict(result.failures)
@@ -390,12 +447,12 @@ def cmd_sweep(args) -> tuple:
 
 
 def cmd_covid(args) -> tuple:
-    entries = load_config(args.config)
+    entries = _load_config(args.config)
     # the model first, so a bad population is a config error, not a data one
     model = _model_from_config(entries, "sir")
-    gamma = get_float(entries, "covid.gamma", 1.0 / 9.0)
-    width = get_int(entries, "covid.window", 14)
-    ridge = get_float(entries, "covid.ridge", 0.0)
+    gamma = _get(entries, "covid.gamma")
+    width = _get(entries, "covid.window")
+    ridge = _get(entries, "covid.ridge")
     raw = load_who_csv(args.data)
     series = build_sir_states(raw, model.population, FixedRates(gamma1=gamma))
     partition = ParameterPartition.from_known(
@@ -454,11 +511,11 @@ def cmd_covid(args) -> tuple:
 
 
 def cmd_reynolds(args) -> tuple:
-    entries = load_config(args.config) if args.config else {}
+    entries = _load_config(args.config) if args.config else {}
     if args.manifest and args.manufactured is not None:
         raise ConfigError("provide either --manifest or --manufactured, not both")
     if args.manifest:
-        target = get_float(entries, "reynolds.target", 100.0)
+        target = _get(entries, "reynolds.target")
         if target <= 0:
             raise ConfigError(f"reynolds.target={target!r} must be positive")
         stack = load_snapshot_stack(args.manifest)
@@ -469,22 +526,22 @@ def cmd_reynolds(args) -> tuple:
             raise ConfigError("--manufactured viscosity must be finite and positive")
         stack = manufactured_diffusion_stack(
             nu,
-            get_int(entries, "reynolds.nx", 129),
-            get_int(entries, "reynolds.ny", 129),
-            get_int(entries, "reynolds.snapshots", 51),
-            get_float(entries, "reynolds.dt", 0.05),
+            _get(entries, "reynolds.nx"),
+            _get(entries, "reynolds.ny"),
+            _get(entries, "reynolds.snapshots"),
+            _get(entries, "reynolds.dt"),
         )
         target = 1.0 / nu
         source = "manufactured"
     else:
         raise ConfigError("provide --manifest PATH or --manufactured NU")
-    repeats = get_int(entries, "reynolds.repeats", 20)
+    repeats = _get(entries, "reynolds.repeats")
     if repeats < 1:
         raise ConfigError("reynolds.repeats must be at least 1")
-    counts = get_ints(entries, "reynolds.counts", [4, 8, 16, 32, 64])
-    ridge = get_float(entries, "reynolds.ridge", 1e-6)
+    counts = _get(entries, "reynolds.counts")
+    ridge = _get(entries, "reynolds.ridge")
     seed = _resolve_seed(args, entries, "reynolds.seed")
-    region = get_floats(entries, "reynolds.region", None)
+    region = _get(entries, "reynolds.region")
     if region is None:
         if stack.cylinder_center is not None and stack.diameter is not None:
             region = default_wake_region(stack)
@@ -543,34 +600,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def common(p, config_required: bool = True):
+    def common(p, seeded: bool, config_required: bool = True):
         p.add_argument(
             "--config", required=config_required, help="key=value run configuration"
         )
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        # only the commands that draw random numbers take a seed
+        if seeded:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     p = sub.add_parser("simulate", help="integrate a configured model")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="fit parameters to a trajectory CSV")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--data", required=True, help="trajectory CSV (t plus state columns)")
     p.add_argument("--truth", default=None, help="one-row CSV of true parameters")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sweep", help="randomized recovery sweep over a parameter box")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("covid", help="case counts to compartments, beta(t), re-simulation")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--data", required=True, help="daily case CSV")
     p.set_defaults(func=cmd_covid)
 
     p = sub.add_parser("reynolds", help="Reynolds identification from snapshots")
-    common(p, config_required=False)
+    common(p, seeded=True, config_required=False)
     p.add_argument("--manifest", default=None, help="snapshot manifest path")
     p.add_argument(
         "--manufactured",

@@ -97,6 +97,17 @@ def get_float(entries: dict, key: str, default=_MISSING):
     return _get(entries, key, default, float, "a number", finite=True)
 
 
+def _flag(value: str) -> bool:
+    if value not in ("0", "1"):
+        raise ValueError(value)
+    return value == "1"
+
+
+def get_flag(entries: dict, key: str, default=_MISSING):
+    """0 or 1, as a bool."""
+    return _get(entries, key, default, _flag, "0 or 1")
+
+
 def get_floats(entries: dict, key: str, default=_MISSING):
     """Comma-separated float list."""
     return _get(entries, key, default, _comma_list(float), "a number list", finite=True)

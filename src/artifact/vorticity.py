@@ -396,10 +396,10 @@ def write_snapshot_stack(stack: SnapshotStack, directory) -> str:
         f"dt={float(stack.dt)!r}",
         f"n_snapshots={stack.n_snapshots}",
     ]
-    if stack.cylinder_center is not None:
+    # a cylinder is its centre and diameter; either one alone locates none
+    if stack.cylinder_center is not None and stack.diameter is not None:
         lines.append(f"cylinder_x={float(stack.cylinder_center[0])!r}")
         lines.append(f"cylinder_y={float(stack.cylinder_center[1])!r}")
-    if stack.diameter is not None:
         lines.append(f"diameter={float(stack.diameter)!r}")
     with open(manifest_path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -416,7 +416,8 @@ def load_snapshot_stack(manifest_path) -> SnapshotStack:
 
     The manifest is read by `config.load_config` and its getters, which reject
     non-finite numbers; their errors (a cylinder centre needs both cylinder_x
-    and cylinder_y), and grid sizes or spacings that no stack can have, become
+    and cylinder_y), cylinder metadata without its centre or its diameter, and
+    grid sizes, spacings or a diameter that no stack can have, become
     ParseError before any field file is read.
     """
     try:
@@ -434,9 +435,13 @@ def load_snapshot_stack(manifest_path) -> SnapshotStack:
     for key, size in (("nx", nx), ("ny", ny), ("n_snapshots", n_snapshots)):
         if size < 3:
             raise ParseError(f"snapshot manifest: {key}={size}, need at least 3")
-    for key, spacing in (("dx", dx), ("dy", dy), ("dt", dt)):
-        if spacing <= 0:
-            raise ParseError(f"snapshot manifest: {key}={spacing} is not positive")
+    if center is not None and diameter is None:
+        raise ParseError("snapshot manifest: a cylinder centre needs a diameter")
+    if diameter is not None and center is None:
+        raise ParseError("snapshot manifest: diameter needs cylinder_x and cylinder_y")
+    for key, length in (("dx", dx), ("dy", dy), ("dt", dt), ("diameter", diameter)):
+        if length is not None and length <= 0:
+            raise ParseError(f"snapshot manifest: {key}={length} is not positive")
     directory = os.path.dirname(os.path.abspath(manifest_path))
     fields = {}
     for name, pattern in FILE_PATTERNS.items():

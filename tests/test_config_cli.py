@@ -1096,3 +1096,135 @@ def test_cli_error_paths_write_no_out(tmp_path, capsys, command, body, data, cod
         assert out.read_text() == "not a directory\n"
     else:
         assert not out.exists()
+
+
+CONFIGS = COVID_DAILY.parent
+
+
+def test_every_shipped_config_key_is_in_the_table():
+    paths = sorted(CONFIGS.glob("*.conf"))
+    assert len(paths) == 7
+    for path in paths:
+        for key in load_config(path):
+            assert cli._table_key(key) in cli.CONFIG_KEYS, (path.name, key)
+    # a key declared in two rows would keep only its last default
+    declared = [key for _, _, keys in cli._KEY_ROWS for key in keys]
+    assert len(declared) == len(set(declared)) == len(cli.CONFIG_KEYS)
+
+
+@pytest.mark.parametrize(
+    "command, body, key, nearest",
+    [
+        ("estimate", SIR_CONF, "estimate.windw", "estimate.window"),
+        ("estimate", SIR_CONF, "estimat.mode", "estimate.mode"),
+        ("simulate", SIR_CONF, "sim.tend", "sim.t_end"),
+        ("simulate", SIR_CONF, "colour", None),
+        ("sweep", SWEEP_CONF, "sweep.sampels", "sweep.samples"),
+        ("covid", "model.population=5700000\n", "covid.gama", "covid.gamma"),
+        ("reynolds", REYNOLDS_SMALL, "reynolds.count", "reynolds.counts"),
+    ],
+)
+def test_misspelled_config_key_is_rejected(tmp_path, capsys, command, body, key, nearest):
+    conf = write(tmp_path / "run.conf", body + f"{key}=3\n")
+    out = tmp_path / "out"
+    args = [command, "--config", conf, "--out", str(out)]
+    if command == "estimate":
+        args += ["--data", write(tmp_path / "data.csv", TRAJECTORY)]
+    elif command == "covid":
+        args += ["--data", str(COVID_DAILY)]
+    elif command == "reynolds":
+        args += ["--manufactured", "0.01"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"{conf}: unknown config key {key}" in err
+    if nearest is None:
+        assert "did you mean" not in err
+    else:
+        assert f"(did you mean {nearest}?)" in err
+    assert not out.exists()
+
+
+def test_misspelled_keys_in_a_shipped_config_stop_estimate(tmp_path, capsys):
+    # the rest of the config is valid, so without the check this run exits 0
+    # in varying mode with a one-day window
+    body = (CONFIGS / "sir_varying.conf").read_text()
+    conf = write(tmp_path / "varying.conf", body + "estimate.windw=3\nestimat.mode=constant\n")
+    out = tmp_path / "out"
+    args = ["estimate", "--config", conf, "--data", write(tmp_path / "d.csv", TRAJECTORY)]
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{conf}: unknown config key estimate.windw (did you mean estimate.window?)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "covid"])
+def test_seed_flag_only_on_commands_that_draw(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    if command == "estimate":
+        conf = write(tmp_path / "run.conf", SIR_CONF)
+        data = write(tmp_path / "data.csv", TRAJECTORY)
+    else:
+        conf = write(tmp_path / "run.conf", "model.population=5700000\n")
+        data = str(COVID_DAILY)
+    args = [command, "--config", conf, "--data", data, "--out", str(out)]
+    assert main(args + ["--seed", "7"]) == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["2", "-1", "true", ""])
+@pytest.mark.parametrize("key", ["estimate.normalize", "sweep.normalized"])
+def test_flag_keys_accept_only_0_or_1(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    if key == "estimate.normalize":
+        conf = write(tmp_path / "run.conf", SIR_CONF + f"{key}={value}\n")
+        data = write(tmp_path / "data.csv", TRAJECTORY)
+        args = ["estimate", "--config", conf, "--data", data]
+    else:
+        conf = write(tmp_path / "run.conf", SWEEP_CONF + f"{key}={value}\n")
+        args = ["sweep", "--config", conf]
+    assert main(args + ["--out", str(out)]) == 2
+    assert f"config key {key} is not 0 or 1: {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"diameter": None}, "a cylinder centre needs a diameter"),
+        ({"cylinder_x": None, "cylinder_y": None}, "diameter needs cylinder_x and cylinder_y"),
+        ({"diameter": "0"}, "diameter=0.0 is not positive"),
+        ({"diameter": "-0.3"}, "diameter=-0.3 is not positive"),
+    ],
+    ids=["centre-without-diameter", "diameter-without-centre", "diameter-0", "diameter-negative"],
+)
+def test_exit_code_for_incomplete_cylinder_metadata(tmp_path, capsys, edit, message):
+    stack = dataclasses.replace(
+        manufactured_diffusion_stack(0.01, 5, 5, 3, 0.1), cylinder_center=(0.1, 0.2), diameter=0.1
+    )
+    manifest = Path(write_snapshot_stack(stack, tmp_path / "fields"))
+    lines = []
+    for line in manifest.read_text().splitlines():
+        key = line.split("=")[0]
+        if key not in edit:
+            lines.append(line)
+        elif edit[key] is not None:
+            lines.append(f"{key}={edit[key]}")
+    manifest.write_text("\n".join(lines) + "\n")
+    # the manifest is checked before any field file is read
+    for field in (tmp_path / "fields").glob("*.bin"):
+        field.unlink()
+    out = tmp_path / "out"
+    assert main(["reynolds", "--manifest", str(manifest), "--out", str(out)]) == 3
+    assert f"snapshot manifest: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_written_manifest_carries_cylinder_metadata_only_when_complete(tmp_path):
+    stack = manufactured_diffusion_stack(0.01, 5, 5, 3, 0.1)
+    for name, partial in (
+        ("centre", dataclasses.replace(stack, cylinder_center=(0.1, 0.2))),
+        ("diameter", dataclasses.replace(stack, diameter=0.1)),
+    ):
+        manifest = write_snapshot_stack(partial, tmp_path / name)
+        assert load_config(manifest).keys() == {"nx", "ny", "dx", "dy", "dt", "n_snapshots"}
