@@ -64,9 +64,15 @@ SWEEP_THRESHOLDS = (1.0, 0.5, 0.1, 0.05, 0.01)
 # (8 MiB of float64), so its memory does not grow with sample_count
 SWEEP_BLOCK_VALUES = 1 << 20
 
-# estimate_time_varying and run_sweep solve in solve_batch calls of at most
-# this many stacked float64 values (256 KiB), so memory stays flat
+# run_sweep solves in solve_batch calls of at most this many stacked float64
+# values (256 KiB), and estimate_time_varying takes its windows' rows in
+# chunks of this size for residual norms and QR fallbacks, so memory stays flat
 SOLVE_BLOCK_VALUES = 1 << 15
+
+# a window whose normal matrix has a condition number above this is solved by
+# QR (solve_batch) instead of its Gram sums: the normal equations lose about
+# condition * eps of relative accuracy, 2.2e-10 at the cut
+GRAM_CONDITION_CUT = 1e6
 
 
 @dataclass(frozen=True)
@@ -258,6 +264,96 @@ class WindowedEstimates:
         return (self[row] for row in range(len(self)))
 
 
+def _solve_windows(blocks, targets, width: int, ridge_lambda: float, normalize: bool):
+    """Least-squares fit of every day's trailing window of `width` blocks.
+
+    blocks (count, s, k) and targets (count, s) are per-sample rows. Day i
+    covers blocks max(i - width, 0) .. min(i, count) - 1, for i = width - 1
+    .. count + 1 less the days whose window is empty (at width 1, the first
+    and the last). Each window is solved from the sums of its blocks' B'B
+    and B'r, added left to right, so its result depends on its own blocks
+    only, and its residual norm is taken from its own rows. A window whose
+    normal matrix is not finite, not positive definite or above
+    GRAM_CONDITION_CUT, or whose values or residual norm are not finite, is
+    solved by regression.solve_batch on its rows instead, and so gets
+    solve_batch's verdict. Returns the days and a BatchSolution of their fits.
+    """
+    count, states, k = blocks.shape
+
+    def window_rows(matrices, rhs, length, starts):
+        """Chunks (part, matrices, rhs) of the rows of the windows of `length`
+        blocks that begin at starts[part], at most SOLVE_BLOCK_VALUES values each."""
+        # the window axis of a sliding view comes last; move it before states
+        windows, rhs = (
+            np.moveaxis(sliding_window_view(array, length, axis=0), -1, 1)
+            for array in (matrices, rhs)
+        )
+        rows = length * states
+        step = max(1, SOLVE_BLOCK_VALUES // (rows * (k + 1)))
+        for start in range(0, len(starts), step):
+            part = slice(start, start + step)
+            picked = starts[part]
+            yield part, windows[picked].reshape(-1, rows, k), rhs[picked].reshape(-1, rows)
+
+    days = np.arange(width - 1, count + 2)
+    if width == 1:  # the two padding blocks alone are no window
+        days = days[1:-1]
+    # one zero block at each end makes every window `width` padded blocks,
+    # day i's beginning at i - width + 1: a trimmed window adds exact zeros
+    padded, padded_targets = np.zeros((count + 2, states, k)), np.zeros((count + 2, states))
+    padded[1:-1], padded_targets[1:-1] = blocks, targets
+    first = days[0] - width + 1
+    # overflows and zero pivots are not warned about: such a window goes to QR
+    with np.errstate(all="ignore"):
+        grams = np.einsum("jsa,jsb->jab", padded, padded)
+        moments = np.einsum("jsa,js->ja", padded, padded_targets)
+        gram = grams[first : first + len(days)].copy()
+        moment = moments[first : first + len(days)].copy()
+        for offset in range(first + 1, first + width):
+            gram += grams[offset : offset + len(days)]
+            moment += moments[offset : offset + len(days)]
+        if normalize:
+            # solve_batch's unit column norms; a zero column stays unscaled
+            scales = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+            scales[scales == 0.0] = 1.0
+            gram /= scales[:, :, None] * scales[:, None, :]
+            moment /= scales
+        gram += ridge_lambda * np.eye(k)
+        finite = np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(moment).all(axis=1)
+        gram[~finite] = np.eye(k)
+        eigenvalues = np.linalg.eigvalsh(gram)
+        # the condition number on solve_batch's normal-matrix scale
+        conditions = eigenvalues[:, -1] / eigenvalues[:, 0]
+        certified = finite & (eigenvalues[:, 0] > 0.0) & (conditions <= GRAM_CONDITION_CUT)
+        gram[~certified] = np.eye(k)
+        values = np.linalg.solve(gram, moment[..., None])[..., 0]
+        if normalize:
+            values /= scales
+        values[~certified] = np.nan
+        residual_norms = np.full(len(days), np.nan)
+        solved = np.flatnonzero(certified)
+        for part, matrices, rhs in window_rows(padded, padded_targets, width, solved + first):
+            residuals = (matrices @ values[solved[part], :, None])[..., 0] - rhs
+            residual_norms[solved[part]] = np.sqrt(np.add.reduce(residuals * residuals, axis=1))
+    failed = np.flatnonzero(~(np.isfinite(residual_norms) & np.isfinite(values).all(axis=1)))
+    errors = [None] * len(days)
+    # the failed windows go to QR without the padding, in runs of one length
+    starts = np.maximum(days - width, 0)
+    lengths = np.minimum(days, count) - starts
+    for run in np.split(failed, np.flatnonzero(np.diff(lengths[failed])) + 1):
+        if not len(run):
+            continue
+        for part, matrices, rhs in window_rows(blocks, targets, lengths[run[0]], starts[run]):
+            solution = regression.solve_batch(matrices, rhs, ridge_lambda, normalize)
+            picked = run[part]
+            values[picked] = solution.values
+            residual_norms[picked] = solution.residual_norms
+            conditions[picked] = solution.conditions
+            for day, error in zip(picked, solution.errors):
+                errors[day] = error
+    return days, regression.BatchSolution(values, residual_norms, conditions, errors, ridge_lambda)
+
+
 def estimate_time_varying(
     model: ParameterLinearModel,
     series: TimeSeries,
@@ -274,11 +370,17 @@ def estimate_time_varying(
     skipped with a warning, except that a rank-deficient width-1 run is
     retried once at width 2 (per-point systems of the seven-compartment
     model are degenerate by construction). Any other failure is raised at
-    the first day it hits. The trimmed first day, the full-width days and
-    the trimmed last day are solved by regression.solve_batch, in calls of
-    at most SOLVE_BLOCK_VALUES values, and the failed days are then walked
-    in day order. `window_width` must be a Python or numpy integer (not a
-    bool).
+    the first day it hits. Every window is solved from its normal
+    equations, the sums of its per-sample Gram blocks B'B and B'r, in one
+    batched eigvalsh and one batched solve; its residual norm comes from
+    its own rows, taken in chunks of at most SOLVE_BLOCK_VALUES values. A
+    window whose normal matrix is not finite, not positive definite or has
+    a condition number above GRAM_CONDITION_CUT, or whose values or
+    residual norm are not finite, is solved by regression.solve_batch's QR
+    on its rows instead, with solve_batch's verdict. The failed days are
+    then walked in day order. A day's result depends on its own window's
+    samples only, bit for bit. `window_width` must be a Python or numpy
+    integer (not a bool).
 
     Returns a WindowedEstimates: the estimated days' times, values,
     residual norms and conditions as columns in day order, the skipped day
@@ -309,42 +411,15 @@ def estimate_time_varying(
         )
     matrices, rhs = _formulate(model, series.times, series.states, "interior")
     blocks, block_rhs = partition.reduce(matrices, rhs)
-    count, states, k = blocks.shape
 
     def fit(width: int):
-        # block j holds the interior rows of sample j + 1, so the window of
-        # day i is blocks max(i - width, 0) .. min(i, count) - 1: full width
-        # for days width .. count, trimmed or empty for days width - 1, n - 1
-        head, tail = slice(0, min(width - 1, count)), slice(max(n - 1 - width, 0), count)
-        groups = [(width - 1, blocks[None, head], block_rhs[None, head])]
-        if width <= count:
-            # the window axis of a sliding view comes last; move it before states
-            windows = np.moveaxis(sliding_window_view(blocks, width, axis=0), -1, 1)
-            targets = np.moveaxis(sliding_window_view(block_rhs, width, axis=0), -1, 1)
-            groups.append((width, windows, targets))
-        if n > width:
-            groups.append((n - 1, blocks[None, tail], block_rhs[None, tail]))
-        days, solutions = [], []
-        for first, windows, targets in groups:
-            if windows.shape[1] == 0:  # an empty trimmed window
-                continue
-            rows = windows.shape[1] * states
-            step = max(1, SOLVE_BLOCK_VALUES // (rows * (k + 1)))
-            days.append(first + np.arange(len(windows)))
-            for start in range(0, len(windows), step):
-                chunk = slice(start, start + step)
-                batch = windows[chunk].reshape(-1, rows, k), targets[chunk].reshape(-1, rows)
-                solutions.append(regression.solve_batch(*batch, ridge_lambda, normalize))
-        days = np.concatenate(days)
-        errors = [error for solution in solutions for error in solution.errors]
-        values = np.concatenate([s.values for s in solutions])
-        residual_norms = np.concatenate([s.residual_norms for s in solutions])
-        conditions = np.concatenate([s.conditions for s in solutions])
+        days, solution = _solve_windows(blocks, block_rhs, width, ridge_lambda, normalize)
         skipped = []
         # a failed system is the one whose diagnostics are NaN (BatchSolution)
-        for index in np.flatnonzero(np.isnan(residual_norms)):
-            if not isinstance(errors[index], RankDeficient):
-                raise errors[index]
+        for index in np.flatnonzero(np.isnan(solution.residual_norms)):
+            error = solution.errors[index]
+            if not isinstance(error, RankDeficient):
+                raise error
             if width == 1:
                 return None
             skipped.append(int(days[index]))
@@ -352,12 +427,12 @@ def estimate_time_varying(
                 f"skipping day index {skipped[-1]}: rank-deficient window",
                 stacklevel=3,
             )
-        kept = ~np.isnan(residual_norms)
+        kept = ~np.isnan(solution.residual_norms)
         return WindowedEstimates(
             series.times[days[kept]],
-            partition.combine(values[kept]),
-            residual_norms[kept],
-            conditions[kept],
+            partition.combine(solution.values[kept]),
+            solution.residual_norms[kept],
+            solution.conditions[kept],
             ridge_lambda,
             tuple(skipped),
             width != d,

@@ -23,6 +23,12 @@ non-finite QR factor, singular values, condition number, rank, residual
 norm): a system gets the error of its first failing check, a failed system
 fails no other, and one with non-finite entries meets LAPACK as zeros.
 
+Constant fits and the sweep solve every system this way. The windowed fit
+(estimation.estimate_time_varying) solves the normal equations of each
+window from summed per-sample Gram blocks instead, and sends here only the
+windows whose normal matrix it cannot certify: not finite, not positive
+definite, or with a condition number above estimation.GRAM_CONDITION_CUT.
+
 Stacking
 --------
 Per-sample residual blocks are concatenated vertically into one tall system
