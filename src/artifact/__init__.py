@@ -3,13 +3,16 @@
 Systems of the form dx/dt = A(x; t) omega, with the right-hand side linear
 in the parameter vector, are fitted to sampled trajectories by stacking the
 model matrices against finite-difference derivatives and solving the
-least-squares problem: by one QR factorization for constant fits and
-sweeps, and from each window's normal equations for per-day (windowed)
-fits, with QR kept for ill-conditioned windows. Shipped models:
-Lotka-Volterra, SIR, and a seven-compartment epidemic model with hospital,
-ICU, and vaccination flows; a vorticity module estimates Reynolds numbers
-from flow snapshots by the same route.
+least-squares problem in one module (regression): by one QR factorization
+for constant fits and sweeps, and from each window's normal equations for
+per-day (windowed) fits, with QR kept for ill-conditioned windows. Shipped
+models: Lotka-Volterra, SIR, and a seven-compartment epidemic model with
+hospital, ICU, and vaccination flows; a vorticity module estimates Reynolds
+numbers from flow snapshots by the same route. The public names are the
+imports below, and __all__ is derived from them.
 """
+
+import types as _types
 
 from .differentiation import (
     GridField,
@@ -116,91 +119,9 @@ from .vorticity import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllZeroColumn",
-    "BatchSolution",
-    "ConfigError",
-    "ConstantSchedule",
-    "DegenerateDenominator",
-    "DimensionMismatch",
-    "ErrorMetrics",
-    "EstimationError",
-    "EstimationWindow",
-    "FixedRates",
-    "GridField",
-    "IndexOutOfRange",
-    "MissingColumn",
-    "MissingField",
-    "NegativeCompartment",
-    "NoiseSpec",
-    "NonFiniteState",
-    "NonFiniteSystem",
-    "NonMonotonicDates",
-    "NonPhysical",
-    "NonPositivePopulation",
-    "ParameterEstimate",
-    "ParameterLinearModel",
-    "ParameterPartition",
-    "ParseError",
-    "PiecewiseSchedule",
-    "RankDeficient",
-    "RawDailySeries",
-    "RegionTooSmall",
-    "ReynoldsEstimate",
-    "SensorSet",
-    "ShapeMismatch",
-    "SimulationConfig",
-    "SinusoidalBetaSchedule",
-    "SnapshotStack",
-    "StackedSystem",
-    "SweepResult",
-    "SweepSpec",
-    "TimeSeries",
-    "TooFewPoints",
-    "UnderDetermined",
-    "WindowedEstimates",
-    "add_noise",
-    "advected_diffusion_stack",
-    "apply_partition",
-    "assemble_from_series",
-    "assemble_vorticity_system",
-    "build_s3i3r_states",
-    "build_sir_states",
-    "central_diff",
-    "curl_consistency_rms",
-    "default_wake_region",
-    "erk4_step",
-    "estimate_constant",
-    "estimate_inverse_re",
-    "estimate_reynolds",
-    "estimate_time_varying",
-    "eval_rhs",
-    "full_diff",
-    "get_model",
-    "load_snapshot_stack",
-    "load_who_csv",
-    "lotka_volterra",
-    "lotka_volterra_matrix",
-    "manufactured_diffusion_stack",
-    "register_model",
-    "relative_error_metrics",
-    "run_sweep",
-    "s3i3r",
-    "s3i3r_matrix",
-    "sample_sensors",
-    "shedding_time_step",
-    "simulate",
-    "sir",
-    "sir_matrix",
-    "snapshots_from_flat_columns",
-    "solve_batch",
-    "solve_ols",
-    "solve_partitioned",
-    "solve_ridge",
-    "solve_single_column",
-    "spatial_gradient",
-    "spatial_laplacian",
-    "stack_systems",
-    "subsample_noise_table",
-    "write_snapshot_stack",
-]
+# every imported name but the submodules, which importing them binds here too
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

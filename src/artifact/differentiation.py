@@ -75,7 +75,7 @@ def time_derivative(times, states, mode: str) -> np.ndarray:
     if mode == "full":
         return np.gradient(states, times, axis=-2, edge_order=1)
     span = (times[2:] - times[:-2])[:, None]
-    return (states[..., 2:, :] - states[..., :-2, :]) / span
+    return central_difference(states[..., 2:, :], states[..., :-2, :], 0.5 * span)
 
 
 def central_diff(series: TimeSeries) -> TimeSeries:

@@ -1,7 +1,8 @@
 """End-to-end estimation drivers.
 
 Builds stacked regression systems from simulated or observed time series and
-solves for constant or per-day parameter vectors. Also houses the noise
+solves them with the regression module, for constant or per-day parameter
+vectors (solve_windows fits the days' windows). Also houses the noise
 injection scheme, error metrics, the randomized parameter sweep, and the
 subsample/noise reproduction table.
 
@@ -14,7 +15,9 @@ blocks out of the window's span, estimate_time_varying slices each day's
 blocks out of one formulation, run_sweep formulates a chunk of draws per
 call and subsample_noise_table all noisy copies of a subsample in one call.
 Its right-hand sides are differentiation.time_derivative's targets, which
-subsample_noise_table also reads directly for its clean subsamples.
+subsample_noise_table also reads directly for its clean subsamples. It runs
+with numpy's warnings off, so a non-finite feature reaches the solver's
+NonFiniteSystem verdict.
 
 "interior" (default): the integral identity
 x_{i+1} - x_{i-1} = integral of A(x; t) omega over [t_{i-1}, t_{i+1}],
@@ -38,7 +41,6 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import regression
 from .differentiation import TimeSeries, time_derivative
@@ -56,6 +58,7 @@ from .regression import (
     ParameterPartition,
     StackedSystem,
     solve_partitioned,
+    solve_windows,
 )
 
 SWEEP_THRESHOLDS = (1.0, 0.5, 0.1, 0.05, 0.01)
@@ -63,16 +66,6 @@ SWEEP_THRESHOLDS = (1.0, 0.5, 0.1, 0.05, 0.01)
 # run_sweep integrates draws in blocks of at most this many state values
 # (8 MiB of float64), so its memory does not grow with sample_count
 SWEEP_BLOCK_VALUES = 1 << 20
-
-# run_sweep solves in solve_batch calls of at most this many stacked float64
-# values (256 KiB), and estimate_time_varying takes its windows' rows in
-# chunks of this size for residual norms and QR fallbacks, so memory stays flat
-SOLVE_BLOCK_VALUES = 1 << 15
-
-# a window whose normal matrix has a condition number above this is solved by
-# QR (solve_batch) instead of its Gram sums: the normal equations lose about
-# condition * eps of relative accuracy, 2.2e-10 at the cut
-GRAM_CONDITION_CUT = 1e6
 
 
 @dataclass(frozen=True)
@@ -152,21 +145,23 @@ def _formulate(model: ParameterLinearModel, times, states, derivative: str):
         raise ShapeMismatch(
             f"series has {states.shape[-1]} states, model {model.name} wants {model.n_states}"
         )
-    rhs = time_derivative(times, states, derivative)
-    features, coefficients = model.library()
-    values = features(states, np.broadcast_to(times, states.shape[:-1]))
-    check_features(model, values, states, len(coefficients))
-    if derivative == "interior":
-        h1 = times[1:-1] - times[:-2]
-        h2 = times[2:] - times[1:-1]
-        span = times[2:] - times[:-2]
-        # three-point Simpson rule over [t_{i-1}, t_{i+1}], divided by its span
-        values = (
-            (2.0 - h2 / h1)[:, None] * values[..., :-2, :]
-            + (span * span / (h1 * h2))[:, None] * values[..., 1:-1, :]
-            + (2.0 - h1 / h2)[:, None] * values[..., 2:, :]
-        ) / 6.0
-    return matrices_from_features(values, coefficients), rhs
+    # a non-finite entry is the solver's verdict (NonFiniteSystem), not a warning
+    with np.errstate(all="ignore"):
+        rhs = time_derivative(times, states, derivative)
+        features, coefficients = model.library()
+        values = features(states, np.broadcast_to(times, states.shape[:-1]))
+        check_features(model, values, states, len(coefficients))
+        if derivative == "interior":
+            h1 = times[1:-1] - times[:-2]
+            h2 = times[2:] - times[1:-1]
+            span = times[2:] - times[:-2]
+            # three-point Simpson rule over [t_{i-1}, t_{i+1}], divided by its span
+            values = (
+                (2.0 - h2 / h1)[:, None] * values[..., :-2, :]
+                + (span * span / (h1 * h2))[:, None] * values[..., 1:-1, :]
+                + (2.0 - h1 / h2)[:, None] * values[..., 2:, :]
+            ) / 6.0
+        return matrices_from_features(values, coefficients), rhs
 
 
 def assemble_from_series(
@@ -264,96 +259,6 @@ class WindowedEstimates:
         return (self[row] for row in range(len(self)))
 
 
-def _solve_windows(blocks, targets, width: int, ridge_lambda: float, normalize: bool):
-    """Least-squares fit of every day's trailing window of `width` blocks.
-
-    blocks (count, s, k) and targets (count, s) are per-sample rows. Day i
-    covers blocks max(i - width, 0) .. min(i, count) - 1, for i = width - 1
-    .. count + 1 less the days whose window is empty (at width 1, the first
-    and the last). Each window is solved from the sums of its blocks' B'B
-    and B'r, added left to right, so its result depends on its own blocks
-    only, and its residual norm is taken from its own rows. A window whose
-    normal matrix is not finite, not positive definite or above
-    GRAM_CONDITION_CUT, or whose values or residual norm are not finite, is
-    solved by regression.solve_batch on its rows instead, and so gets
-    solve_batch's verdict. Returns the days and a BatchSolution of their fits.
-    """
-    count, states, k = blocks.shape
-
-    def window_rows(matrices, rhs, length, starts):
-        """Chunks (part, matrices, rhs) of the rows of the windows of `length`
-        blocks that begin at starts[part], at most SOLVE_BLOCK_VALUES values each."""
-        # the window axis of a sliding view comes last; move it before states
-        windows, rhs = (
-            np.moveaxis(sliding_window_view(array, length, axis=0), -1, 1)
-            for array in (matrices, rhs)
-        )
-        rows = length * states
-        step = max(1, SOLVE_BLOCK_VALUES // (rows * (k + 1)))
-        for start in range(0, len(starts), step):
-            part = slice(start, start + step)
-            picked = starts[part]
-            yield part, windows[picked].reshape(-1, rows, k), rhs[picked].reshape(-1, rows)
-
-    days = np.arange(width - 1, count + 2)
-    if width == 1:  # the two padding blocks alone are no window
-        days = days[1:-1]
-    # one zero block at each end makes every window `width` padded blocks,
-    # day i's beginning at i - width + 1: a trimmed window adds exact zeros
-    padded, padded_targets = np.zeros((count + 2, states, k)), np.zeros((count + 2, states))
-    padded[1:-1], padded_targets[1:-1] = blocks, targets
-    first = days[0] - width + 1
-    # overflows and zero pivots are not warned about: such a window goes to QR
-    with np.errstate(all="ignore"):
-        grams = np.einsum("jsa,jsb->jab", padded, padded)
-        moments = np.einsum("jsa,js->ja", padded, padded_targets)
-        gram = grams[first : first + len(days)].copy()
-        moment = moments[first : first + len(days)].copy()
-        for offset in range(first + 1, first + width):
-            gram += grams[offset : offset + len(days)]
-            moment += moments[offset : offset + len(days)]
-        if normalize:
-            # solve_batch's unit column norms; a zero column stays unscaled
-            scales = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
-            scales[scales == 0.0] = 1.0
-            gram /= scales[:, :, None] * scales[:, None, :]
-            moment /= scales
-        gram += ridge_lambda * np.eye(k)
-        finite = np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(moment).all(axis=1)
-        gram[~finite] = np.eye(k)
-        eigenvalues = np.linalg.eigvalsh(gram)
-        # the condition number on solve_batch's normal-matrix scale
-        conditions = eigenvalues[:, -1] / eigenvalues[:, 0]
-        certified = finite & (eigenvalues[:, 0] > 0.0) & (conditions <= GRAM_CONDITION_CUT)
-        gram[~certified] = np.eye(k)
-        values = np.linalg.solve(gram, moment[..., None])[..., 0]
-        if normalize:
-            values /= scales
-        values[~certified] = np.nan
-        residual_norms = np.full(len(days), np.nan)
-        solved = np.flatnonzero(certified)
-        for part, matrices, rhs in window_rows(padded, padded_targets, width, solved + first):
-            residuals = (matrices @ values[solved[part], :, None])[..., 0] - rhs
-            residual_norms[solved[part]] = np.sqrt(np.add.reduce(residuals * residuals, axis=1))
-    failed = np.flatnonzero(~(np.isfinite(residual_norms) & np.isfinite(values).all(axis=1)))
-    errors = [None] * len(days)
-    # the failed windows go to QR without the padding, in runs of one length
-    starts = np.maximum(days - width, 0)
-    lengths = np.minimum(days, count) - starts
-    for run in np.split(failed, np.flatnonzero(np.diff(lengths[failed])) + 1):
-        if not len(run):
-            continue
-        for part, matrices, rhs in window_rows(blocks, targets, lengths[run[0]], starts[run]):
-            solution = regression.solve_batch(matrices, rhs, ridge_lambda, normalize)
-            picked = run[part]
-            values[picked] = solution.values
-            residual_norms[picked] = solution.residual_norms
-            conditions[picked] = solution.conditions
-            for day, error in zip(picked, solution.errors):
-                errors[day] = error
-    return days, regression.BatchSolution(values, residual_norms, conditions, errors, ridge_lambda)
-
-
 def estimate_time_varying(
     model: ParameterLinearModel,
     series: TimeSeries,
@@ -370,17 +275,10 @@ def estimate_time_varying(
     skipped with a warning, except that a rank-deficient width-1 run is
     retried once at width 2 (per-point systems of the seven-compartment
     model are degenerate by construction). Any other failure is raised at
-    the first day it hits. Every window is solved from its normal
-    equations, the sums of its per-sample Gram blocks B'B and B'r, in one
-    batched eigvalsh and one batched solve; its residual norm comes from
-    its own rows, taken in chunks of at most SOLVE_BLOCK_VALUES values. A
-    window whose normal matrix is not finite, not positive definite or has
-    a condition number above GRAM_CONDITION_CUT, or whose values or
-    residual norm are not finite, is solved by regression.solve_batch's QR
-    on its rows instead, with solve_batch's verdict. The failed days are
-    then walked in day order. A day's result depends on its own window's
-    samples only, bit for bit. `window_width` must be a Python or numpy
-    integer (not a bool).
+    the first day it hits, the failed days walked in day order. The windows
+    are solved by regression.solve_windows, so a day's result depends on its
+    own window's samples only, bit for bit. `window_width` must be a Python
+    or numpy integer (not a bool).
 
     Returns a WindowedEstimates: the estimated days' times, values,
     residual norms and conditions as columns in day order, the skipped day
@@ -413,7 +311,8 @@ def estimate_time_varying(
     blocks, block_rhs = partition.reduce(matrices, rhs)
 
     def fit(width: int):
-        days, solution = _solve_windows(blocks, block_rhs, width, ridge_lambda, normalize)
+        # block j is sample j + 1's, so the window ending at padded block i is day i's
+        days, solution = solve_windows(blocks, block_rhs, width, ridge_lambda, normalize)
         skipped = []
         # a failed system is the one whose diagnostics are NaN (BatchSolution)
         for index in np.flatnonzero(np.isnan(solution.residual_norms)):
@@ -553,11 +452,12 @@ def run_sweep(
     Draws are integrated together (simulate_draws) in blocks of at most
     SWEEP_BLOCK_VALUES state values. A block's draws that neither failed nor
     hold a zero are formulated, reduced and solved per normalize setting in
-    one call per chunk of at most SOLVE_BLOCK_VALUES values; a chunk whose
-    formulation raises is refitted a draw at a time. Each draw's errors equal
-    those of fitting it alone, bit for bit. Failures are recorded with a
-    reason, in index order, never fatal; an error of the model's features at
-    the shared initial state is raised. `workers` has no effect.
+    one call per chunk of at most regression.SOLVE_BLOCK_VALUES values; a
+    chunk whose formulation raises is refitted a draw at a time. Each draw's
+    errors equal those of fitting it alone, bit for bit. Failures are
+    recorded with a reason, in index order, never fatal; an error of the
+    model's features at the shared initial state is raised. `workers` has no
+    effect.
     """
     partition, count = sweep.fixed, sweep.sample_count
     k = len(partition.unknown_indices)
@@ -569,7 +469,7 @@ def run_sweep(
     times = time_grid(sim_template)
     values = len(times) * model.n_states  # one draw's states
     block = max(1, SWEEP_BLOCK_VALUES // values)
-    chunk = max(1, SOLVE_BLOCK_VALUES // (values * (k + 1)))
+    chunk = max(1, regression.SOLVE_BLOCK_VALUES // (values * (k + 1)))
     # "full" rows keep estimate_constant's default window, samples 1..n-2
     window = slice(1, -1) if derivative == "full" else slice(None)
     # rows: max and mean error, then the normalized pair

@@ -3,6 +3,7 @@
 Solvers
 -------
 - solve_batch: B systems of one shape in one pass, one verdict per system
+- solve_windows: every window of consecutive per-sample blocks, from Gram sums
 - solve_ols: ordinary least squares, min ||A omega - b||_2
 - solve_ridge: Tikhonov-regularized least squares, (A'A + lambda I)^-1 A'b
 
@@ -23,11 +24,9 @@ non-finite QR factor, singular values, condition number, rank, residual
 norm): a system gets the error of its first failing check, a failed system
 fails no other, and one with non-finite entries meets LAPACK as zeros.
 
-Constant fits and the sweep solve every system this way. The windowed fit
-(estimation.estimate_time_varying) solves the normal equations of each
-window from summed per-sample Gram blocks instead, and sends here only the
-windows whose normal matrix it cannot certify: not finite, not positive
-definite, or with a condition number above estimation.GRAM_CONDITION_CUT.
+solve_windows solves every window from its summed per-sample B'B and B'r in
+one batched eigvalsh and solve, and sends to solve_batch each window whose
+normal matrix is not finite, not positive definite or above GRAM_CONDITION_CUT.
 
 Stacking
 --------
@@ -45,6 +44,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AllZeroColumn,
@@ -56,6 +56,15 @@ from .errors import (
 
 RANK_DEFICIENT_CONDITION = 1e12
 _EPS = float(np.finfo(float).eps)
+
+# solve_windows takes its windows' rows, for residual norms and QR fallbacks,
+# in chunks of at most this many float64 values (256 KiB), so memory stays flat
+SOLVE_BLOCK_VALUES = 1 << 15
+
+# a window whose normal matrix has a condition number above this is solved by
+# QR (solve_batch) instead of its Gram sums: the normal equations lose about
+# condition * eps of relative accuracy, 2.2e-10 at the cut
+GRAM_CONDITION_CUT = 1e6
 
 
 @dataclass(frozen=True)
@@ -310,8 +319,7 @@ def solve_batch(
             values = np.linalg.solve(triangle, factor[:, :cols, cols:])[..., 0]
             if normalize:
                 values /= scales
-            residuals = (matrices @ values[..., None])[..., 0] - rhs
-            residual_norms = np.sqrt(np.add.reduce(residuals * residuals, axis=1))
+            residual_norms = _residual_norms(matrices, values, rhs)
         finite = np.isfinite(residual_norms)
         message = "non-finite solve: residual norm {residual}"
         checks += solve_checks + [(finite, NonFiniteSystem, message)]
@@ -330,6 +338,107 @@ def solve_batch(
         for array in (values, residual_norms, conditions):
             array[failed] = np.nan
     return BatchSolution(values, residual_norms, conditions, errors, ridge_lambda)
+
+
+def _residual_norms(matrices, values, rhs) -> np.ndarray:
+    """||A omega - b|| of each system: matrices (B, m, k), values (B, k), rhs (B, m)."""
+    residuals = (matrices @ values[..., None])[..., 0] - rhs
+    return np.sqrt(np.add.reduce(residuals * residuals, axis=1))
+
+
+def solve_windows(blocks, targets, width: int, ridge_lambda: float = 0.0, normalize: bool = False):
+    """Least-squares fit of every window of `width` consecutive blocks.
+
+    blocks (count, s, k) and targets (count, s) are per-sample rows, padded
+    with one empty block at each end; the window ending at padded block i
+    holds blocks max(i - width, 0) .. min(i, count) - 1, for i = width - 1
+    .. count + 1 less the empty windows (width 1's first and last). A window
+    is solved from its blocks' B'B and B'r summed left to right, so it
+    depends on its own blocks only; a window whose normal matrix is not
+    finite, not positive definite or above GRAM_CONDITION_CUT, or whose
+    values or residual norm are not finite, gets solve_batch's fit and
+    verdict on its rows. Inputs are checked as solve_batch checks them.
+    Returns the ends and a BatchSolution of their windows' fits.
+    """
+    _check_ridge_lambda(ridge_lambda)
+    blocks, targets = np.asarray(blocks, dtype=float), np.asarray(targets, dtype=float)
+    if blocks.ndim != 3 or targets.shape != blocks.shape[:2] or not blocks.shape[0]:
+        raise ShapeMismatch(f"blocks {blocks.shape} and targets {targets.shape} for windows")
+    count, states, k = blocks.shape
+    if not 1 <= width <= count + 2:
+        raise ValueError(f"window width {width} for {count} blocks is not 1 .. count + 2")
+
+    def window_rows(matrices, rhs, length, starts):
+        """Chunks (part, matrices, rhs) of the rows of the windows of `length`
+        blocks that begin at starts[part], at most SOLVE_BLOCK_VALUES values each."""
+        # the window axis of a sliding view comes last; move it before states
+        windows, rhs = (
+            np.moveaxis(sliding_window_view(array, length, axis=0), -1, 1)
+            for array in (matrices, rhs)
+        )
+        rows = length * states
+        step = max(1, SOLVE_BLOCK_VALUES // (rows * (k + 1)))
+        for start in range(0, len(starts), step):
+            part = slice(start, start + step)
+            picked = starts[part]
+            yield part, windows[picked].reshape(-1, rows, k), rhs[picked].reshape(-1, rows)
+
+    ends = np.arange(width - 1, count + 2)
+    if width == 1:  # the two padding blocks alone are no window
+        ends = ends[1:-1]
+    # one zero block at each end makes every window `width` padded blocks,
+    # the one ending at i from i - width + 1: a trimmed window adds exact zeros
+    padded, padded_targets = np.zeros((count + 2, states, k)), np.zeros((count + 2, states))
+    padded[1:-1], padded_targets[1:-1] = blocks, targets
+    first = ends[0] - width + 1
+    # overflows and zero pivots are not warned about: such a window goes to QR
+    with np.errstate(all="ignore"):
+        grams = np.einsum("jsa,jsb->jab", padded, padded)
+        moments = np.einsum("jsa,js->ja", padded, padded_targets)
+        gram = grams[first : first + len(ends)].copy()
+        moment = moments[first : first + len(ends)].copy()
+        for offset in range(first + 1, first + width):
+            gram += grams[offset : offset + len(ends)]
+            moment += moments[offset : offset + len(ends)]
+        if normalize:
+            # solve_batch's unit column norms; a zero column stays unscaled
+            scales = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+            scales[scales == 0.0] = 1.0
+            gram /= scales[:, :, None] * scales[:, None, :]
+            moment /= scales
+        gram += ridge_lambda * np.eye(k)
+        finite = np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(moment).all(axis=1)
+        gram[~finite] = np.eye(k)
+        eigenvalues = np.linalg.eigvalsh(gram)
+        # the condition number on solve_batch's normal-matrix scale
+        conditions = eigenvalues[:, -1] / eigenvalues[:, 0]
+        certified = finite & (eigenvalues[:, 0] > 0.0) & (conditions <= GRAM_CONDITION_CUT)
+        gram[~certified] = np.eye(k)
+        values = np.linalg.solve(gram, moment[..., None])[..., 0]
+        if normalize:
+            values /= scales
+        values[~certified] = np.nan
+        residual_norms = np.full(len(ends), np.nan)
+        solved = np.flatnonzero(certified)
+        for part, matrices, rhs in window_rows(padded, padded_targets, width, solved + first):
+            residual_norms[solved[part]] = _residual_norms(matrices, values[solved[part]], rhs)
+    failed = np.flatnonzero(~(np.isfinite(residual_norms) & np.isfinite(values).all(axis=1)))
+    errors = [None] * len(ends)
+    # the failed windows go to QR without the padding, in runs of one length
+    starts = np.maximum(ends - width, 0)
+    lengths = np.minimum(ends, count) - starts
+    for run in np.split(failed, np.flatnonzero(np.diff(lengths[failed])) + 1):
+        if not len(run):
+            continue
+        for part, matrices, rhs in window_rows(blocks, targets, lengths[run[0]], starts[run]):
+            solution = solve_batch(matrices, rhs, ridge_lambda, normalize)
+            picked = run[part]
+            values[picked] = solution.values
+            residual_norms[picked] = solution.residual_norms
+            conditions[picked] = solution.conditions
+            for window, error in zip(picked, solution.errors):
+                errors[window] = error
+    return ends, BatchSolution(values, residual_norms, conditions, errors, ridge_lambda)
 
 
 def solve_ols(system: StackedSystem, normalize: bool = False) -> ParameterEstimate:

@@ -292,7 +292,9 @@ def _fit_sums(stack: SnapshotStack, sensors: SensorSet | None = None) -> tuple:
     (n - 2)(nx - 2)(ny - 2) system nor a per-snapshot temporary is allocated.
     """
     if sensors is not None:
-        system = assemble_vorticity_system(stack, sensors)
+        # an overflow is the sums' verdict (NonFiniteSystem), as in the full field's
+        with np.errstate(all="ignore"):
+            system = assemble_vorticity_system(stack, sensors)
         return _column_sums([(system.matrix, system.rhs)])
     w, u, v, core = stack.w, stack.u, stack.v, np.s_[1:-1, 1:-1]
     buffers = tuple(np.empty((stack.nx - 2, stack.ny - 2)) for _ in range(3))
@@ -327,7 +329,8 @@ def _sensor_sums(stack: SnapshotStack, region, sensor_counts, repeats: int, seed
         for repeat in range(repeats):
             state = np.random.SeedSequence((seed, count, repeat)).generate_state(1)
             draws.append(_draw_nodes(nodes, count, int(state[0])))
-        laplacian, target = _sensor_rows(stack, np.stack(draws))
+        with np.errstate(all="ignore"):  # as in _fit_sums
+            laplacian, target = _sensor_rows(stack, np.stack(draws))
         yield count, [_column_sums([block]) for block in zip(laplacian, target)]
 
 

@@ -1,5 +1,6 @@
 """Shared fixtures: reference trajectories and a synthetic daily-counts file."""
 
+import dataclasses
 from datetime import date, timedelta
 
 import numpy as np
@@ -9,6 +10,7 @@ from artifact import (
     ConstantSchedule,
     SimulationConfig,
     lotka_volterra,
+    manufactured_diffusion_stack,
     simulate,
     sir,
 )
@@ -117,3 +119,12 @@ def who_csv(tmp_path):
         lines.append(f"{date(2020, 3, 1) + timedelta(days=k)},{c}")
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+@pytest.fixture()
+def overflowing_stack():
+    """A 17x17x7 manufactured stack whose vorticity is a +-1e308 checkerboard."""
+    stack = manufactured_diffusion_stack(0.01, 17, 17, 7, 0.1)
+    index = np.arange(17)
+    sign = np.where((index[:, None] + index[None, :]) % 2, 1.0, -1.0)
+    return dataclasses.replace(stack, w=np.broadcast_to(1e308 * sign, stack.w.shape).copy())

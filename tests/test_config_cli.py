@@ -1188,6 +1188,39 @@ def test_flag_keys_accept_only_0_or_1(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["constant", "varying", "covid"])
+def test_negative_ridge_exits_2_without_out(tmp_path, capsys, sir_trajectory, who_csv, mode):
+    # every fit checks its ridge as solve_batch does, the windowed ones too
+    if mode == "covid":
+        body = "model.population=5700000\ncovid.gamma=0.072\ncovid.ridge=-1e-9\n"
+        args = ["covid", "--data", str(who_csv)]
+    else:
+        table = np.column_stack([sir_trajectory.times, sir_trajectory.states])
+        rows = ["t,S,I,R"] + [",".join(map(repr, row.tolist())) for row in table]
+        data = write(tmp_path / "data.csv", "\n".join(rows) + "\n")
+        body = (
+            f"model.name=sir\nmodel.population=1.0\nestimate.mode={mode}\n"
+            "estimate.window=14\nestimate.ridge=-1e-9\n"
+        )
+        args = ["estimate", "--data", data]
+    out = tmp_path / "out"
+    conf = write(tmp_path / "run.conf", body)
+    assert main(args + ["--config", conf, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ridge_lambda must be finite and nonnegative: -1e-09" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_reynolds_manifest_with_overflowing_stencils_exits_4(tmp_path, capsys, overflowing_stack):
+    manifest = write_snapshot_stack(overflowing_stack, tmp_path / "fields")
+    conf = write(tmp_path / "run.conf", "reynolds.counts=4\nreynolds.repeats=2\n")
+    out = tmp_path / "out"
+    assert main(["reynolds", "--config", conf, "--manifest", manifest, "--out", str(out)]) == 4
+    assert "are not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

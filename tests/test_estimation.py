@@ -465,7 +465,7 @@ def test_windowed_fit_agrees_with_qr_on_each_window(sir_trajectory):
             values = np.concatenate([solution.values for solution in solutions])
             norms = np.concatenate([solution.residual_norms for solution in solutions])
             conditions = np.concatenate([solution.conditions for solution in solutions])
-            assert conditions.max() <= estimation.GRAM_CONDITION_CUT
+            assert conditions.max() <= regression.GRAM_CONDITION_CUT
             np.testing.assert_allclose(results.values, values, rtol=1e-12, atol=0)
             np.testing.assert_allclose(results.residual_norms, norms, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(results.conditions, conditions, rtol=1e-12, atol=0)
@@ -498,7 +498,7 @@ def test_windowed_s3i3r_fit_is_qr_bit_for_bit():
     days, solutions = _per_window_qr(model, series, 2, partition)
     kept = [(i, s) for i, s in zip(days, solutions) if s.errors[0] is None]
     assert [i for i, _ in kept] == list(range(2, 56))
-    assert min(s.conditions[0] for _, s in kept) > estimation.GRAM_CONDITION_CUT
+    assert min(s.conditions[0] for _, s in kept) > regression.GRAM_CONDITION_CUT
     values = partition.combine(np.concatenate([s.values for _, s in kept]))
     assert results.values.tobytes() == values.tobytes()
     norms = np.concatenate([s.residual_norms for _, s in kept])
@@ -511,8 +511,8 @@ def test_windowed_s3i3r_fit_is_qr_bit_for_bit():
 def test_windowed_fit_screens_bad_windows_without_numpy_warnings(option):
     # an inf entry, a column that is zero up to t = 5 and an entry of 1e200
     # give every window the verdict solve_batch gives it alone, and numpy
-    # warns about none of them (the inf sits in a one-entry model: a larger
-    # model's identity table meets it with zeros and warns while formulating)
+    # warns about none of them (the inf sits in a one-entry model; a larger
+    # one is test_non_finite_features_get_the_verdict_without_numpy_warnings)
     times = np.linspace(0.0, 10.0, 21)
     series = TimeSeries(times, np.sin(times)[:, None])
 
@@ -1110,3 +1110,74 @@ def test_readme_windowed_snippet_runs():
     assert isinstance(results, WindowedEstimates) and len(results) == 67
     assert results.times[0] == 13.0
     assert np.all(results.values[:, 1] == 1 / 3)
+
+
+def test_windowed_fit_rejects_a_negative_ridge(sir_trajectory):
+    # the window solver checks the ridge as solve_batch does, before any work
+    with pytest.raises(ValueError) as batch:
+        regression.solve_batch(np.ones((1, 3, 2)), np.ones((1, 3)), -1e-9)
+    for width in (1, 14):
+        with pytest.raises(ValueError, match=re.escape(str(batch.value))):
+            estimate_time_varying(sir(1.0), sir_trajectory, width, ridge_lambda=-1e-9)
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            estimate_time_varying(sir(1.0), sir_trajectory, 14, ridge_lambda=lam)
+    with pytest.raises(ValueError, match=re.escape(str(batch.value))):
+        regression.solve_windows(np.ones(3), np.ones(2), 0, ridge_lambda=-1e-9)
+
+
+def test_solve_windows_checks_its_inputs():
+    blocks, targets = np.ones((4, 3, 2)), np.ones((4, 3))
+    for bad_blocks, bad_targets in (
+        (blocks[0], targets[0]),
+        (blocks, targets[:, :2]),
+        (blocks[:0], targets[:0]),
+    ):
+        with pytest.raises(ShapeMismatch):
+            regression.solve_windows(bad_blocks, bad_targets, 1)
+    for width in (0, 7):
+        with pytest.raises(ValueError, match="1 .. count \\+ 2"):
+            regression.solve_windows(blocks, targets, width)
+    ends, solution = regression.solve_windows(blocks, targets, 6)
+    assert ends.tolist() == [5] and solution.values.shape == (1, 2)
+
+
+@pytest.mark.parametrize("derivative", ["interior", "full"])
+def test_non_finite_features_get_the_verdict_without_numpy_warnings(derivative):
+    # an inf feature meets the coefficient table's zeros while formulating;
+    # the fit reports NonFiniteSystem, not numpy's "invalid value" warning
+    times = np.linspace(0.0, 10.0, 21)
+    series = TimeSeries(times, np.sin(times)[:, None])
+    build = lambda state, t: np.array([[1.0 + state[0], np.inf if t == 6.0 else t]])
+    model = ParameterLinearModel("bad", ("x",), ("a", "b"), build)
+    message = "the system has a non-finite entry"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteSystem, match=message):
+            estimate_constant(model, series, derivative=derivative)
+        if derivative == "interior":
+            with pytest.raises(NonFiniteSystem, match=message):
+                estimate_time_varying(model, series, 3)
+
+
+def test_package_all_is_every_public_import():
+    # __all__ is derived from the package's imports: no submodule, no private
+    # name, and a star import binds each of its names to the same object
+    import types
+
+    import artifact
+
+    assert artifact.__all__ == sorted(set(artifact.__all__))
+    for name in artifact.__all__:
+        assert not name.startswith("_")
+        assert not isinstance(getattr(artifact, name), types.ModuleType)
+    assert "estimate_time_varying" in artifact.__all__ and "regression" not in artifact.__all__
+    namespace = {}
+    exec("from artifact import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == artifact.__all__
+    for name in artifact.__all__:
+        assert namespace[name] is getattr(artifact, name)
+    # every public attribute that is not a submodule is exported
+    public = [name for name in vars(artifact) if not name.startswith("_")]
+    modules = [name for name in public if isinstance(getattr(artifact, name), types.ModuleType)]
+    assert sorted(set(public) - set(modules)) == artifact.__all__

@@ -526,3 +526,16 @@ def test_stack_validation():
     for nu, dt in ((np.nan, 0.1), (np.inf, 0.1), (0.01, np.nan)):
         with pytest.raises(ValueError):
             manufactured_diffusion_stack(nu, 5, 5, 3, dt)
+
+
+def test_overflowing_stencils_are_non_finite_sums_in_every_fit(overflowing_stack):
+    # the sensor fits overflow in the stencils as the full field does, and
+    # report it as NonFiniteSystem rather than as a numpy warning
+    stack = overflowing_stack
+    region = (0.0, np.pi, 0.0, np.pi)
+    with pytest.raises(NonFiniteSystem, match="not finite"):
+        estimate_inverse_re(stack)
+    with pytest.raises(NonFiniteSystem, match="not finite"):
+        estimate_reynolds(stack, region, [4], 2)
+    with pytest.raises(NonFiniteSystem, match="not finite"):
+        estimate_inverse_re(stack, sample_sensors(stack, region, 4))
