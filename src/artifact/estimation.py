@@ -117,8 +117,8 @@ class SweepSpec:
     def __post_init__(self):
         domain = tuple((float(lo), float(hi)) for lo, hi in self.domain)
         for lo, hi in domain:
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"interval [{lo}, {hi}] is not finite")
+            if not math.isfinite(hi - lo):  # the width uniform draws scale by
+                raise ValueError(f"interval [{lo}, {hi}] or its width is not finite")
             if hi < lo:
                 raise ValueError(f"interval [{lo}, {hi}] is reversed")
         if self.sample_count < 1:
@@ -301,6 +301,7 @@ def estimate_time_varying(
         raise UnderDetermined(
             f"width {d} gives {model.n_states * d} rows for {n_unknown} unknowns"
         )
+    regression._check_ridge_lambda(ridge_lambda)  # also when no window is solved
     n = len(series)
     if n < 3 or d > n:
         nothing = np.empty(0)
@@ -462,9 +463,10 @@ def run_sweep(
     partition, count = sweep.fixed, sweep.sample_count
     k = len(partition.unknown_indices)
     draws = np.empty((count, k))
+    low, high = np.array(sweep.domain).T
     for index in range(count):
         rng = np.random.default_rng(np.random.SeedSequence((sweep.seed, index)))
-        draws[index] = [rng.uniform(lo, hi) for lo, hi in sweep.domain]
+        draws[index] = rng.uniform(low, high)
     omegas = partition.combine(draws)
     times = time_grid(sim_template)
     values = len(times) * model.n_states  # one draw's states

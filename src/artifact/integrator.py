@@ -14,9 +14,10 @@ those steps run, STEP_BLOCK steps to one parameter_table call.
 
 simulate and simulate_draws share one RK4 loop: simulate is its one-draw
 case, stepped as one state; a batch of draws takes one features call per
-stage, and a failing draw stops alone. The features' shape is checked once,
-on the initial state, before the first step; each omega's width before the
-steps that read it.
+stage, and a failing draw stops alone. The state's width and the features'
+shape are checked once, on the initial state, before the first step; each
+omega's width before the steps that read it. The stages then call the
+library features as they are; a built-in's are its unchecked kernel.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .differentiation import TimeSeries
 from .errors import EstimationError, NonFiniteState, ShapeMismatch
 from .models import (
     ParameterLinearModel,
+    _model_states,
     check_features,
     check_parameters,
     parameter_table,
@@ -136,7 +138,8 @@ def _rk4(features, state, t, table, h):
     """Classical RK4 update of states (..., n) under parameter tables (..., F, n).
 
     features(states, t) returns (..., F); the table is held fixed across the
-    stages.
+    stages. Nothing is checked here: the callers check the state's width and
+    the features' shape once, before the first step.
     """
     half = t + 0.5 * h
     k1 = rates(features(state, t), table)
@@ -152,6 +155,7 @@ def erk4_step(
     """One classical RK4 update of one state with omega held fixed across the stages."""
     if not 0 < h < np.inf:
         raise ValueError("step must be finite and positive")
+    state = _model_states(model, state)
     features, coefficients = model.library()
     check_features(model, features(state, t), state, len(coefficients))
     table = parameter_table(coefficients, check_parameters(model, omega))
@@ -222,7 +226,8 @@ def _integrate(model, config, omegas=None):
                     except EstimationError as exc:
                         failures[int(active[row])] = exc
                 x = stepped
-            if not np.isfinite(x).all():
+            # isfinite(x).all(), without the Python wrapper of .all()
+            if np.count_nonzero(np.isfinite(x)) < x.size:
                 finite = np.isfinite(x.reshape(len(active), -1)).all(axis=1)
                 message = f"non-finite state at step {i + 1} (t={t})"
                 for row in np.flatnonzero(~finite):

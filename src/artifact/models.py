@@ -25,6 +25,14 @@ One contract for batches: every model is features(states, t), mapping
 (..., n_states) to (..., F), times a table, fixed when the model is built.
 Any model that declares no features has its build_matrix looped once per
 state, the matrices flattened as the features of the identity table.
+
+Checks happen where a call enters the package. The public *_features
+functions check their states and population on every call; the built-in
+factories bind private kernels with the same arithmetic and no checks, since
+the factory has checked the population and every entry point (build_matrices,
+eval_rhs, erk4_step, simulate, simulate_draws and the estimators'
+formulation) checks the states' last axis once. The one per-call check a
+kernel keeps is S3I3R's zero pool, which depends on the state.
 """
 
 from __future__ import annotations
@@ -41,6 +49,16 @@ from .errors import (
     NonPositivePopulation,
     ShapeMismatch,
 )
+
+# einsum's C entry, which np.einsum calls unchanged when optimize is False
+# (its default), without the Python wrapper around it
+try:
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # numpy 1.x
+    try:
+        from numpy.core.multiarray import c_einsum as _c_einsum
+    except ImportError:
+        _c_einsum = np.einsum
 
 
 @dataclass(frozen=True)
@@ -161,7 +179,7 @@ def rates(features, table) -> np.ndarray:
     multiply-adds instead, which moves the last bits of rates such as
     Lotka-Volterra's x*alpha - x*y*beta that the sweep tests pin.
     """
-    return np.einsum("...f,...fn->...n", features, table)
+    return _c_einsum("...f,...fn->...n", features, table)
 
 
 def check_features(model: ParameterLinearModel, features, states, count: int) -> None:
@@ -224,13 +242,17 @@ S3I3R_COEFFICIENTS = _flow_table(
 )
 
 
-def lotka_volterra_features(states) -> np.ndarray:
-    """(..., 3) features (x, x*y, y) for prey x and predator y."""
-    states = _as_states(states, 2)
+def _lotka_volterra_kernel(states) -> np.ndarray:
+    """lotka_volterra_features of float states (..., 2), unchecked."""
     features = np.empty(states.shape[:-1] + (3,))
     features[..., 0::2] = states
     features[..., 1] = states[..., 0] * states[..., 1]
     return features
+
+
+def lotka_volterra_features(states) -> np.ndarray:
+    """(..., 3) features (x, x*y, y) for prey x and predator y."""
+    return _lotka_volterra_kernel(_as_states(states, 2))
 
 
 def lotka_volterra_matrix(states) -> np.ndarray:
@@ -241,20 +263,25 @@ def lotka_volterra_matrix(states) -> np.ndarray:
 def check_population(population: float) -> None:
     """NonPositivePopulation unless 0 < population < inf (NaN fails too).
 
-    A float comparison, no numpy: the feature functions run once per RK4 stage.
+    A float comparison, no numpy: the public feature functions run it on
+    every call (the factories run it once and bind unchecked kernels).
     """
     if not 0.0 < population < math.inf:
         raise NonPositivePopulation(f"population {population} must be finite and positive")
 
 
-def sir_features(states, population: float) -> np.ndarray:
-    """(..., 2) features (S*I/N, I)."""
-    check_population(population)
-    states = _as_states(states, 3)
+def _sir_kernel(states, population: float) -> np.ndarray:
+    """sir_features of float states (..., 3), unchecked."""
     features = np.empty(states.shape[:-1] + (2,))
     features[..., 0] = states[..., 0] * states[..., 1] / population
     features[..., 1] = states[..., 1]
     return features
+
+
+def sir_features(states, population: float) -> np.ndarray:
+    """(..., 2) features (S*I/N, I)."""
+    check_population(population)
+    return _sir_kernel(_as_states(states, 3), population)
 
 
 def sir_matrix(states, population: float) -> np.ndarray:
@@ -265,13 +292,8 @@ def sir_matrix(states, population: float) -> np.ndarray:
 _POOL_STATES = np.array([0, 1, 4])  # S, I1 and R1, the terms of V
 
 
-def s3i3r_features(states, population: float) -> np.ndarray:
-    """(..., 8) features (S*I1/N, S/V, I1/V, R1/V, I1, I2, I3, 1), V = S + I1 + R1.
-
-    Raises DegenerateDenominator when V is zero for any state.
-    """
-    check_population(population)
-    states = _as_states(states, 7)
+def _s3i3r_kernel(states, population: float) -> np.ndarray:
+    """s3i3r_features of float states (..., 7), unchecked but for the zero pool."""
     s, i1, r1 = states[..., 0], states[..., 1], states[..., 4]
     pool = s + i1 + r1
     if np.count_nonzero(pool) < pool.size:  # pool.all(), without its Python wrapper
@@ -282,6 +304,15 @@ def s3i3r_features(states, population: float) -> np.ndarray:
     features[..., 4:7] = states[..., 1:4]
     features[..., 7] = 1.0
     return features
+
+
+def s3i3r_features(states, population: float) -> np.ndarray:
+    """(..., 8) features (S*I1/N, S/V, I1/V, R1/V, I1, I2, I3, 1), V = S + I1 + R1.
+
+    Raises DegenerateDenominator when V is zero for any state.
+    """
+    check_population(population)
+    return _s3i3r_kernel(_as_states(states, 7), population)
 
 
 def s3i3r_matrix(states, population: float) -> np.ndarray:
@@ -348,6 +379,7 @@ def check_parameters(model: ParameterLinearModel, omega) -> np.ndarray:
 
 def eval_rhs(model: ParameterLinearModel, state, omega, t: float = 0.0) -> np.ndarray:
     """Right-hand side A(x; t) @ omega, as features(x; t) @ (coefficients . omega)."""
+    state = _model_states(model, state)
     features, coefficients = model.library()
     values = features(state, t)
     check_features(model, values, state, len(coefficients))
@@ -360,7 +392,7 @@ def lotka_volterra() -> ParameterLinearModel:
         state_names=LOTKA_VOLTERRA_STATES,
         parameter_names=LOTKA_VOLTERRA_PARAMETERS,
         build_matrix=lambda state, t: lotka_volterra_matrix(state),
-        features=lambda states, t: lotka_volterra_features(states),
+        features=lambda states, t: _lotka_volterra_kernel(states),
         coefficients=LOTKA_VOLTERRA_COEFFICIENTS,
     )
 
@@ -373,7 +405,7 @@ def sir(population: float) -> ParameterLinearModel:
         parameter_names=SIR_PARAMETERS,
         build_matrix=lambda state, t: sir_matrix(state, population),
         population=population,
-        features=lambda states, t: sir_features(states, population),
+        features=lambda states, t: _sir_kernel(states, population),
         coefficients=SIR_COEFFICIENTS,
     )
 
@@ -386,7 +418,7 @@ def s3i3r(population: float) -> ParameterLinearModel:
         parameter_names=S3I3R_PARAMETERS,
         build_matrix=lambda state, t: s3i3r_matrix(state, population),
         population=population,
-        features=lambda states, t: s3i3r_features(states, population),
+        features=lambda states, t: _s3i3r_kernel(states, population),
         coefficients=S3I3R_COEFFICIENTS,
     )
 

@@ -152,8 +152,10 @@ class ParameterPartition:
             raise ShapeMismatch(f"rhs of shape {rhs.shape} for matrices {matrices.shape}")
         if self.known_indices:
             known = matrices[..., list(self.known_indices)]
-            share = known.reshape(-1, len(self.known_indices)) @ self.known_values
-            rhs = rhs - share.reshape(rhs.shape)
+            # a non-finite entry is the solver's verdict (NonFiniteSystem), not a warning
+            with np.errstate(all="ignore"):
+                share = known.reshape(-1, len(self.known_indices)) @ self.known_values
+                rhs = rhs - share.reshape(rhs.shape)
         return matrices[..., list(self.unknown_indices)], rhs
 
     def combine(self, unknown_values) -> np.ndarray:

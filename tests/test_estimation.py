@@ -851,6 +851,32 @@ def test_estimators_reduce_each_series_once(monkeypatch):
     assert all(values[2:].tolist() == [1.1, 0.9] for values in (e.values for _, e in results))
 
 
+def test_sweep_draws_match_one_uniform_call_per_interval(monkeypatch):
+    # each draw's parameters come from one uniform call over the domain's
+    # bounds, the same values as one call per interval
+    class Drawn(Exception):
+        pass
+
+    def record(model, config, omegas):
+        drawn.append(np.array(omegas))
+        raise Drawn
+
+    monkeypatch.setattr(estimation, "simulate_draws", record)
+    domain = ((0.0, 0.5), (1e-300, 1e300), (-3.0, -3.0), (-2.5, 7.0)) + ((0.0, 0.3),) * 5
+    config = SimulationConfig(0.0, 1.0, 0.5, np.ones(9), ConstantSchedule(np.zeros(9)))
+    model = ParameterLinearModel("wide", tuple("abcdefghi"), tuple("abcdefghi"), None)
+    for seed in range(40):
+        spec = SweepSpec(domain, 20, ParameterPartition.all_unknown(9), seed=seed)
+        drawn = []
+        with pytest.raises(Drawn):
+            run_sweep(model, spec, config)
+        expected = []
+        for index in range(20):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
+            expected.append([rng.uniform(lo, hi) for lo, hi in domain])
+        assert drawn[0].tobytes() == np.array(expected).tobytes()
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(((0.5, 0.1),), 10, ParameterPartition.all_unknown(1))
@@ -867,6 +893,12 @@ def test_sweep_spec_rejects_non_finite_bounds(interval):
     # uniform draws on such an interval overflow or are NaN
     with pytest.raises(ValueError, match="not finite"):
         SweepSpec((interval,), 3, ParameterPartition.all_unknown(1))
+
+
+def test_sweep_spec_rejects_an_interval_wider_than_the_largest_float():
+    # numpy's uniform would overflow computing the width, and warn first
+    with pytest.raises(ValueError, match="its width is not finite"):
+        SweepSpec(((-1e308, 1e308),), 3, ParameterPartition.all_unknown(1))
 
 
 def _per_draw_reference(model, spec, config, derivative, with_normalized):
@@ -1126,6 +1158,16 @@ def test_windowed_fit_rejects_a_negative_ridge(sir_trajectory):
         regression.solve_windows(np.ones(3), np.ones(2), 0, ridge_lambda=-1e-9)
 
 
+def test_windowed_fit_checks_the_ridge_when_it_solves_nothing(sir_trajectory):
+    # a series shorter than 3 samples or a width above its length fits no
+    # window, and still refuses a negative ridge
+    for count, width in ((5, 14), (2, 1)):
+        series = TimeSeries(sir_trajectory.times[:count], sir_trajectory.states[:count])
+        assert len(estimate_time_varying(sir(1.0), series, width)) == 0
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            estimate_time_varying(sir(1.0), series, width, ridge_lambda=-1e-9)
+
+
 def test_solve_windows_checks_its_inputs():
     blocks, targets = np.ones((4, 3, 2)), np.ones((4, 3))
     for bad_blocks, bad_targets in (
@@ -1158,6 +1200,22 @@ def test_non_finite_features_get_the_verdict_without_numpy_warnings(derivative):
         if derivative == "interior":
             with pytest.raises(NonFiniteSystem, match=message):
                 estimate_time_varying(model, series, 3)
+
+
+def test_known_share_of_an_inf_feature_gets_the_verdict_without_numpy_warnings():
+    # the known column holds inf at t = 6 and its value is 0: the reduced rhs
+    # is NaN there, which the solver reports, with no "invalid value" warning
+    times = np.linspace(0.0, 10.0, 21)
+    series = TimeSeries(times, np.sin(times)[:, None])
+    build = lambda state, t: np.array([[1.0 + state[0], np.inf if t == 6.0 else t]])
+    model = ParameterLinearModel("bad", ("x",), ("a", "b"), build)
+    partition = ParameterPartition.from_known(2, {1: 0.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteSystem, match="the system has a non-finite entry"):
+            estimate_constant(model, series, partition=partition)
+        with pytest.raises(NonFiniteSystem, match="the system has a non-finite entry"):
+            estimate_time_varying(model, series, 3, partition=partition)
 
 
 def test_package_all_is_every_public_import():

@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from artifact import (
     ConstantSchedule,
@@ -28,6 +31,8 @@ from artifact.models import (
     check_population,
     lotka_volterra_features,
     lotka_volterra_matrix,
+    parameter_table,
+    rates,
     s3i3r_features,
     s3i3r_matrix,
     sir_features,
@@ -466,3 +471,101 @@ def test_replaced_builder_is_the_one_a_builder_only_model_calls():
     twice = SimulationConfig(0.0, 1.0, 0.5, start, ConstantSchedule([-2.0]))
     np.testing.assert_array_equal(series.states, simulate(decay, twice).states)
     assert len(calls) == 12
+
+
+def _broadcasting_model():
+    # declared features that accept any state width: without the entry
+    # points' own check a wrong width would broadcast into the stages
+    return ParameterLinearModel(
+        "sum", ("x", "y"), ("a",), lambda state, t: None,
+        features=lambda states, t: states.sum(axis=-1, keepdims=True),
+        coefficients=np.ones((1, 2, 1)),
+    )
+
+
+@pytest.mark.parametrize("name", ["lotka_volterra", "sir", "s3i3r", "sum"])
+def test_entry_points_reject_a_wrong_state_width(name):
+    # the README's promise: every entry point checks the state's last axis
+    # itself, so a wrong width never reaches the unchecked library features
+    if name == "sum":
+        model = _broadcasting_model()
+    else:
+        model = get_model(name, None if name == "lotka_volterra" else 7.0)
+    omega = np.full(model.n_params, 0.1)
+    for width in (model.n_states - 1, model.n_states + 1):
+        state = np.ones(width)
+        config = SimulationConfig(0.0, 1.0, 0.1, state, ConstantSchedule(omega))
+        for call in (
+            lambda: erk4_step(model, state, 0.0, omega, 0.1),
+            lambda: eval_rhs(model, state, omega),
+            lambda: eval_rhs(model, np.ones((3, width)), omega),
+            lambda: simulate(model, config),
+            lambda: simulate_draws(model, config, np.stack([omega, omega])),
+            lambda: build_matrices(model, state, 0.0),
+            lambda: build_matrices(model, np.ones((2, 3, width)), 0.0),
+        ):
+            with pytest.raises(ShapeMismatch):
+                call()
+
+
+# name: (public features of states and a population, number of states)
+PUBLIC_FEATURES = {
+    "lotka_volterra": (lambda states, population: lotka_volterra_features(states), 2),
+    "sir": (sir_features, 3),
+    "s3i3r": (s3i3r_features, 7),
+}
+
+# magnitudes 1e-300..1e300 of either sign, signed zeros and non-finite entries
+_ENTRIES = st.one_of(
+    st.floats(1e-300, 1e300),
+    st.floats(-1e300, -1e-300),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+)
+
+
+def _outcome(call):
+    """A call's result, or its error type and message."""
+    try:
+        return call()
+    except DegenerateDenominator as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    name=st.sampled_from(sorted(PUBLIC_FEATURES)),
+    lead=st.sampled_from([(), (3,), (2, 4)]),
+    population=st.floats(1e-300, 1e300),
+    data=st.data(),
+)
+@np.errstate(all="ignore")
+def test_library_kernels_equal_the_public_features_bit_for_bit(name, lead, population, data):
+    public, n_states = PUBLIC_FEATURES[name]
+    model = get_model(name, None if name == "lotka_volterra" else population)
+    features, coefficients = model.library()
+    states = data.draw(arrays(np.float64, lead + (n_states,), elements=_ENTRIES))
+    values = _outcome(lambda: features(states, 0.0))
+    expected = _outcome(lambda: public(states, population))
+    if isinstance(values, tuple):  # S3I3R's zero pool raises in both
+        assert values == expected
+        return
+    assert values.shape == expected.shape and values.tobytes() == expected.tobytes()
+    omegas = data.draw(arrays(np.float64, lead + (model.n_params,), elements=_ENTRIES))
+    for omega in (omegas, omegas.reshape(-1, model.n_params)[0]):
+        table = parameter_table(coefficients, omega)
+        got = rates(values, table)
+        expected = np.einsum("...f,...fn->...n", values, table)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_FEATURES))
+def test_public_features_keep_their_checks(name):
+    public, n_states = PUBLIC_FEATURES[name]
+    for states in (np.float64(1.0), np.ones(n_states + 1), np.ones((2, n_states - 1))):
+        with pytest.raises(ShapeMismatch, match="expected states of shape"):
+            public(states, 7.0)
+    if name == "lotka_volterra":
+        return
+    for population in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(NonPositivePopulation, match="finite and positive"):
+            public(np.ones(n_states), population)
