@@ -157,9 +157,11 @@ def erk4_step(
         raise ValueError("step must be finite and positive")
     state = _model_states(model, state)
     features, coefficients = model.library()
-    check_features(model, features(state, t), state, len(coefficients))
-    table = parameter_table(coefficients, check_parameters(model, omega))
-    new_state = _rk4(features, state, t, table, h)
+    # an overflow is the step's verdict (NonFiniteState), as in _integrate
+    with np.errstate(all="ignore"):
+        check_features(model, features(state, t), state, len(coefficients))
+        table = parameter_table(coefficients, check_parameters(model, omega))
+        new_state = _rk4(features, state, t, table, h)
     if not np.all(np.isfinite(new_state)):
         raise NonFiniteState(f"non-finite state after step from t={t}")
     return new_state
@@ -197,8 +199,10 @@ def _integrate(model, config, omegas=None):
         x = states[:, 0].copy()
     features, coefficients = model.library()
     # a wrong features or parameter shape would broadcast in the stages: it
-    # fails every draw (simulate_draws checks its own parameters)
-    check_features(model, features(x, times[0]), x, len(coefficients))
+    # fails every draw (simulate_draws checks its own parameters); an
+    # overflowing initial state fails at the first step's finiteness check
+    with np.errstate(all="ignore"):
+        check_features(model, features(x, times[0]), x, len(coefficients))
     if omegas is None and isinstance(config.schedule, ConstantSchedule):
         omegas = check_parameters(model, config.schedule.omega)[None]
     if omegas is None:

@@ -362,6 +362,19 @@ def test_feature_models_draws_equal_simulate_bit_for_bit(name):
         np.testing.assert_array_equal(trajectory, one.states)
 
 
+def test_overflowing_step_is_a_non_finite_state():
+    # x*y overflows in the features of the state itself and in every stage;
+    # the verdict is NonFiniteState, not a numpy RuntimeWarning
+    state = np.array([1e200, 1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState, match=r"after step from t=0.0"):
+            erk4_step(lotka_volterra(), state, 0.0, [1, 1, 1, 1], 0.1)
+        config = SimulationConfig(0.0, 1.0, 0.1, state, ConstantSchedule(np.ones(4)))
+        with pytest.raises(NonFiniteState, match=r"at step 1 \(t=0.0\)"):
+            simulate(lotka_volterra(), config)
+
+
 @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 0.0, -0.1])
 def test_erk4_step_rejects_a_step_that_is_not_finite_and_positive(h):
     # the step is at fault, not the state; no numpy warning on the way

@@ -1,7 +1,9 @@
 """Reynolds identification oracles: manufactured fields, sensors, file IO."""
 
+import concurrent.futures
 import dataclasses
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -34,6 +36,7 @@ from artifact import (
     write_snapshot_stack,
 )
 from artifact import vorticity
+from artifact.differentiation import interior_neighbours
 
 NU = 0.01
 REGION = (0.5, 2.5, 0.5, 2.5)
@@ -185,6 +188,106 @@ def random_stack():
         dy=0.7,
         dt=0.2,
     )
+
+
+class RecordedPools:
+    """Worker counts of the pools vorticity opens, and the threads that read fields."""
+
+    def __init__(self, monkeypatch):
+        self.workers, self.readers = [], set()
+        record = self
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                record.workers.append(workers)
+                super().__init__(workers)
+
+        def neighbours(values):
+            record.readers.add(threading.get_ident())
+            return interior_neighbours(values)
+
+        # vorticity imports the pool class from its module at each use
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(vorticity, "interior_neighbours", neighbours)
+
+
+@pytest.fixture(params=[1, 2, 3, 7], ids=lambda cpus: f"{cpus} cpus")
+def threaded(request, monkeypatch):
+    """Full-field sums on worker threads at every grid size, as on `cpus` CPUs."""
+    monkeypatch.setattr(vorticity, "THREAD_MIN_VALUES", 0)
+    monkeypatch.setattr(vorticity, "_usable_cpus", lambda: request.param)
+    pools = RecordedPools(monkeypatch)
+    threads = threading.active_count()
+    yield pools
+    # the pool lives only for the call
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize(
+    "make_stack",
+    [random_stack, lambda: advected_diffusion_stack(NU, 0.3, 0.2, 65, 65, 21, 0.05)],
+    ids=["random", "advected"],
+)
+def test_threaded_full_field_sums_keep_the_serial_bits(make_stack, threaded):
+    stack = make_stack()
+    with pytest.MonkeyPatch.context() as serial:
+        serial.setattr(vorticity, "_usable_cpus", lambda: 1)
+        expected = (estimate_inverse_re(stack), curl_consistency_rms(stack))
+    threaded.readers.clear()
+    assert (estimate_inverse_re(stack), curl_consistency_rms(stack)) == expected
+    # the fit reads n - 2 snapshots and the curl all n; 3 CPUs split the
+    # random stack's 4 interior snapshots unevenly, 7 meet the cap of 4
+    cpus = vorticity._usable_cpus()
+    counts = [min(cpus, n, vorticity.MAX_THREADS)
+              for n in (stack.n_snapshots - 2, stack.n_snapshots)]
+    assert threaded.workers == [count for count in counts if count > 1]
+    assert (threading.get_ident() in threaded.readers) == (cpus == 1)
+
+
+@pytest.mark.parametrize("nan_at", [(2, 4, 4), (-2, 4, 4), (-1, 4, 4)])
+def test_threaded_nan_is_a_non_finite_system(threaded, nan_at):
+    # 3 interior snapshots: 7 CPUs give 3 workers, one snapshot each
+    stack = manufactured_diffusion_stack(NU, 9, 9, 5, 0.1)
+    stack.w[nan_at] = np.nan
+    with pytest.raises(NonFiniteSystem):
+        estimate_inverse_re(stack)
+    assert np.isnan(curl_consistency_rms(stack))
+
+
+def test_threaded_overflow_is_a_non_finite_system(threaded, overflowing_stack):
+    # the stencils overflow on the workers, which warn unless each enters
+    # errstate itself; pytest's error::RuntimeWarning filter would raise it
+    with pytest.raises(NonFiniteSystem):
+        estimate_inverse_re(overflowing_stack)
+    assert curl_consistency_rms(overflowing_stack) == np.inf
+    # every snapshot's a'a is finite and only their total overflows
+    w = np.zeros((5, 5, 5))
+    w[:, 2, 2] = 2.2e153
+    stack = SnapshotStack(
+        u=np.zeros_like(w), v=np.zeros_like(w), w=w, dx=1.0, dy=1.0, dt=1.0
+    )
+    with pytest.raises(NonFiniteSystem, match="a'a = inf"):
+        estimate_inverse_re(stack)
+    # so does the curl's: 7 snapshots of 225 (5e152)^2 each
+    w = np.full((7, 17, 17), 5e152)
+    stack = SnapshotStack(
+        u=np.zeros_like(w), v=np.zeros_like(w), w=w, dx=1.0, dy=1.0, dt=1.0
+    )
+    assert curl_consistency_rms(stack) == np.inf
+
+
+def test_small_interiors_stay_in_the_calling_thread(monkeypatch):
+    # random_stack's interior holds 9 x 6 = 54 values per snapshot
+    stack = random_stack()
+    monkeypatch.setattr(vorticity, "_usable_cpus", lambda: 2)
+    pools = RecordedPools(monkeypatch)
+    monkeypatch.setattr(vorticity, "THREAD_MIN_VALUES", 55)
+    estimate_inverse_re(stack)
+    assert pools.workers == [] and pools.readers == {threading.get_ident()}
+    monkeypatch.setattr(vorticity, "THREAD_MIN_VALUES", 54)
+    pools.readers.clear()
+    estimate_inverse_re(stack)
+    assert pools.workers == [2] and threading.get_ident() not in pools.readers
 
 
 def test_sensor_rows_match_full_field_slices():
