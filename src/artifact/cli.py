@@ -9,7 +9,8 @@ covid      case counts to compartments, windowed beta, re-simulation
 reynolds   Reynolds identification from snapshots or a manufactured field
 
 Every subcommand reads a flat key=value config (--config) whose keys are all
-declared in _KEY_ROWS, is deterministic for a given config and seed, and
+declared in _KEY_ROWS and read by its family of commands (_FAMILY_KEYS), is
+deterministic for a given config and seed, and
 only computes: it returns its result files by name. `main` alone creates
 --out and writes them and the run.log block, once the command has returned,
 so a failed command writes nothing. Wall-clock
@@ -108,19 +109,35 @@ _KEY_ROWS = (
 )
 CONFIG_KEYS = {key: (getter, default) for getter, default, keys in _KEY_ROWS for key in keys}
 
+# The keys each command's family reads, as whole keys or "section." prefixes.
+# The commands of one family share configs: a simulate config also serves
+# estimate, so each of the two accepts the other's keys, and a sweep config is
+# a simulate config plus its sweep keys (simulate_draws replaces the schedule).
+_SIMULATE_FAMILY = ("model.", "schedule.", "sim.", "noise.", "estimate.", "known.")
+_FAMILY_KEYS = {
+    "simulate": _SIMULATE_FAMILY,
+    "estimate": _SIMULATE_FAMILY,
+    "sweep": _SIMULATE_FAMILY + ("sweep.",),
+    "covid": ("model.population", "covid."),
+    "reynolds": ("reynolds.",),
+}
+
 
 def _table_key(key: str) -> str:
     return "known.*" if key.startswith("known.") else key
 
 
-def _load_config(path) -> dict:
-    """load_config that rejects a key no command reads, naming the nearest one."""
+def _load_config(path, command: str) -> dict:
+    """load_config that rejects a key no command reads, naming the nearest one,
+    and a key that no command of `command`'s family reads."""
     entries = load_config(path)
     for key in entries:
         if _table_key(key) not in CONFIG_KEYS:
             nearest = difflib.get_close_matches(key, CONFIG_KEYS, n=1)
             hint = f" (did you mean {nearest[0]}?)" if nearest else ""
             raise ConfigError(f"{path}: unknown config key {key}{hint}")
+        if not key.startswith(_FAMILY_KEYS[command]):
+            raise ConfigError(f"{path}: config key {key} is not read by the {command} command")
     return entries
 
 
@@ -297,7 +314,7 @@ def _windowed_fit(model, series: TimeSeries, width: int, **options):
 
 
 def cmd_simulate(args) -> tuple:
-    entries = _load_config(args.config)
+    entries = _load_config(args.config, "simulate")
     model = _model_from_config(entries)
     sim_config = _sim_config_from(entries, model, _schedule_from_config(entries, model))
     series = simulate(model, sim_config)
@@ -315,7 +332,7 @@ def cmd_simulate(args) -> tuple:
 
 
 def cmd_estimate(args) -> tuple:
-    entries = _load_config(args.config)
+    entries = _load_config(args.config, "estimate")
     model = _model_from_config(entries)
     series = _read_series_csv(args.data, model)
     truth = _read_truth_csv(args.truth, model) if args.truth else None
@@ -385,7 +402,7 @@ def cmd_estimate(args) -> tuple:
 
 
 def cmd_sweep(args) -> tuple:
-    entries = _load_config(args.config)
+    entries = _load_config(args.config, "sweep")
     model = _model_from_config(entries)
     # simulate_draws replaces the schedule with each draw's parameters
     schedule = ConstantSchedule(np.zeros(model.n_params))
@@ -447,7 +464,7 @@ def cmd_sweep(args) -> tuple:
 
 
 def cmd_covid(args) -> tuple:
-    entries = _load_config(args.config)
+    entries = _load_config(args.config, "covid")
     # the model first, so a bad population is a config error, not a data one
     model = _model_from_config(entries, "sir")
     gamma = _get(entries, "covid.gamma")
@@ -511,7 +528,7 @@ def cmd_covid(args) -> tuple:
 
 
 def cmd_reynolds(args) -> tuple:
-    entries = _load_config(args.config) if args.config else {}
+    entries = _load_config(args.config, "reynolds") if args.config else {}
     if args.manifest and args.manufactured is not None:
         raise ConfigError("provide either --manifest or --manufactured, not both")
     if args.manifest:

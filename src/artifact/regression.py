@@ -27,6 +27,9 @@ fails no other, and one with non-finite entries meets LAPACK as zeros.
 solve_windows solves every window from its summed per-sample B'B and B'r in
 one batched eigvalsh and solve, and sends to solve_batch each window whose
 normal matrix is not finite, not positive definite or above GRAM_CONDITION_CUT.
+Each block's B'B and B'r share one buffer, so summing a window takes one add
+per block. A certified window's residual norm reads its rows in place, from a
+strided view of the blocks; only the windows sent to QR have their rows copied.
 
 Stacking
 --------
@@ -44,7 +47,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     AllZeroColumn,
@@ -57,8 +60,10 @@ from .errors import (
 RANK_DEFICIENT_CONDITION = 1e12
 _EPS = float(np.finfo(float).eps)
 
-# solve_windows takes its windows' rows, for residual norms and QR fallbacks,
-# in chunks of at most this many float64 values (256 KiB), so memory stays flat
+# solve_windows reads its windows' rows in place and takes their residual norms,
+# and their QR fallbacks, in chunks of windows whose rows hold at most this many
+# float64 values (256 KiB), so the residual temporaries and the rows that
+# solve_batch copies stay small
 SOLVE_BLOCK_VALUES = 1 << 15
 
 # a window whose normal matrix has a condition number above this is solved by
@@ -348,6 +353,28 @@ def _residual_norms(matrices, values, rhs) -> np.ndarray:
     return np.sqrt(np.add.reduce(residuals * residuals, axis=1))
 
 
+def _window_rows(matrices, rhs, length: int):
+    """Views of the blocks of every window of `length` consecutive blocks.
+
+    matrices (count, s, k) and rhs (count, s) give (count - length + 1,
+    length, s, k) and (count - length + 1, length, s), read in place: window
+    j holds blocks j .. j + length - 1. A window's rows keep the blocks'
+    memory layout, which solve_batch's residual norms depend on bit for bit;
+    a sliding view over the blocks' flattened rows would copy blocks whose
+    sample and state axes do not merge (Fortran order) and lose that layout.
+    """
+    windows = matrices.shape[0] - length + 1
+    (block, row, col), (entry, target) = matrices.strides, rhs.strides
+    # each window starts one block after the one before it
+    return (
+        as_strided(
+            matrices, (windows, length) + matrices.shape[1:], (block, block, row, col),
+            writeable=False,
+        ),
+        as_strided(rhs, (windows, length, rhs.shape[1]), (entry, entry, target), writeable=False),
+    )
+
+
 def solve_windows(blocks, targets, width: int, ridge_lambda: float = 0.0, normalize: bool = False):
     """Least-squares fit of every window of `width` consecutive blocks.
 
@@ -369,72 +396,80 @@ def solve_windows(blocks, targets, width: int, ridge_lambda: float = 0.0, normal
     count, states, k = blocks.shape
     if not 1 <= width <= count + 2:
         raise ValueError(f"window width {width} for {count} blocks is not 1 .. count + 2")
-
-    def window_rows(matrices, rhs, length, starts):
-        """Chunks (part, matrices, rhs) of the rows of the windows of `length`
-        blocks that begin at starts[part], at most SOLVE_BLOCK_VALUES values each."""
-        # the window axis of a sliding view comes last; move it before states
-        windows, rhs = (
-            np.moveaxis(sliding_window_view(array, length, axis=0), -1, 1)
-            for array in (matrices, rhs)
-        )
-        rows = length * states
-        step = max(1, SOLVE_BLOCK_VALUES // (rows * (k + 1)))
-        for start in range(0, len(starts), step):
-            part = slice(start, start + step)
-            picked = starts[part]
-            yield part, windows[picked].reshape(-1, rows, k), rhs[picked].reshape(-1, rows)
-
     ends = np.arange(width - 1, count + 2)
     if width == 1:  # the two padding blocks alone are no window
         ends = ends[1:-1]
+    windows = len(ends)
     # one zero block at each end makes every window `width` padded blocks,
     # the one ending at i from i - width + 1: a trimmed window adds exact zeros
     padded, padded_targets = np.zeros((count + 2, states, k)), np.zeros((count + 2, states))
     padded[1:-1], padded_targets[1:-1] = blocks, targets
     first = ends[0] - width + 1
+    identity = np.eye(k)
+    values, residual_norms = np.full((windows, k), np.nan), np.full(windows, np.nan)
+    errors = [None] * windows
     # overflows and zero pivots are not warned about: such a window goes to QR
     with np.errstate(all="ignore"):
-        grams = np.einsum("jsa,jsb->jab", padded, padded)
-        moments = np.einsum("jsa,js->ja", padded, padded_targets)
-        gram = grams[first : first + len(ends)].copy()
-        moment = moments[first : first + len(ends)].copy()
+        # each block's [B'B | B'r] in one buffer, so a window's sums take one add per block
+        sums = np.empty((count + 2, k, k + 1))
+        np.einsum("jsa,jsb->jab", padded, padded, out=sums[:, :, :k])
+        np.einsum("jsa,js->ja", padded, padded_targets, out=sums[:, :, k])
+        window_sums = sums[first : first + windows].copy()
         for offset in range(first + 1, first + width):
-            gram += grams[offset : offset + len(ends)]
-            moment += moments[offset : offset + len(ends)]
+            window_sums += sums[offset : offset + windows]
+        gram, moment = window_sums[:, :, :k], window_sums[:, :, k]
         if normalize:
             # solve_batch's unit column norms; a zero column stays unscaled
             scales = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
             scales[scales == 0.0] = 1.0
             gram /= scales[:, :, None] * scales[:, None, :]
             moment /= scales
-        gram += ridge_lambda * np.eye(k)
-        finite = np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(moment).all(axis=1)
-        gram[~finite] = np.eye(k)
+        # added at lambda = 0 too, where it turns a -0.0 entry into +0.0
+        gram += ridge_lambda * identity
+        finite = np.isfinite(window_sums).all(axis=(1, 2))
+        if np.count_nonzero(finite) < windows:
+            gram[~finite] = identity
         eigenvalues = np.linalg.eigvalsh(gram)
         # the condition number on solve_batch's normal-matrix scale
         conditions = eigenvalues[:, -1] / eigenvalues[:, 0]
         certified = finite & (eigenvalues[:, 0] > 0.0) & (conditions <= GRAM_CONDITION_CUT)
-        gram[~certified] = np.eye(k)
-        values = np.linalg.solve(gram, moment[..., None])[..., 0]
-        if normalize:
-            values /= scales
-        values[~certified] = np.nan
-        residual_norms = np.full(len(ends), np.nan)
-        solved = np.flatnonzero(certified)
-        for part, matrices, rhs in window_rows(padded, padded_targets, width, solved + first):
-            residual_norms[solved[part]] = _residual_norms(matrices, values[solved[part]], rhs)
+        solved = np.count_nonzero(certified)
+        if solved:  # the screen certified a window: solve, then its residual rows
+            if solved < windows:
+                gram[~certified] = identity
+            values = np.linalg.solve(gram, moment[..., None])[..., 0]
+            if normalize:
+                values /= scales
+            # every window's rows, read in place in slices of at most
+            # SOLVE_BLOCK_VALUES values
+            rows, rhs = _window_rows(padded[first:], padded_targets[first:], width)
+            step = max(1, SOLVE_BLOCK_VALUES // (width * states * (k + 1)))
+            for start in range(0, windows, step):
+                # width 1's view holds one window more, the padding's last
+                part = slice(start, min(start + step, windows))
+                # padded is contiguous, so merging a window's blocks copies nothing
+                matrices = rows[part].reshape(-1, width * states, k)
+                residual_norms[part] = _residual_norms(
+                    matrices, values[part], rhs[part].reshape(-1, width * states)
+                )
+            if solved < windows:
+                values[~certified] = residual_norms[~certified] = np.nan
     failed = np.flatnonzero(~(np.isfinite(residual_norms) & np.isfinite(values).all(axis=1)))
-    errors = [None] * len(ends)
+    if not len(failed):
+        return ends, BatchSolution(values, residual_norms, conditions, errors, ridge_lambda)
     # the failed windows go to QR without the padding, in runs of one length
     starts = np.maximum(ends - width, 0)
     lengths = np.minimum(ends, count) - starts
     for run in np.split(failed, np.flatnonzero(np.diff(lengths[failed])) + 1):
-        if not len(run):
-            continue
-        for part, matrices, rhs in window_rows(blocks, targets, lengths[run[0]], starts[run]):
-            solution = solve_batch(matrices, rhs, ridge_lambda, normalize)
-            picked = run[part]
+        length = lengths[run[0]]
+        rows, rhs = _window_rows(blocks, targets, length)
+        step = max(1, SOLVE_BLOCK_VALUES // (length * states * (k + 1)))
+        for start in range(0, len(run), step):
+            picked = run[start : start + step]
+            matrices = rows[starts[picked]].reshape(-1, length * states, k)
+            solution = solve_batch(
+                matrices, rhs[starts[picked]].reshape(-1, length * states), ridge_lambda, normalize
+            )
             values[picked] = solution.values
             residual_norms[picked] = solution.residual_norms
             conditions[picked] = solution.conditions

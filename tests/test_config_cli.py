@@ -1157,6 +1157,63 @@ def test_misspelled_keys_in_a_shipped_config_stop_estimate(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_covid_rejects_keys_that_its_family_never_reads(tmp_path, capsys):
+    # each key is declared for another command; without the family check
+    # this run exits 0 and writes its three files
+    body = (CONFIGS / "covid.conf").read_text()
+    for key in ("model.name=s3i3r", "known.gamma=0.5", "sim.t_end=3"):
+        conf = write(tmp_path / "covid.conf", body + key + "\n")
+        out = tmp_path / "out"
+        args = ["covid", "--config", conf, "--data", str(COVID_DAILY), "--out", str(out)]
+        assert main(args) == 2
+        name = key.split("=")[0]
+        assert f"{conf}: config key {name} is not read by the covid command" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, body, key",
+    [
+        ("simulate", SIR_CONF, "covid.gamma"),
+        ("estimate", SIR_CONF, "reynolds.nx"),
+        ("simulate", SIR_CONF, "sweep.samples"),
+        ("sweep", SWEEP_CONF, "covid.window"),
+        ("reynolds", REYNOLDS_SMALL, "model.population"),
+        ("reynolds", REYNOLDS_SMALL, "known.beta"),
+        ("covid", "model.population=5700000\n", "estimate.window"),
+    ],
+)
+def test_key_of_another_family_is_rejected(tmp_path, capsys, command, body, key):
+    conf = write(tmp_path / "run.conf", body + f"{key}=3\n")
+    out = tmp_path / "out"
+    args = [command, "--config", conf, "--out", str(out)]
+    if command == "estimate":
+        args += ["--data", write(tmp_path / "data.csv", TRAJECTORY)]
+    elif command == "covid":
+        args += ["--data", str(COVID_DAILY)]
+    elif command == "reynolds":
+        args += ["--manufactured", "0.01"]
+    assert main(args) == 2
+    assert f"{conf}: config key {key} is not read by the {command} command" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+def test_every_shipped_config_is_read_by_its_commands():
+    # a config serves the commands of one family; each shipped one loads
+    # for every command that the CI step runs on it
+    commands = {
+        "covid": ["covid"],
+        "reynolds_manufactured": ["reynolds"],
+        "sir_sweep": ["sweep"],
+        "s3i3r_sweep": ["sweep"],
+    }
+    for path in sorted(CONFIGS.glob("*.conf")):
+        for command in commands.get(path.stem, ["simulate", "estimate"]):
+            assert cli._load_config(path, command) == load_config(path)
+
+
 @pytest.mark.parametrize("command", ["estimate", "covid"])
 def test_seed_flag_only_on_commands_that_draw(tmp_path, capsys, command):
     out = tmp_path / "out"

@@ -611,3 +611,172 @@ def test_batch_members_match_their_batch_of_one_solve(
         oracle = solution / scales
         error = np.abs(batch.values[index] - oracle)
         assert (error <= 1e-12 * np.maximum(1.0, np.abs(oracle))).all()
+
+
+def _gathered_solve_windows(blocks, targets, width, ridge_lambda=0.0, normalize=False):
+    """The window solver as it stood before its rows were read as views: each
+    chunk of windows' rows is gathered by fancy indexing from sliding views,
+    and B'B and B'r are summed in two separate buffers. The oracle for
+    regression.solve_windows, bit for bit."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from artifact.regression import GRAM_CONDITION_CUT, SOLVE_BLOCK_VALUES, BatchSolution
+
+    def residual_norms_of(matrices, values, rhs):
+        residuals = (matrices @ values[..., None])[..., 0] - rhs
+        return np.sqrt(np.add.reduce(residuals * residuals, axis=1))
+
+    if not 0.0 <= ridge_lambda < np.inf:
+        raise ValueError(f"ridge_lambda must be finite and nonnegative: {ridge_lambda}")
+    blocks, targets = np.asarray(blocks, dtype=float), np.asarray(targets, dtype=float)
+    if blocks.ndim != 3 or targets.shape != blocks.shape[:2] or not blocks.shape[0]:
+        raise ShapeMismatch(f"blocks {blocks.shape} and targets {targets.shape} for windows")
+    count, states, k = blocks.shape
+    if not 1 <= width <= count + 2:
+        raise ValueError(f"window width {width} for {count} blocks is not 1 .. count + 2")
+
+    def window_rows(matrices, rhs, length, starts):
+        windows, rhs = (
+            np.moveaxis(sliding_window_view(array, length, axis=0), -1, 1)
+            for array in (matrices, rhs)
+        )
+        rows = length * states
+        step = max(1, SOLVE_BLOCK_VALUES // (rows * (k + 1)))
+        for start in range(0, len(starts), step):
+            part = slice(start, start + step)
+            picked = starts[part]
+            yield part, windows[picked].reshape(-1, rows, k), rhs[picked].reshape(-1, rows)
+
+    ends = np.arange(width - 1, count + 2)
+    if width == 1:
+        ends = ends[1:-1]
+    padded, padded_targets = np.zeros((count + 2, states, k)), np.zeros((count + 2, states))
+    padded[1:-1], padded_targets[1:-1] = blocks, targets
+    first = ends[0] - width + 1
+    with np.errstate(all="ignore"):
+        grams = np.einsum("jsa,jsb->jab", padded, padded)
+        moments = np.einsum("jsa,js->ja", padded, padded_targets)
+        gram = grams[first : first + len(ends)].copy()
+        moment = moments[first : first + len(ends)].copy()
+        for offset in range(first + 1, first + width):
+            gram += grams[offset : offset + len(ends)]
+            moment += moments[offset : offset + len(ends)]
+        if normalize:
+            scales = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+            scales[scales == 0.0] = 1.0
+            gram /= scales[:, :, None] * scales[:, None, :]
+            moment /= scales
+        gram += ridge_lambda * np.eye(k)
+        finite = np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(moment).all(axis=1)
+        gram[~finite] = np.eye(k)
+        eigenvalues = np.linalg.eigvalsh(gram)
+        conditions = eigenvalues[:, -1] / eigenvalues[:, 0]
+        certified = finite & (eigenvalues[:, 0] > 0.0) & (conditions <= GRAM_CONDITION_CUT)
+        gram[~certified] = np.eye(k)
+        values = np.linalg.solve(gram, moment[..., None])[..., 0]
+        if normalize:
+            values /= scales
+        values[~certified] = np.nan
+        residual_norms = np.full(len(ends), np.nan)
+        solved = np.flatnonzero(certified)
+        for part, matrices, rhs in window_rows(padded, padded_targets, width, solved + first):
+            residual_norms[solved[part]] = residual_norms_of(matrices, values[solved[part]], rhs)
+    failed = np.flatnonzero(~(np.isfinite(residual_norms) & np.isfinite(values).all(axis=1)))
+    errors = [None] * len(ends)
+    starts = np.maximum(ends - width, 0)
+    lengths = np.minimum(ends, count) - starts
+    for run in np.split(failed, np.flatnonzero(np.diff(lengths[failed])) + 1):
+        if not len(run):
+            continue
+        for part, matrices, rhs in window_rows(blocks, targets, lengths[run[0]], starts[run]):
+            solution = solve_batch(matrices, rhs, ridge_lambda, normalize)
+            picked = run[part]
+            values[picked] = solution.values
+            residual_norms[picked] = solution.residual_norms
+            conditions[picked] = solution.conditions
+            for window, error in zip(picked, solution.errors):
+                errors[window] = error
+    return ends, BatchSolution(values, residual_norms, conditions, errors, ridge_lambda)
+
+
+WINDOW_ENTRY_KINDS = ("nan", "inf", "-inf", "1e200", "-0.0", "zero block", "duplicate column")
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    seed=matrices,
+    count=st.integers(1, 40),
+    states=st.sampled_from([1, 2, 3, 7]),
+    k=st.sampled_from([1, 2, 3, 7]),
+    width_draw=st.floats(0.0, 1.0),
+    kinds=st.lists(st.sampled_from(WINDOW_ENTRY_KINDS), max_size=4),
+    spread=st.sampled_from([0.0, 3.0, 8.0]),
+    ridge_lambda=st.sampled_from([0.0, 1e-3]),
+    normalize=st.booleans(),
+    layout=st.sampled_from(["C", "F", "reduced", "strided"]),
+)
+def test_solve_windows_keeps_the_gathered_rows_bits(
+    seed, count, states, k, width_draw, kinds, spread, ridge_lambda, normalize, layout
+):
+    # every width from 1 to count + 2; `spread` scales the columns over up to
+    # 10^8, so the windows straddle GRAM_CONDITION_CUT and some go to QR. The
+    # memory layout of the blocks is drawn too: a QR window's residual norm
+    # depends on the layout of the rows that solve_batch gets, and
+    # ParameterPartition.reduce hands over blocks whose columns are outermost
+    from artifact import regression
+
+    rng = np.random.default_rng(seed)
+    width = 1 + min(int(width_draw * (count + 2)), count + 1)
+    blocks = rng.standard_normal((count, states, k)) * 10.0 ** rng.uniform(0, spread, k)
+    targets = rng.standard_normal((count, states))
+    for kind in kinds:
+        block, state, col = rng.integers(count), rng.integers(states), rng.integers(k)
+        if kind == "zero block":
+            blocks[block] = 0.0
+        elif kind == "duplicate column":
+            blocks[:, :, col] = blocks[:, :, 0]
+        else:
+            value = float(kind) if kind != "-0.0" else -0.0
+            if rng.integers(2):
+                blocks[block, state, col] = value
+            else:
+                targets[block, state] = value
+    if layout == "F":
+        blocks, targets = np.asfortranarray(blocks), np.asfortranarray(targets)
+    elif layout == "reduced":
+        blocks = np.concatenate([blocks, blocks[..., :1]], axis=2)[..., list(range(k))]
+    elif layout == "strided":
+        blocks = np.repeat(blocks, 2, axis=2)[..., ::2]
+        targets = np.repeat(targets, 2, axis=1)[:, ::2]
+    expected = _gathered_solve_windows(blocks, targets, width, ridge_lambda, normalize)
+    ends, solution = regression.solve_windows(blocks, targets, width, ridge_lambda, normalize)
+    expected_ends, expected_solution = expected
+    assert ends.tolist() == expected_ends.tolist()
+    for name in ("values", "residual_norms", "conditions"):
+        got, want = getattr(solution, name), getattr(expected_solution, name)
+        assert got.shape == want.shape
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), name
+    assert [(type(e), str(e)) for e in solution.errors] == [
+        (type(e), str(e)) for e in expected_solution.errors
+    ]
+    assert solution.ridge_lambda == ridge_lambda
+
+
+def test_solve_windows_keeps_the_gathered_rows_checks():
+    # the oracle and the solver refuse the same inputs with the same messages
+    from artifact import regression
+
+    blocks, targets = np.ones((4, 3, 2)), np.ones((4, 3))
+    for args in (
+        (blocks[0], targets[0], 1),
+        (blocks, targets[:, :2], 1),
+        (blocks[:0], targets[:0], 1),
+        (blocks, targets, 0),
+        (blocks, targets, 7),
+        (blocks, targets, 2, -1e-9),
+        (blocks, targets, 2, np.inf),
+    ):
+        with pytest.raises((ShapeMismatch, ValueError)) as expected:
+            _gathered_solve_windows(*args)
+        with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+            regression.solve_windows(*args)
