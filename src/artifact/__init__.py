@@ -111,6 +111,7 @@ from .vorticity import (
     estimate_reynolds,
     load_snapshot_stack,
     manufactured_diffusion_stack,
+    reynolds_convergence,
     sample_sensors,
     shedding_time_step,
     snapshots_from_flat_columns,

@@ -35,15 +35,13 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .config import _MISSING as REQUIRED
-from .config import get_flag, get_float, get_floats, get_int, get_ints, get_str
+from .config import REQUIRED, get_flag, get_float, get_floats, get_int, get_ints, get_str
 from .config import load_config, read_csv
 from .differentiation import TimeSeries
 from .epidemic import FixedRates, build_sir_states, load_who_csv
 from .errors import (
     ConfigError,
     EstimationError,
-    NonPhysical,
     NonPositivePopulation,
     ParseError,
     RankDeficient,
@@ -68,14 +66,12 @@ from .integrator import (
     simulate,
 )
 from .models import get_model
-from .regression import ParameterPartition, _solve_column_sums
+from .regression import ParameterPartition
 from .vorticity import (
-    _fit_sums,
-    _reynolds_estimate,
-    _sensor_sums,
     default_wake_region,
     load_snapshot_stack,
     manufactured_diffusion_stack,
+    reynolds_convergence,
 )
 
 
@@ -111,13 +107,14 @@ CONFIG_KEYS = {key: (getter, default) for getter, default, keys in _KEY_ROWS for
 
 # The keys each command's family reads, as whole keys or "section." prefixes.
 # The commands of one family share configs: a simulate config also serves
-# estimate, so each of the two accepts the other's keys, and a sweep config is
-# a simulate config plus its sweep keys (simulate_draws replaces the schedule).
+# estimate, so each of the two accepts the other's keys. A sweep config is a
+# simulate config without noise keys, plus its sweep keys; it may keep an
+# estimate config's schedule and estimate keys, which the sweep does not read.
 _SIMULATE_FAMILY = ("model.", "schedule.", "sim.", "noise.", "estimate.", "known.")
 _FAMILY_KEYS = {
     "simulate": _SIMULATE_FAMILY,
     "estimate": _SIMULATE_FAMILY,
-    "sweep": _SIMULATE_FAMILY + ("sweep.",),
+    "sweep": ("model.", "schedule.", "sim.", "estimate.", "known.", "sweep."),
     "covid": ("model.population", "covid."),
     "reynolds": ("reynolds.",),
 }
@@ -529,15 +526,13 @@ def cmd_covid(args) -> tuple:
 
 def cmd_reynolds(args) -> tuple:
     entries = _load_config(args.config, "reynolds") if args.config else {}
-    if args.manifest and args.manufactured is not None:
-        raise ConfigError("provide either --manifest or --manufactured, not both")
-    if args.manifest:
+    if args.manifest is not None:
         target = _get(entries, "reynolds.target")
         if target <= 0:
             raise ConfigError(f"reynolds.target={target!r} must be positive")
         stack = load_snapshot_stack(args.manifest)
         source = "snapshots"
-    elif args.manufactured is not None:
+    else:
         nu = args.manufactured
         if not 0.0 < nu < math.inf:
             raise ConfigError("--manufactured viscosity must be finite and positive")
@@ -550,8 +545,6 @@ def cmd_reynolds(args) -> tuple:
         )
         target = 1.0 / nu
         source = "manufactured"
-    else:
-        raise ConfigError("provide --manifest PATH or --manufactured NU")
     repeats = _get(entries, "reynolds.repeats")
     if repeats < 1:
         raise ConfigError("reynolds.repeats must be at least 1")
@@ -566,35 +559,20 @@ def cmd_reynolds(args) -> tuple:
             region = (0.0, (stack.nx - 1) * stack.dx, 0.0, (stack.ny - 1) * stack.dy)
     elif len(region) != 4:
         raise ConfigError("reynolds.region needs x_lo,x_hi,y_lo,y_hi")
-    draws = list(_sensor_sums(stack, region, counts, repeats, seed))
-    full_sums = _fit_sums(stack)
-    rows = []
-    full_field = {}
-    for method, lam in (("plain", 0.0), ("ridge", ridge)):
-        for count, sums in draws:
-            try:
-                est = _reynolds_estimate(count, sums, lam)
-                rows.append(
-                    [
-                        method,
-                        count,
-                        est.re,
-                        float(np.std(est.per_seed)),
-                        est.inverse_re,
-                        abs(est.re - target) / target,
-                        "ok",
-                    ]
-                )
-            except NonPhysical:
-                rows.append(
-                    [method, count, np.nan, np.nan, np.nan, np.nan, "nonphysical"]
-                )
-        inverse = _solve_column_sums(*full_sums, lam)
-        full_field[method] = {
-            "inverse_re": inverse,
-            "re": 1.0 / inverse,
-            "relative_error": abs(1.0 / inverse - target) / target,
-        }
+    rows, full_field = [], {}
+    fits = reynolds_convergence(stack, region, counts, repeats, ridge, seed)
+    for method, (estimates, inverse) in fits.items():
+        for count, est in zip(counts, estimates):
+            if est is None:
+                rows.append([method, count, np.nan, np.nan, np.nan, np.nan, "nonphysical"])
+            else:
+                spread = float(np.std(est.per_seed))
+                error = abs(est.re - target) / target
+                rows.append([method, count, est.re, spread, est.inverse_re, error, "ok"])
+        # a fit that is not positive has no Reynolds number: NaN, written as null
+        re = 1.0 / inverse if inverse > 0 else math.nan
+        error = abs(re - target) / target
+        full_field[method] = {"inverse_re": inverse, "re": re, "relative_error": error}
     header = [
         "method", "sensors", "mean_re", "re_spread", "mean_inverse_re", "rel_error", "status"
     ]
@@ -647,8 +625,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reynolds", help="Reynolds identification from snapshots")
     common(p, seeded=True, config_required=False)
-    p.add_argument("--manifest", default=None, help="snapshot manifest path")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--manifest", default=None, help="snapshot manifest path")
+    source.add_argument(
         "--manufactured",
         type=float,
         default=None,

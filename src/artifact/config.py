@@ -13,7 +13,8 @@ import math
 
 from .errors import ConfigError, ParseError
 
-_MISSING = object()
+# the default of a key that must be given: its getter raises ConfigError without it
+REQUIRED = object()
 
 
 def load_config(path) -> dict:
@@ -67,7 +68,7 @@ def read_csv(path, what: str):
 
 def _get(entries: dict, key: str, default, parse, kind: str, finite: bool = False):
     if key not in entries:
-        if default is _MISSING:
+        if default is REQUIRED:
             raise ConfigError(f"missing required config key {key}")
         return default
     value = entries[key]
@@ -85,15 +86,15 @@ def _comma_list(parse):
     return lambda value: [parse(part) for part in value.split(",") if part.strip()]
 
 
-def get_str(entries: dict, key: str, default=_MISSING):
+def get_str(entries: dict, key: str, default=REQUIRED):
     return _get(entries, key, default, str, "a string")
 
 
-def get_int(entries: dict, key: str, default=_MISSING):
+def get_int(entries: dict, key: str, default=REQUIRED):
     return _get(entries, key, default, int, "an integer")
 
 
-def get_float(entries: dict, key: str, default=_MISSING):
+def get_float(entries: dict, key: str, default=REQUIRED):
     return _get(entries, key, default, float, "a number", finite=True)
 
 
@@ -103,16 +104,16 @@ def _flag(value: str) -> bool:
     return value == "1"
 
 
-def get_flag(entries: dict, key: str, default=_MISSING):
+def get_flag(entries: dict, key: str, default=REQUIRED):
     """0 or 1, as a bool."""
     return _get(entries, key, default, _flag, "0 or 1")
 
 
-def get_floats(entries: dict, key: str, default=_MISSING):
+def get_floats(entries: dict, key: str, default=REQUIRED):
     """Comma-separated float list."""
     return _get(entries, key, default, _comma_list(float), "a number list", finite=True)
 
 
-def get_ints(entries: dict, key: str, default=_MISSING):
+def get_ints(entries: dict, key: str, default=REQUIRED):
     """Comma-separated integer list."""
     return _get(entries, key, default, _comma_list(int), "an integer list")

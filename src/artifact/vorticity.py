@@ -32,6 +32,9 @@ Formulations
   worker with its own buffers; the per-snapshot sums come back in snapshot
   order and are added in the calling thread, so every result has the same
   bits for every worker count, the serial path included
+- study: reynolds_convergence fits each sensor count and the full field at
+  lambda 0 and at a ridge lambda from one set of draws and sums; a count
+  whose fit is not positive gives None, where estimate_reynolds raises NonPhysical
 
 Snapshot files are raw little-endian float64, row-major with x fastest, so
 a file holds ny rows of nx values; in memory fields are (nx, ny) with x
@@ -403,13 +406,12 @@ def _sensor_sums(stack: SnapshotStack, region, sensor_counts, repeats: int, seed
         yield count, [_column_sums([block]) for block in zip(laplacian, target)]
 
 
-def _reynolds_estimate(count: int, sums, ridge_lambda: float) -> ReynoldsEstimate:
-    """Seed-averaged estimate from each repeat's (a'a, a'b) at one lambda."""
+def _reynolds_estimate(count: int, sums, ridge_lambda: float) -> ReynoldsEstimate | None:
+    """Seed-averaged estimate from each repeat's (a'a, a'b) at one lambda, or
+    None when any per-seed inverse estimate, or their mean, is not positive."""
     inverses = np.array([_solve_column_sums(*pair, ridge_lambda) for pair in sums])
     if np.any(inverses <= 0) or inverses.mean() <= 0:
-        raise NonPhysical(
-            f"non-positive inverse Reynolds estimate at sensor count {count}"
-        )
+        return None
     per_seed = tuple(1.0 / inv for inv in inverses)
     return ReynoldsEstimate(
         count, float(np.mean(per_seed)), float(inverses.mean()), per_seed, ridge_lambda
@@ -431,10 +433,33 @@ def estimate_reynolds(
     numbers are averaged directly; NonPhysical is raised when any per-seed
     inverse estimate (or their mean) is not positive.
     """
-    return [
-        _reynolds_estimate(count, sums, ridge_lambda)
-        for count, sums in _sensor_sums(stack, region, sensor_counts, repeats, seed)
-    ]
+    estimates = []
+    for count, sums in _sensor_sums(stack, region, sensor_counts, repeats, seed):
+        estimate = _reynolds_estimate(count, sums, ridge_lambda)
+        if estimate is None:
+            raise NonPhysical(f"non-positive inverse Reynolds estimate at sensor count {count}")
+        estimates.append(estimate)
+    return estimates
+
+
+def reynolds_convergence(
+    stack: SnapshotStack, region, sensor_counts, repeats: int, ridge_lambda: float, seed: int = 0
+) -> dict:
+    """{"plain": fits at lambda 0, "ridge": fits at `ridge_lambda`}.
+
+    Each method's fits are (estimates, inverse_re): per entry of
+    `sensor_counts` estimate_reynolds's estimate, or None where it raises
+    NonPhysical, and the full field's estimate_inverse_re. Sensors and field
+    are drawn and summed once for both lambdas; after the draws, solve errors
+    come in the order plain sensors, plain field, ridge sensors, ridge field.
+    """
+    draws = list(_sensor_sums(stack, region, sensor_counts, repeats, seed))
+    field = _fit_sums(stack)
+    fits = {}
+    for method, lam in (("plain", 0.0), ("ridge", ridge_lambda)):
+        estimates = [_reynolds_estimate(count, sums, lam) for count, sums in draws]
+        fits[method] = estimates, _solve_column_sums(*field, lam)
+    return fits
 
 
 def curl_consistency_rms(stack: SnapshotStack) -> float:

@@ -1,5 +1,6 @@
 """Flat config parsing and end-to-end CLI runs with exit codes."""
 
+import ast
 import csv
 import dataclasses
 import json
@@ -1318,3 +1319,87 @@ def test_written_manifest_carries_cylinder_metadata_only_when_complete(tmp_path)
     ):
         manifest = write_snapshot_stack(partial, tmp_path / name)
         assert load_config(manifest).keys() == {"nx", "ny", "dx", "dy", "dt", "n_snapshots"}
+
+
+def test_cli_imports_no_private_name():
+    # the commands read configs and write files through the package's public names
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert "reynolds_convergence" in imported
+    assert [name for name in imported if name.startswith("_")] == []
+
+
+def test_sweep_rejects_noise_keys(tmp_path, capsys):
+    # a sweep draws noise-free trajectories: without the family check these
+    # runs exit 0 and write draws.csv
+    for key in ("noise.epsilon=0.5", "noise.seed=3"):
+        conf = write(tmp_path / "sweep.conf", SWEEP_CONF + key + "\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", conf, "--out", str(out)]) == 2
+        name = key.split("=")[0]
+        assert f"{conf}: config key {name} is not read by the sweep command" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--manifest", "m.txt", "--manufactured", "0.01"],
+         "argument --manufactured: not allowed with argument --manifest"),
+        ([], "one of the arguments --manifest --manufactured is required"),
+    ],
+    ids=["both", "neither"],
+)
+def test_reynolds_input_choice_is_checked_by_argparse(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(["reynolds", *argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def steady_manifest(directory):
+    """A 17^2 x 5 stack whose w is the same at every snapshot, at rest."""
+    w = np.repeat(manufactured_diffusion_stack(0.01, 17, 17, 5, 0.1).w[:1], 5, axis=0)
+    zero = np.zeros_like(w)
+    return write_snapshot_stack(SnapshotStack(u=zero, v=zero, w=w, dx=0.2, dy=0.2, dt=0.1), directory)
+
+
+def growing_manifest(directory):
+    """The decaying 33^2 x 11 field played backwards: every fit gives 1/Re < 0."""
+    decaying = manufactured_diffusion_stack(0.01, 33, 33, 11, 0.1)
+    zero = np.zeros_like(decaying.w)
+    growing = dataclasses.replace(decaying, u=zero, v=zero, w=decaying.w[::-1].copy())
+    return write_snapshot_stack(growing, directory)
+
+
+@pytest.mark.parametrize("source", ["steady", "manufactured-1e-320", "growing"])
+def test_full_field_fit_that_is_not_positive_has_no_reynolds_number(tmp_path, source):
+    # at the parent the first two raised ZeroDivisionError out of main and the
+    # third wrote a negative re
+    conf = write(tmp_path / "re.conf", "reynolds.counts=4\nreynolds.repeats=2\n")
+    if source == "steady":
+        args = ["--manifest", steady_manifest(tmp_path / "fields")]
+    elif source == "growing":
+        args = ["--manifest", growing_manifest(tmp_path / "fields")]
+    else:
+        conf = write(
+            tmp_path / "re.conf",
+            "reynolds.nx=17\nreynolds.ny=17\nreynolds.snapshots=5\nreynolds.counts=4\n",
+        )
+        args = ["--manufactured", "1e-320"]
+    out = tmp_path / "out"
+    assert main(["reynolds", "--config", conf, *args, "--out", str(out)]) == 0
+    full_field = json.loads((out / "summary.json").read_text())["full_field"]
+    for method in ("plain", "ridge"):
+        fit = full_field[method]
+        assert fit["inverse_re"] < 0 if source == "growing" else fit["inverse_re"] == 0.0
+        assert fit["re"] is None and fit["relative_error"] is None
+    with open(out / "convergence.csv") as handle:
+        assert [row[6] for row in csv.reader(handle)][1:] == ["nonphysical"] * 2

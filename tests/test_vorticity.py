@@ -29,6 +29,7 @@ from artifact import (
     estimate_reynolds,
     load_snapshot_stack,
     manufactured_diffusion_stack,
+    reynolds_convergence,
     sample_sensors,
     shedding_time_step,
     snapshots_from_flat_columns,
@@ -434,6 +435,55 @@ def test_stencil_arithmetic_runs_once_per_sensor_count(monkeypatch):
     monkeypatch.setattr(vorticity, "_transport_rows", counted)
     estimate_reynolds(stack, REGION, [3, 7], repeats=5, seed=11)
     assert shapes == [(5, 3, 19), (5, 7, 19)]
+
+
+@pytest.mark.parametrize(
+    "stack, region, counts, repeats, seed, rejects",
+    [
+        (advected_diffusion_stack(NU, 0.3, 0.2, 65, 65, 21, 0.05), REGION, [3, 7, 16], 4, 11,
+         False),
+        (random_stack(), (0.0, 3.0, 0.0, 4.9), [1, 2, 3, 7, 20], 2, 4, True),
+    ],
+    ids=["advected", "random"],
+)
+def test_reynolds_convergence_equals_the_public_estimators(
+    stack, region, counts, repeats, seed, rejects
+):
+    # every count's fit at both lambdas is the one-count estimate_reynolds,
+    # None where that raises NonPhysical, and the field's estimate_inverse_re
+    ridge = 1e-3
+    fits = reynolds_convergence(stack, region, counts, repeats, ridge, seed)
+    assert list(fits) == ["plain", "ridge"]
+    rejected = 0
+    for method, lam in (("plain", 0.0), ("ridge", ridge)):
+        estimates, inverse = fits[method]
+        assert inverse == estimate_inverse_re(stack, None, lam)
+        assert len(estimates) == len(counts)
+        for count, estimate in zip(counts, estimates):
+            try:
+                expected = estimate_reynolds(stack, region, [count], repeats, lam, seed)[0]
+            except NonPhysical:
+                expected = None
+                rejected += 1
+            assert estimate == expected
+    assert (rejected > 0) == rejects
+    assert rejected < 2 * len(counts)
+
+
+def test_reynolds_convergence_gathers_each_count_once_and_the_field_once(monkeypatch):
+    stack = advected_diffusion_stack(NU, 0.3, 0.2, 65, 65, 21, 0.05)
+    shapes = []
+    transport_rows = vorticity._transport_rows
+
+    def counted(stack, w, *args, **kwargs):
+        shapes.append(w.center.shape)
+        return transport_rows(stack, w, *args, **kwargs)
+
+    monkeypatch.setattr(vorticity, "_transport_rows", counted)
+    reynolds_convergence(stack, REGION, [3, 7], 5, 1e-6, seed=11)
+    # one (repeats, count, n - 2) gather per count, then one pass over the
+    # 19 interior snapshots, shared by both lambdas
+    assert shapes == [(5, 3, 19), (5, 7, 19)] + [(63, 63)] * 19
 
 
 @pytest.mark.parametrize("counts", [[4, 0], [-3], [0]])
