@@ -108,13 +108,13 @@ CONFIG_KEYS = {key: (getter, default) for getter, default, keys in _KEY_ROWS for
 # The keys each command's family reads, as whole keys or "section." prefixes.
 # The commands of one family share configs: a simulate config also serves
 # estimate, so each of the two accepts the other's keys. A sweep config is a
-# simulate config without noise keys, plus its sweep keys; it may keep an
-# estimate config's schedule and estimate keys, which the sweep does not read.
+# simulate config without noise and estimate keys, plus its sweep keys; it
+# may keep a simulate config's schedule keys, which the sweep does not read.
 _SIMULATE_FAMILY = ("model.", "schedule.", "sim.", "noise.", "estimate.", "known.")
 _FAMILY_KEYS = {
     "simulate": _SIMULATE_FAMILY,
     "estimate": _SIMULATE_FAMILY,
-    "sweep": ("model.", "schedule.", "sim.", "estimate.", "known.", "sweep."),
+    "sweep": ("model.", "schedule.", "sim.", "known.", "sweep."),
     "covid": ("model.population", "covid."),
     "reynolds": ("reynolds.",),
 }
@@ -126,13 +126,16 @@ def _table_key(key: str) -> str:
 
 def _load_config(path, command: str) -> dict:
     """load_config that rejects a key no command reads, naming the nearest one,
-    and a key that no command of `command`'s family reads."""
+    a value its getter refuses, and a key that no command of `command`'s
+    family reads, in that order."""
     entries = load_config(path)
     for key in entries:
         if _table_key(key) not in CONFIG_KEYS:
             nearest = difflib.get_close_matches(key, CONFIG_KEYS, n=1)
             hint = f" (did you mean {nearest[0]}?)" if nearest else ""
             raise ConfigError(f"{path}: unknown config key {key}{hint}")
+        _get(entries, key)
+    for key in entries:
         if not key.startswith(_FAMILY_KEYS[command]):
             raise ConfigError(f"{path}: config key {key} is not read by the {command} command")
     return entries
@@ -534,8 +537,8 @@ def cmd_reynolds(args) -> tuple:
         source = "snapshots"
     else:
         nu = args.manufactured
-        if not 0.0 < nu < math.inf:
-            raise ConfigError("--manufactured viscosity must be finite and positive")
+        if not (0.0 < nu < math.inf and 1.0 / nu < math.inf):
+            raise ConfigError("--manufactured NU and 1/NU must be finite and positive")
         stack = manufactured_diffusion_stack(
             nu,
             _get(entries, "reynolds.nx"),
@@ -566,7 +569,8 @@ def cmd_reynolds(args) -> tuple:
             if est is None:
                 rows.append([method, count, np.nan, np.nan, np.nan, np.nan, "nonphysical"])
             else:
-                spread = float(np.std(est.per_seed))
+                with np.errstate(over="ignore"):  # an overflowing spread reads inf
+                    spread = float(np.std(est.per_seed))
                 error = abs(est.re - target) / target
                 rows.append([method, count, est.re, spread, est.inverse_re, error, "ok"])
         # a fit that is not positive has no Reynolds number: NaN, written as null

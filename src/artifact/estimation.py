@@ -52,11 +52,12 @@ from .errors import (
     UnderDetermined,
 )
 from .integrator import SimulationConfig, simulate_draws, time_grid
-from .models import ParameterLinearModel, check_features, matrices_from_features
+from .models import ParameterLinearModel, check_states, library_features, matrices_from_features
 from .regression import (
     ParameterEstimate,
     ParameterPartition,
     StackedSystem,
+    check_ridge_lambda,
     solve_partitioned,
     solve_windows,
 )
@@ -141,16 +142,13 @@ def _formulate(model: ParameterLinearModel, times, states, derivative: str):
     gives one per sample. rhs is time_derivative's; the matrices weight the
     features and apply the table once.
     """
-    if states.shape[-1] != model.n_states:
-        raise ShapeMismatch(
-            f"series has {states.shape[-1]} states, model {model.name} wants {model.n_states}"
-        )
+    states = check_states(states, model.n_states, model.name)
     # a non-finite entry is the solver's verdict (NonFiniteSystem), not a warning
     with np.errstate(all="ignore"):
         rhs = time_derivative(times, states, derivative)
-        features, coefficients = model.library()
-        values = features(states, np.broadcast_to(times, states.shape[:-1]))
-        check_features(model, values, states, len(coefficients))
+        _, coefficients, values = library_features(
+            model, states, np.broadcast_to(times, states.shape[:-1])
+        )
         if derivative == "interior":
             h1 = times[1:-1] - times[:-2]
             h2 = times[2:] - times[1:-1]
@@ -301,7 +299,7 @@ def estimate_time_varying(
         raise UnderDetermined(
             f"width {d} gives {model.n_states * d} rows for {n_unknown} unknowns"
         )
-    regression._check_ridge_lambda(ridge_lambda)  # also when no window is solved
+    check_ridge_lambda(ridge_lambda)  # also when no window is solved
     n = len(series)
     if n < 3 or d > n:
         nothing = np.empty(0)

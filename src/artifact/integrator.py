@@ -14,10 +14,11 @@ those steps run, STEP_BLOCK steps to one parameter_table call.
 
 simulate and simulate_draws share one RK4 loop: simulate is its one-draw
 case, stepped as one state; a batch of draws takes one features call per
-stage, and a failing draw stops alone. The state's width and the features'
-shape are checked once, on the initial state, before the first step; each
-omega's width before the steps that read it. The stages then call the
-library features as they are; a built-in's are its unchecked kernel.
+stage, and a failing draw stops alone. The state's width is checked once,
+and the features' shape once by models.library_features on the initial
+state, before the first step; each omega's width before the steps that read
+it. The stages then call the library features as they are; a built-in's are
+its unchecked kernel.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .differentiation import TimeSeries
 from .errors import EstimationError, NonFiniteState, ShapeMismatch
 from .models import (
     ParameterLinearModel,
-    _model_states,
-    check_features,
     check_parameters,
+    check_states,
+    library_features,
     parameter_table,
     rates,
 )
@@ -155,11 +156,10 @@ def erk4_step(
     """One classical RK4 update of one state with omega held fixed across the stages."""
     if not 0 < h < np.inf:
         raise ValueError("step must be finite and positive")
-    state = _model_states(model, state)
-    features, coefficients = model.library()
+    state = check_states(state, model.n_states, model.name)
     # an overflow is the step's verdict (NonFiniteState), as in _integrate
     with np.errstate(all="ignore"):
-        check_features(model, features(state, t), state, len(coefficients))
+        features, coefficients, _ = library_features(model, state, t)
         table = parameter_table(coefficients, check_parameters(model, omega))
         new_state = _rk4(features, state, t, table, h)
     if not np.all(np.isfinite(new_state)):
@@ -197,12 +197,11 @@ def _integrate(model, config, omegas=None):
     states[:, 0] = x
     if draws > 1:
         x = states[:, 0].copy()
-    features, coefficients = model.library()
     # a wrong features or parameter shape would broadcast in the stages: it
     # fails every draw (simulate_draws checks its own parameters); an
     # overflowing initial state fails at the first step's finiteness check
     with np.errstate(all="ignore"):
-        check_features(model, features(x, times[0]), x, len(coefficients))
+        features, coefficients, _ = library_features(model, x, times[0])
     if omegas is None and isinstance(config.schedule, ConstantSchedule):
         omegas = check_parameters(model, config.schedule.omega)[None]
     if omegas is None:

@@ -29,10 +29,10 @@ state, the matrices flattened as the features of the identity table.
 Checks happen where a call enters the package. The public *_features
 functions check their states and population on every call; the built-in
 factories bind private kernels with the same arithmetic and no checks, since
-the factory has checked the population and every entry point (build_matrices,
-eval_rhs, erk4_step, simulate, simulate_draws and the estimators'
-formulation) checks the states' last axis once. The one per-call check a
-kernel keeps is S3I3R's zero pool, which depends on the state.
+the factory has checked the population and every entry point checks the
+states once (check_states) and reads the library through library_features,
+which checks the features' shape. The one per-call check a kernel keeps is
+S3I3R's zero pool, which depends on the state.
 """
 
 from __future__ import annotations
@@ -127,12 +127,12 @@ class ParameterLinearModel:
         return self._library
 
 
-def _as_states(states, expected: int) -> np.ndarray:
+def check_states(states, n_states: int, name: str | None = None) -> np.ndarray:
+    """states as floats; ShapeMismatch, naming model `name` if given, unless (..., n_states)."""
     states = np.asarray(states, dtype=float)
-    if states.ndim == 0 or states.shape[-1] != expected:
-        raise ShapeMismatch(
-            f"expected states of shape (..., {expected}), got {states.shape}"
-        )
+    if states.ndim == 0 or states.shape[-1] != n_states:
+        wants = "expected" if name is None else f"model {name} wants"
+        raise ShapeMismatch(f"{wants} states of shape (..., {n_states}), got {states.shape}")
     return states
 
 
@@ -182,14 +182,19 @@ def rates(features, table) -> np.ndarray:
     return _c_einsum("...f,...fn->...n", features, table)
 
 
-def check_features(model: ParameterLinearModel, features, states, count: int) -> None:
-    """ShapeMismatch unless features has shape states.shape[:-1] + (count,)."""
-    expected = np.shape(states)[:-1] + (count,)
-    if np.shape(features) != expected:
+def library_features(model: ParameterLinearModel, states, t) -> tuple:
+    """(features, coefficients, values = features(states, t)) of the model's library;
+    ShapeMismatch unless values has shape states.shape[:-1] + (F,). The caller
+    has checked the states (check_states)."""
+    features, coefficients = model.library()
+    values = features(states, t)
+    expected = states.shape[:-1] + (len(coefficients),)
+    if np.shape(values) != expected:
         raise ShapeMismatch(
-            f"model {model.name} built features of shape {np.shape(features)}, "
+            f"model {model.name} built features of shape {np.shape(values)}, "
             f"expected {expected}"
         )
+    return features, coefficients, values
 
 
 LOTKA_VOLTERRA_STATES = ("prey", "predator")
@@ -252,7 +257,7 @@ def _lotka_volterra_kernel(states) -> np.ndarray:
 
 def lotka_volterra_features(states) -> np.ndarray:
     """(..., 3) features (x, x*y, y) for prey x and predator y."""
-    return _lotka_volterra_kernel(_as_states(states, 2))
+    return _lotka_volterra_kernel(check_states(states, 2))
 
 
 def lotka_volterra_matrix(states) -> np.ndarray:
@@ -281,7 +286,7 @@ def _sir_kernel(states, population: float) -> np.ndarray:
 def sir_features(states, population: float) -> np.ndarray:
     """(..., 2) features (S*I/N, I)."""
     check_population(population)
-    return _sir_kernel(_as_states(states, 3), population)
+    return _sir_kernel(check_states(states, 3), population)
 
 
 def sir_matrix(states, population: float) -> np.ndarray:
@@ -312,7 +317,7 @@ def s3i3r_features(states, population: float) -> np.ndarray:
     Raises DegenerateDenominator when V is zero for any state.
     """
     check_population(population)
-    return _s3i3r_kernel(_as_states(states, 7), population)
+    return _s3i3r_kernel(check_states(states, 7), population)
 
 
 def s3i3r_matrix(states, population: float) -> np.ndarray:
@@ -325,19 +330,9 @@ def s3i3r_matrix(states, population: float) -> np.ndarray:
     return matrices_from_features(s3i3r_features(states, population), S3I3R_COEFFICIENTS)
 
 
-def _model_states(model: ParameterLinearModel, states) -> np.ndarray:
-    states = np.asarray(states, dtype=float)
-    if states.ndim == 0 or states.shape[-1] != model.n_states:
-        raise ShapeMismatch(
-            f"model {model.name} wants states of shape (..., {model.n_states}), "
-            f"got {states.shape}"
-        )
-    return states
-
-
 def _looped_features(model: ParameterLinearModel, states, t) -> np.ndarray:
     """build_matrix called once per state with a float t, flattened to (..., n * k)."""
-    states = _model_states(model, states)
+    states = check_states(states, model.n_states, model.name)
     rows = states.reshape(-1, model.n_states)
     times = np.broadcast_to(np.asarray(t, dtype=float), states.shape[:-1]).reshape(-1)
     matrices = np.empty((len(rows), model.n_states, model.n_params))
@@ -358,12 +353,10 @@ def build_matrices(model: ParameterLinearModel, states, t) -> np.ndarray:
     t is a float or an array matching the leading axes of states. One call
     of the model's library features per batch, times its table.
     """
-    states = _model_states(model, states)
+    states = check_states(states, model.n_states, model.name)
     if 0 in states.shape[:-1]:  # an empty batch has nothing to build
         return np.empty(states.shape[:-1] + (model.n_states, model.n_params))
-    features, coefficients = model.library()
-    values = features(states, t)
-    check_features(model, values, states, len(coefficients))
+    _, coefficients, values = library_features(model, states, t)
     return matrices_from_features(values, coefficients)
 
 
@@ -379,10 +372,8 @@ def check_parameters(model: ParameterLinearModel, omega) -> np.ndarray:
 
 def eval_rhs(model: ParameterLinearModel, state, omega, t: float = 0.0) -> np.ndarray:
     """Right-hand side A(x; t) @ omega, as features(x; t) @ (coefficients . omega)."""
-    state = _model_states(model, state)
-    features, coefficients = model.library()
-    values = features(state, t)
-    check_features(model, values, state, len(coefficients))
+    state = check_states(state, model.n_states, model.name)
+    _, coefficients, values = library_features(model, state, t)
     return rates(values, parameter_table(coefficients, check_parameters(model, omega)))
 
 

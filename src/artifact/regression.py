@@ -6,6 +6,8 @@ Solvers
 - solve_windows: every window of consecutive per-sample blocks, from Gram sums
 - solve_ols: ordinary least squares, min ||A omega - b||_2
 - solve_ridge: Tikhonov-regularized least squares, (A'A + lambda I)^-1 A'b
+- solve_single_column: a'b / (a'a + lambda) of one column, from column_sums
+  and solve_column_sums, which the Reynolds fits (vorticity) call directly
 
 Implementation
 --------------
@@ -185,7 +187,7 @@ class ParameterEstimate:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
 
-def _check_ridge_lambda(ridge_lambda: float) -> None:
+def check_ridge_lambda(ridge_lambda: float) -> None:
     if not 0.0 <= ridge_lambda < math.inf:
         raise ValueError(f"ridge_lambda must be finite and nonnegative: {ridge_lambda}")
 
@@ -229,7 +231,7 @@ def solve_batch(
     replaced by zeros before any LAPACK call, and one whose QR factor
     overflows by the identity before the SVD.
     """
-    _check_ridge_lambda(ridge_lambda)
+    check_ridge_lambda(ridge_lambda)
     matrices = np.asarray(matrices, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if matrices.ndim != 3:
@@ -389,7 +391,7 @@ def solve_windows(blocks, targets, width: int, ridge_lambda: float = 0.0, normal
     verdict on its rows. Inputs are checked as solve_batch checks them.
     Returns the ends and a BatchSolution of their windows' fits.
     """
-    _check_ridge_lambda(ridge_lambda)
+    check_ridge_lambda(ridge_lambda)
     blocks, targets = np.asarray(blocks, dtype=float), np.asarray(targets, dtype=float)
     if blocks.ndim != 3 or targets.shape != blocks.shape[:2] or not blocks.shape[0]:
         raise ShapeMismatch(f"blocks {blocks.shape} and targets {targets.shape} for windows")
@@ -511,23 +513,20 @@ def solve_single_column(system: StackedSystem, ridge_lambda: float = 0.0) -> flo
     """
     if system.cols != 1:
         raise ShapeMismatch(f"expected a single column, got {system.cols}")
-    return _solve_column_sums(*_column_sums([(system.matrix, system.rhs)]), ridge_lambda)
+    with np.errstate(all="ignore"):  # an overflow is a non-finite sum
+        return solve_column_sums(*column_sums(system.matrix, system.rhs), ridge_lambda)
 
 
-def _column_sums(blocks) -> tuple:
-    """a'a and a'b summed over (regressor, target) blocks, one ddot pair each."""
-    squares = products = 0.0
-    with np.errstate(all="ignore"):
-        for regressor, target in blocks:
-            a = regressor.reshape(-1)
-            squares += float(a @ a)
-            products += float(a @ target.reshape(-1))
-    return squares, products
+def column_sums(regressor, target) -> tuple:
+    """(0.0 + a'a, 0.0 + a'b) of a one-column regressor a and target b, one ddot
+    each; an overflow warns unless the caller runs this under np.errstate."""
+    a = regressor.reshape(-1)
+    return 0.0 + float(a @ a), 0.0 + float(a @ target.reshape(-1))
 
 
-def _solve_column_sums(squares: float, products: float, ridge_lambda: float) -> float:
+def solve_column_sums(squares: float, products: float, ridge_lambda: float) -> float:
     """products / (squares + lambda) from the sums a'a and a'b of one column."""
-    _check_ridge_lambda(ridge_lambda)
+    check_ridge_lambda(ridge_lambda)
     if not (math.isfinite(squares) and math.isfinite(products)):
         raise NonFiniteSystem(f"sums a'a = {squares}, a'b = {products} are not finite")
     if squares + ridge_lambda == 0.0:

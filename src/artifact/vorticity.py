@@ -34,7 +34,8 @@ Formulations
   bits for every worker count, the serial path included
 - study: reynolds_convergence fits each sensor count and the full field at
   lambda 0 and at a ridge lambda from one set of draws and sums; a count
-  whose fit is not positive gives None, where estimate_reynolds raises NonPhysical
+  whose fit is not positive, or whose Reynolds number overflows, gives None,
+  where estimate_reynolds raises NonPhysical
 
 Snapshot files are raw little-endian float64, row-major with x fastest, so
 a file holds ny rows of nx values; in memory fields are (nx, ny) with x
@@ -64,7 +65,7 @@ from .errors import (
     RegionTooSmall,
     ShapeMismatch,
 )
-from .regression import StackedSystem, _column_sums, _solve_column_sums
+from .regression import StackedSystem, column_sums, solve_column_sums
 
 FILE_PATTERNS = {"u": "u_%04d.bin", "v": "v_%04d.bin", "w": "w_%04d.bin"}
 
@@ -359,14 +360,12 @@ def _fit_sums(stack: SnapshotStack, sensors: SensorSet | None = None) -> tuple:
         # an overflow is the sums' verdict (NonFiniteSystem), as in the full field's
         with np.errstate(all="ignore"):
             system = assemble_vorticity_system(stack, sensors)
-        return _column_sums([(system.matrix, system.rhs)])
+            return column_sums(system.matrix, system.rhs)
     w, u, v, core = stack.w, stack.u, stack.v, np.s_[1:-1, 1:-1]
 
     def snapshot_sums(n: int, scratch: np.ndarray) -> tuple:
-        a, b = _transport_rows(stack, interior_neighbours(w[n]), w[n + 1][core],
-                               w[n - 1][core], u[n][core], v[n][core], scratch)
-        a = a.reshape(-1)
-        return float(a @ a), float(a @ b.reshape(-1))
+        return column_sums(*_transport_rows(stack, interior_neighbours(w[n]), w[n + 1][core],
+                                            w[n - 1][core], u[n][core], v[n][core], scratch))
 
     squares = products = 0.0
     for square, product in _per_snapshot(
@@ -381,7 +380,7 @@ def estimate_inverse_re(
     stack: SnapshotStack, sensors: SensorSet | None = None, ridge_lambda: float = 0.0
 ) -> float:
     """Estimated 1/Re from a sensor set, or from every interior node."""
-    return _solve_column_sums(*_fit_sums(stack, sensors), ridge_lambda)
+    return solve_column_sums(*_fit_sums(stack, sensors), ridge_lambda)
 
 
 def _sensor_sums(stack: SnapshotStack, region, sensor_counts, repeats: int, seed: int):
@@ -403,19 +402,26 @@ def _sensor_sums(stack: SnapshotStack, region, sensor_counts, repeats: int, seed
             draws.append(_draw_nodes(nodes, count, int(state[0])))
         with np.errstate(all="ignore"):  # as in _fit_sums
             laplacian, target = _sensor_rows(stack, np.stack(draws))
-        yield count, [_column_sums([block]) for block in zip(laplacian, target)]
+            sums = [column_sums(*block) for block in zip(laplacian, target)]
+        yield count, sums
 
 
 def _reynolds_estimate(count: int, sums, ridge_lambda: float) -> ReynoldsEstimate | None:
     """Seed-averaged estimate from each repeat's (a'a, a'b) at one lambda, or
-    None when any per-seed inverse estimate, or their mean, is not positive."""
-    inverses = np.array([_solve_column_sums(*pair, ridge_lambda) for pair in sums])
-    if np.any(inverses <= 0) or inverses.mean() <= 0:
+    None when any per-seed inverse estimate is not positive, when their mean
+    is not positive or overflows, or when a per-seed Reynolds number, or
+    their mean, overflows."""
+    inverses = np.array([solve_column_sums(*pair, ridge_lambda) for pair in sums])
+    with np.errstate(over="ignore"):  # a mean that overflows ends the fit
+        inverse = float(inverses.mean())
+        if np.any(inverses <= 0) or not 0.0 < inverse < np.inf:
+            return None
+        # Python floats, so 1 / 5e-311 is inf without a numpy warning
+        per_seed = tuple(1.0 / inv for inv in inverses.tolist())
+        re = float(np.mean(per_seed))
+    if not re < np.inf:
         return None
-    per_seed = tuple(1.0 / inv for inv in inverses)
-    return ReynoldsEstimate(
-        count, float(np.mean(per_seed)), float(inverses.mean()), per_seed, ridge_lambda
-    )
+    return ReynoldsEstimate(count, re, inverse, per_seed, ridge_lambda)
 
 
 def estimate_reynolds(
@@ -431,13 +437,14 @@ def estimate_reynolds(
     Repeat r for count c draws sensors with SeedSequence((seed, c, r)), so
     the full pipeline is reproducible from one integer. Per-seed Reynolds
     numbers are averaged directly; NonPhysical is raised when any per-seed
-    inverse estimate (or their mean) is not positive.
+    inverse estimate (or their mean) is not positive, or a per-seed Reynolds
+    number (or their mean) is not finite.
     """
     estimates = []
     for count, sums in _sensor_sums(stack, region, sensor_counts, repeats, seed):
         estimate = _reynolds_estimate(count, sums, ridge_lambda)
         if estimate is None:
-            raise NonPhysical(f"non-positive inverse Reynolds estimate at sensor count {count}")
+            raise NonPhysical(f"no positive, finite Reynolds estimate at sensor count {count}")
         estimates.append(estimate)
     return estimates
 
@@ -458,7 +465,7 @@ def reynolds_convergence(
     fits = {}
     for method, lam in (("plain", 0.0), ("ridge", ridge_lambda)):
         estimates = [_reynolds_estimate(count, sums, lam) for count, sums in draws]
-        fits[method] = estimates, _solve_column_sums(*field, lam)
+        fits[method] = estimates, solve_column_sums(*field, lam)
     return fits
 
 

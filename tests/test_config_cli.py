@@ -22,6 +22,7 @@ from artifact import (
     NonMonotonicDates,
     ParseError,
     RankDeficient,
+    ReynoldsEstimate,
     TooFewPoints,
     default_wake_region,
     manufactured_diffusion_stack,
@@ -1062,6 +1063,10 @@ REYNOLDS_SMALL = "reynolds.nx=9\nreynolds.ny=9\nreynolds.snapshots=5\nreynolds.c
         ("estimate", SIR_CONF, TRAJECTORY.replace("0.9998", "x"), 3, "data.csv:3"),
         ("estimate", SIR_CONF, TRAJECTORY[:TRAJECTORY.index("\n1,")], 3, "data.csv"),
         ("simulate", SIR_CONF, None, 3, "out"),
+        ("simulate", SIR_CONF.replace("=sir", "=sirr"), None, 2, "unknown model 'sirr'"),
+        # keys that the command's family accepts and the command never reads
+        ("sweep", SWEEP_CONF + "schedule.mean=x\n", None, 2, "schedule.mean"),
+        ("simulate", SIR_CONF + "estimate.window=x\n", None, 2, "estimate.window"),
     ],
     ids=[
         "sim-points-1",
@@ -1076,6 +1081,9 @@ REYNOLDS_SMALL = "reynolds.nx=9\nreynolds.ny=9\nreynolds.snapshots=5\nreynolds.c
         "data-non-numeric",
         "data-one-row",
         "out-is-a-file",
+        "model-name-unknown",
+        "unread-schedule-mean",
+        "unread-estimate-window",
     ],
 )
 def test_cli_error_paths_write_no_out(tmp_path, capsys, command, body, data, code, named):
@@ -1321,23 +1329,99 @@ def test_written_manifest_carries_cylinder_metadata_only_when_complete(tmp_path)
         assert load_config(manifest).keys() == {"nx", "ny", "dx", "dy", "dt", "n_snapshots"}
 
 
-def test_cli_imports_no_private_name():
-    # the commands read configs and write files through the package's public names
-    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+def private_names_of_other_modules(path: Path) -> list:
+    """The private names that one package module imports from, or reads off,
+    another package module, sorted: `from .m import _x` and
+    `from artifact.m import _x`, and `m._x` after `from . import m`,
+    `from artifact import m`, `import artifact.m as m` or `import artifact.m`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, found = {}, []  # a name the source binds to a package module: that module
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.startswith("__")
+
+    def dotted(node) -> str | None:
+        if isinstance(node, ast.Attribute):
+            value = dotted(node.value)
+            return None if value is None else f"{value}.{node.attr}"
+        return node.id if isinstance(node, ast.Name) else None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "artifact" or alias.name.startswith("artifact."):
+                    module = alias.name.removeprefix("artifact.")
+                    modules[alias.asname or alias.name] = module
+                    if alias.asname is None:  # import artifact.m binds artifact too
+                        modules["artifact"] = "artifact"
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module != "artifact" and not module.startswith("artifact."):
+                    continue
+                module = module.removeprefix("artifact").removeprefix(".")
+            for alias in node.names:
+                if not module:  # from . import m, from artifact import m
+                    modules[alias.asname or alias.name] = alias.name
+                if private(alias.name):
+                    found.append(f"{module or 'artifact'}.{alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            module = modules.get(dotted(node.value))
+            if module is not None:
+                found.append(f"{module}.{node.attr}")
+    return sorted(found)
+
+
+def test_cli_imports_no_private_name(tmp_path):
+    # every module reaches the others through their public names: the commands
+    # read configs and write files with what the library exports, through the
+    # Reynolds study's one call, and the library's modules share no private helper
+    sources = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert {"cli.py", "models.py", "vorticity.py"} <= {path.name for path in sources}
+    found = {path.name: private_names_of_other_modules(path) for path in sources}
+    assert {name: names for name, names in found.items() if names} == {}
+    cli_tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     imported = [
         alias.name
-        for node in ast.walk(tree)
+        for node in ast.walk(cli_tree)
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     ]
     assert "reynolds_convergence" in imported
-    assert [name for name in imported if name.startswith("_")] == []
+    # every form is caught; a name from outside the package is not in scope
+    sample = write(
+        tmp_path / "sample.py",
+        "import numpy as np\n"
+        "from numpy._core.multiarray import c_einsum\n"
+        "from . import regression\n"
+        "from .models import _as_states, check_states\n"
+        "from artifact.vorticity import _fit_sums\n"
+        "from artifact import _private, integrator\n"
+        "import artifact.estimation as estimation\n"
+        "import artifact.differentiation\n"
+        "regression._check_ridge_lambda(0.0)\n"
+        "regression.__name__\n"
+        "integrator._rk4\n"
+        "estimation._formulate\n"
+        "artifact.differentiation._finite_difference\n"
+        "np._core\n",
+    )
+    assert private_names_of_other_modules(Path(sample)) == [
+        "artifact._private",
+        "differentiation._finite_difference",
+        "estimation._formulate",
+        "integrator._rk4",
+        "models._as_states",
+        "regression._check_ridge_lambda",
+        "vorticity._fit_sums",
+    ]
 
 
 def test_sweep_rejects_noise_keys(tmp_path, capsys):
-    # a sweep draws noise-free trajectories: without the family check these
-    # runs exit 0 and write draws.csv
-    for key in ("noise.epsilon=0.5", "noise.seed=3"):
+    # a sweep draws noise-free trajectories and fits no window: without the
+    # family check these runs exit 0 and write draws.csv
+    for key in ("noise.epsilon=0.5", "noise.seed=3", "estimate.window=5"):
         conf = write(tmp_path / "sweep.conf", SWEEP_CONF + key + "\n")
         out = tmp_path / "out"
         assert main(["sweep", "--config", conf, "--out", str(out)]) == 2
@@ -1364,6 +1448,29 @@ def test_reynolds_input_choice_is_checked_by_argparse(tmp_path, capsys, argv, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize("nu", ["1e-320", "5e-324"])
+def test_manufactured_viscosity_whose_inverse_overflows_is_refused(tmp_path, capsys, nu):
+    # 1/NU overflows to inf: without the refusal the run exits 0 with a null target_re
+    conf = write(tmp_path / "re.conf", REYNOLDS_SMALL)
+    out = tmp_path / "out"
+    assert main(["reynolds", "--config", conf, "--manufactured", nu, "--out", str(out)]) == 2
+    assert "--manufactured NU and 1/NU must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_re_spread_that_overflows_reads_inf(tmp_path, monkeypatch):
+    # the squares of np.std((1e200, 1.1e200)) overflow: without errstate a
+    # numpy warning would leave main as a traceback
+    estimate = ReynoldsEstimate(4, 1.05e200, 1e-200, (1e200, 1.1e200), 0.0)
+    monkeypatch.setattr(cli, "reynolds_convergence", lambda *args: {"plain": ([estimate], 0.01)})
+    conf = write(tmp_path / "re.conf", REYNOLDS_SMALL)
+    out = tmp_path / "out"
+    assert main(["reynolds", "--config", conf, "--manufactured", "0.01", "--out", str(out)]) == 0
+    with open(out / "convergence.csv") as handle:
+        assert [row["re_spread"] for row in csv.DictReader(handle)] == ["inf"]
+
+
 def steady_manifest(directory):
     """A 17^2 x 5 stack whose w is the same at every snapshot, at rest."""
     w = np.repeat(manufactured_diffusion_stack(0.01, 17, 17, 5, 0.1).w[:1], 5, axis=0)
@@ -1379,7 +1486,7 @@ def growing_manifest(directory):
     return write_snapshot_stack(growing, directory)
 
 
-@pytest.mark.parametrize("source", ["steady", "manufactured-1e-320", "growing"])
+@pytest.mark.parametrize("source", ["steady", "manufactured-1e-300", "growing"])
 def test_full_field_fit_that_is_not_positive_has_no_reynolds_number(tmp_path, source):
     # at the parent the first two raised ZeroDivisionError out of main and the
     # third wrote a negative re
@@ -1393,7 +1500,7 @@ def test_full_field_fit_that_is_not_positive_has_no_reynolds_number(tmp_path, so
             tmp_path / "re.conf",
             "reynolds.nx=17\nreynolds.ny=17\nreynolds.snapshots=5\nreynolds.counts=4\n",
         )
-        args = ["--manufactured", "1e-320"]
+        args = ["--manufactured", "1e-300"]
     out = tmp_path / "out"
     assert main(["reynolds", "--config", conf, *args, "--out", str(out)]) == 0
     full_field = json.loads((out / "summary.json").read_text())["full_field"]

@@ -796,6 +796,16 @@ def test_sweep_zero_draw_recorded_not_fatal():
     assert np.all(np.isnan(result.max_errors))
 
 
+def test_sweep_draw_whose_solve_fails_is_recorded_not_fatal():
+    # no one is infected, so every row is zero: each draw's solve fails
+    spec = SweepSpec(((0.1, 0.5), (0.1, 0.3)), 3, ParameterPartition.all_unknown(2))
+    config = SimulationConfig(0.0, 10.0, 1.0, np.array([1.0, 0.0, 0.0]), ConstantSchedule([0, 0]))
+    result = run_sweep(sir(1.0), spec, config)
+    assert result.failure_counts == {"RankDeficient": 3}
+    assert [reason for _, reason in result.failures] == ["RankDeficient: zero singular value"] * 3
+    assert np.all(np.isnan(result.max_errors)) and np.all(np.isnan(result.mean_errors))
+
+
 def test_sweep_deterministic_and_accurate():
     spec = SweepSpec(
         domain=((0.1, 0.9), (0.5, 1.5), (0.7, 1.5), (0.3, 1.2)),

@@ -503,6 +503,25 @@ def test_estimate_reynolds_deterministic(stack65):
         assert abs(estimate.re - 100.0) / 100.0 < 0.015
 
 
+@pytest.mark.filterwarnings("error")
+def test_reynolds_numbers_that_overflow_are_nonphysical(monkeypatch):
+    # 1 / 5e-311, the mean of the per-seed 1.5e308 and 1.6e308, and the mean
+    # of two per-seed 1/Re of 1e308 overflow: a numpy warning, or an infinite
+    # Reynolds number or 1/Re, without the check
+    assert vorticity._reynolds_estimate(4, [(1.0, 5e-311)], 0.0) is None
+    huge = [(1.0, 1.0 / 1.5e308), (1.0, 1.0 / 1.6e308)]
+    assert vorticity._reynolds_estimate(4, huge, 0.0) is None
+    assert vorticity._reynolds_estimate(4, [(1.0, 1e308), (1.0, 1e308)], 0.0) is None
+    finite = vorticity._reynolds_estimate(4, [(1.0, 0.01), (1.0, 0.02)], 0.0)
+    assert finite.per_seed == (100.0, 50.0) and finite.re == 75.0
+    stack = manufactured_diffusion_stack(NU, 17, 17, 5, 0.1)
+    monkeypatch.setattr(vorticity, "_sensor_sums", lambda *args: iter([(4, [(1.0, 5e-311)])]))
+    with pytest.raises(NonPhysical, match="no positive, finite Reynolds estimate"):
+        estimate_reynolds(stack, REGION, [4], repeats=1)
+    fits = reynolds_convergence(stack, REGION, [4], 1, 1e-6)
+    assert [estimates for estimates, _ in fits.values()] == [[None], [None]]
+
+
 def test_estimate_reynolds_rejects_growth():
     x = np.linspace(0.0, np.pi, 33)
     plane = np.outer(np.sin(x), np.sin(x))
